@@ -155,12 +155,23 @@ def criteria(
     fit_max_signal: float = FIT_SIGNAL_MAX,
     window: tuple[float, float] = DIP_WINDOW,
 ) -> CriteriaValues:
-    """Evaluate all four criteria on one curve. Pure; errors propagate."""
-    line = fit_line(curve, fit_max_signal)
+    """Evaluate all four criteria on one curve. Pure.
+
+    c2 and c3 are NaN when fewer than two points lie below
+    `fit_max_signal`, so no line can be fitted: like an empty dip window,
+    that leaves the curve unranked on them instead of aborting a sweep.
+    """
+    try:
+        line = fit_line(curve, fit_max_signal)
+    except FitError:
+        c2 = c3 = float("nan")
+    else:
+        c2 = prominence(curve, line, window)
+        c3 = mae(line.evaluate(curve.signal), curve.snr)
     return CriteriaValues(
         c1=mae(ideal_snr(curve.signal), curve.snr),
-        c2=prominence(curve, line, window),
-        c3=mae(line.evaluate(curve.signal), curve.snr),
+        c2=c2,
+        c3=c3,
         c4=float(np.mean(curve.output3)),
     )
 

@@ -8,6 +8,7 @@ sgd_step()           plain gradient-descent update, in place
 adam_step()          adaptive-moment update, in place
 numeric_gradients()  central finite-difference gradient check
 save_model()/load_model()  versioned binary model container
+forward_chunked()    network outputs for many encoded rows, chunk by chunk
 predict()            raw inputs -> physical outputs via a Model bundle
 
 All arithmetic is float64. Weight matrices are (fan_out, fan_in), so a
@@ -65,27 +66,53 @@ class NetworkConfig:
         return len(self.hidden) + 1
 
 
-@dataclass
-class NetworkParameters:
-    """Weights and biases, one entry per layer."""
+def _flatten(weights, biases) -> np.ndarray:
+    """Per-layer arrays concatenated in the layout order w0, b0, w1, b1, ..."""
+    arrays = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
+    return np.concatenate(arrays, dtype=np.float64)
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+
+def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (fan_out, fan_in) weight and (fan_out,) bias views into `flat`."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        end = offset + fan_out * fan_in
+        weights.append(flat[offset:end].reshape(fan_out, fan_in))
+        biases.append(flat[end : end + fan_out])
+        offset = end + fan_out
+    return weights, biases
+
+
+class NetworkParameters:
+    """Weights and biases of every layer, held in one contiguous vector.
+
+    `flat` is a float64 copy of the given arrays in the order w0, b0, w1,
+    b1, ... (each row-major), exactly the model file's payload; the
+    optimizers and the gradient check work on it whole. `weights` and
+    `biases` are per-layer views into it, so a write through either side
+    is visible in the other. Shapes are checked here, once.
+    """
+
+    def __init__(self, weights, biases):
+        sizes = (np.shape(weights[0])[-1], *(np.size(b) for b in biases)) if weights else ()
+        given = [np.shape(a) for pair in zip(weights, biases) for a in pair]
+        wanted = [s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_out, n_in), (n_out,))]
+        if not weights or len(weights) != len(biases) or given != wanted:
+            raise ShapeError(f"weight and bias shapes {given} do not chain into layers")
+        self.layer_sizes = sizes
+        self.flat = _flatten(weights, biases)
+        self.weights, self.biases = _layer_views(self.flat, sizes)
 
     def copy(self) -> "NetworkParameters":
-        return NetworkParameters(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return NetworkParameters(self.weights, self.biases)
 
     @property
     def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     def norm(self) -> float:
-        total = sum(float(np.sum(w * w)) for w in self.weights)
-        total += sum(float(np.sum(b * b)) for b in self.biases)
-        return float(np.sqrt(total))
+        return float(np.linalg.norm(self.flat))
 
 
 def init_parameters(config: NetworkConfig, seed: int) -> NetworkParameters:
@@ -101,7 +128,9 @@ def init_parameters(config: NetworkConfig, seed: int) -> NetworkParameters:
 
 
 def leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
-    return np.where(z >= 0, z, alpha * np.asarray(z, dtype=np.float64))
+    # For 0 < alpha < 1 (NetworkConfig enforces it) this is where(z >= 0,
+    # z, alpha * z) bit for bit, signed zeros included, and faster.
+    return np.maximum(z, alpha * z)
 
 
 def leaky_relu_derivative(z: np.ndarray, alpha: float) -> np.ndarray:
@@ -122,20 +151,8 @@ class ForwardTrace:
 
 
 def _check_parameter_shapes(params: NetworkParameters, config: NetworkConfig) -> None:
-    sizes = config.layer_sizes
-    if len(params.weights) != config.n_layers or len(params.biases) != config.n_layers:
-        raise ShapeError(
-            f"expected {config.n_layers} parameter layers, got "
-            f"{len(params.weights)} weight / {len(params.biases)} bias entries"
-        )
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        expect = (sizes[layer + 1], sizes[layer])
-        if w.shape != expect:
-            raise ShapeError(f"layer {layer} weights have shape {w.shape}, expected {expect}")
-        if b.shape != (sizes[layer + 1],):
-            raise ShapeError(
-                f"layer {layer} bias has shape {b.shape}, expected {(sizes[layer + 1],)}"
-            )
+    if params.layer_sizes != config.layer_sizes:
+        raise ShapeError(f"parameter layers {params.layer_sizes} != config {config.layer_sizes}")
 
 
 def forward(params: NetworkParameters, config: NetworkConfig, inputs) -> ForwardTrace:
@@ -234,24 +251,17 @@ def numeric_gradients(
     def cost() -> float:
         return quadratic_cost(targets, forward(params, config, inputs).output)
 
-    def differentiate(array: np.ndarray) -> np.ndarray:
-        grad = np.empty_like(array)
-        flat = array.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            above = cost()
-            flat[i] = original - step
-            below = cost()
-            flat[i] = original
-            gflat[i] = (above - below) / (2.0 * step)
-        return grad
-
-    return Gradients(
-        d_weights=[differentiate(w) for w in params.weights],
-        d_biases=[differentiate(b) for b in params.biases],
-    )
+    flat = params.flat
+    grad = np.empty_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + step
+        above = cost()
+        flat[i] = original - step
+        below = cost()
+        flat[i] = original
+        grad[i] = (above - below) / (2.0 * step)
+    return Gradients(*_layer_views(grad, params.layer_sizes))
 
 
 @dataclass
@@ -264,8 +274,8 @@ class OptimizerState:
     beta2: float = 0.999
     epsilon: float = 1e-7
     step_count: int = 0
-    first_moment: list[np.ndarray] | None = None
-    second_moment: list[np.ndarray] | None = None
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
 
 def init_optimizer(mode: str, learning_rate: float, params: NetworkParameters) -> OptimizerState:
@@ -275,9 +285,8 @@ def init_optimizer(mode: str, learning_rate: float, params: NetworkParameters) -
         raise ConfigurationError(f"learning rate must be positive, got {learning_rate!r}")
     state = OptimizerState(mode=mode, learning_rate=learning_rate)
     if mode == "adam":
-        arrays = params.weights + params.biases
-        state.first_moment = [np.zeros_like(a) for a in arrays]
-        state.second_moment = [np.zeros_like(a) for a in arrays]
+        state.first_moment = np.zeros_like(params.flat)
+        state.second_moment = np.zeros_like(params.flat)
     return state
 
 
@@ -288,10 +297,7 @@ def sgd_step(
     if state.mode != "sgd":
         raise ConfigurationError(f"sgd_step called with optimizer mode {state.mode!r}")
     state.step_count += 1
-    for w, dw in zip(params.weights, grads.d_weights):
-        w -= state.learning_rate * dw
-    for b, db in zip(params.biases, grads.d_biases):
-        b -= state.learning_rate * db
+    params.flat -= state.learning_rate * _flatten(grads.d_weights, grads.d_biases)
     return params
 
 
@@ -311,14 +317,15 @@ def adam_step(
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
-    arrays = params.weights + params.biases
-    gradients = grads.d_weights + grads.d_biases
-    for p, g, m, v in zip(arrays, gradients, state.first_moment, state.second_moment):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + state.epsilon)
+    g = _flatten(grads.d_weights, grads.d_biases)
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    params.flat -= state.learning_rate * (m / correction1) / (
+        np.sqrt(v / correction2) + state.epsilon
+    )
     return params
 
 
@@ -331,17 +338,23 @@ class Model:
     normalization: NormalizationSpec
 
 
+def forward_chunked(
+    params: NetworkParameters, config: NetworkConfig, x: np.ndarray, chunk_size: int = 65536
+) -> np.ndarray:
+    """Outputs for encoded rows `x`, `chunk_size` rows per forward pass."""
+    outputs = np.empty((x.shape[0], config.n_outputs))
+    for start in range(0, x.shape[0], chunk_size):
+        stop = start + chunk_size
+        outputs[start:stop] = forward(params, config, x[start:stop]).output
+    return outputs
+
+
 def predict(model: Model, numeric, category, chunk_size: int = 65536) -> np.ndarray:
     """Physical (signal, snr, output3) predictions for raw input rows."""
     x = encode_inputs(numeric, category, model.normalization)
-    single = x.ndim == 1
-    rows = np.atleast_2d(x)
-    outputs = np.empty((rows.shape[0], len(model.normalization.output_max)))
-    for start in range(0, rows.shape[0], chunk_size):
-        stop = start + chunk_size
-        outputs[start:stop] = forward(model.params, model.config, rows[start:stop]).output
+    outputs = forward_chunked(model.params, model.config, np.atleast_2d(x), chunk_size)
     decoded = decode_outputs(outputs, model.normalization)
-    return decoded[0] if single else decoded
+    return decoded[0] if x.ndim == 1 else decoded
 
 
 # -- serialization ----------------------------------------------------------
@@ -351,22 +364,19 @@ def predict(model: Model, numeric, category, chunk_size: int = 65536) -> np.ndar
 #   bytes 8..11   uint32 header length H
 #   bytes 12..    UTF-8 JSON header of H bytes with keys
 #                 config, layers, normalization, param_sha256
-#   then per layer, in order: weights as row-major float64
+#   then the parameter payload: NetworkParameters.flat as float64, that
+#                 is per layer, in order, the row-major weights
 #                 (fan_out * fan_in values), then the bias (fan_out values)
-# param_sha256 is the SHA-256 hex digest of the concatenated parameter
-# bytes; load_model() recomputes and compares it.
+# param_sha256 is the SHA-256 hex digest of the payload; load_model()
+# recomputes and compares it.
 
 
 def save_model(model: Model, path) -> None:
     """Write the model container described in the module byte-layout note."""
     _check_parameter_shapes(model.params, model.config)
-    blocks = []
-    layers = []
-    for w, b in zip(model.params.weights, model.params.biases):
-        layers.append({"fan_in": int(w.shape[1]), "fan_out": int(w.shape[0])})
-        blocks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        blocks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    payload = b"".join(blocks)
+    sizes = model.params.layer_sizes
+    layers = [{"fan_in": fan_in, "fan_out": fan_out} for fan_in, fan_out in zip(sizes, sizes[1:])]
+    payload = model.params.flat.astype("<f8", copy=False).tobytes()
     header = {
         "config": {
             "n_inputs": model.config.n_inputs,
@@ -424,15 +434,16 @@ def load_model(path) -> Model:
             output_max=tuple(header["normalization"]["output_max"]),
             signal_log_base=header["normalization"]["signal_log_base"],
         )
-        layers = header["layers"]
+        layers = [(layer["fan_in"], layer["fan_out"]) for layer in header["layers"]]
         expected_digest = header["param_sha256"]
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ModelFormatError(f"malformed model header: {exc}") from exc
+    sizes = config.layer_sizes
+    if layers != list(zip(sizes, sizes[1:])):
+        raise ModelFormatError(f"header layers {layers} do not match the config's sizes {sizes}")
 
     payload = raw[header_start + header_len :]
-    expected_size = 8 * sum(
-        layer["fan_out"] * layer["fan_in"] + layer["fan_out"] for layer in layers
-    )
+    expected_size = 8 * sum(fan_out * fan_in + fan_out for fan_in, fan_out in layers)
     if len(payload) != expected_size:
         raise ModelFormatError(
             f"parameter block has {len(payload)} bytes, expected {expected_size}"
@@ -440,16 +451,5 @@ def load_model(path) -> Model:
     if hashlib.sha256(payload).hexdigest() != expected_digest:
         raise ModelFormatError("parameter checksum mismatch; file is corrupt")
 
-    weights, biases = [], []
-    offset = 0
-    for layer in layers:
-        n_w = layer["fan_out"] * layer["fan_in"]
-        w = np.frombuffer(payload, dtype="<f8", count=n_w, offset=offset)
-        offset += 8 * n_w
-        b = np.frombuffer(payload, dtype="<f8", count=layer["fan_out"], offset=offset)
-        offset += 8 * layer["fan_out"]
-        weights.append(w.reshape(layer["fan_out"], layer["fan_in"]).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    params = NetworkParameters(weights=weights, biases=biases)
-    _check_parameter_shapes(params, config)
+    params = NetworkParameters(*_layer_views(np.frombuffer(payload, dtype="<f8"), sizes))
     return Model(config=config, params=params, normalization=normalization)

@@ -239,14 +239,6 @@ class SensorOracle:
         out = self._depth(np.atleast_2d(u))
         return float(out[0]) if u.ndim == 1 else out
 
-    def output3_at(self, settings) -> float | np.ndarray:
-        u = _normalize_settings(settings)
-        out = self._output3(np.atleast_2d(u))
-        return float(out[0]) if u.ndim == 1 else out
-
-    def signal_at(self, settings, input5, category) -> float:
-        return self.simulate(settings, input5, category)[0]
-
     def snr_at(self, settings, signal) -> float | np.ndarray:
         """Noise-free SNR (dB) of the combination's curve at a signal level."""
         sig = np.asarray(signal, dtype=np.float64)

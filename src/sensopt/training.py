@@ -36,6 +36,7 @@ from .network import (
     adam_step,
     backprop,
     forward,
+    forward_chunked,
     init_optimizer,
     init_parameters,
     sgd_step,
@@ -140,15 +141,6 @@ def r_squared(actual: np.ndarray, predicted: np.ndarray) -> float:
     return 1.0 - ss_residual / ss_total
 
 
-def _forward_batched(
-    params: NetworkParameters, config: NetworkConfig, x: np.ndarray, chunk: int = 65536
-) -> np.ndarray:
-    out = np.empty((x.shape[0], config.n_outputs))
-    for start in range(0, x.shape[0], chunk):
-        out[start : start + chunk] = forward(params, config, x[start : start + chunk]).output
-    return out
-
-
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(1, epoch))
     return np.random.Generator(np.random.PCG64(ss)).permutation(n)
@@ -212,7 +204,7 @@ def train(
             squared_error_sum += batch_sq * rows.size
             grads = backprop(params, net_config, trace, y_train[rows])
             step(params, grads, state)
-        val_error = mse(y_val, _forward_batched(params, net_config, x_val))
+        val_error = mse(y_val, forward_chunked(params, net_config, x_val))
         history.train_mse.append(squared_error_sum / n)
         history.val_mse.append(val_error)
         history.learning_rate.append(schedule.rate)
@@ -251,7 +243,7 @@ def evaluate(model: Model, table: SampleTable) -> EvaluationReport:
     if len(table) == 0:
         raise ConfigurationError("cannot evaluate on an empty table")
     x, y = encode_table(table, model.normalization)
-    predictions = _forward_batched(model.params, model.config, x)
+    predictions = forward_chunked(model.params, model.config, x)
     metrics = tuple(
         OutputMetrics(
             name=OUTPUT_NAMES[j],

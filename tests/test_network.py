@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,56 @@ def test_model_format_errors(tmp_path):
         load_model(bad)
 
     assert raw[:8] == MODEL_MAGIC
+
+
+def test_model_payload_is_the_flat_vector(tmp_path):
+    model = _toy_model()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:12], "little")
+    assert raw[12 + header_len :] == model.params.flat.tobytes()
+    assert load_model(path).params.flat.tobytes() == model.params.flat.tobytes()
+
+
+def test_flat_vector_and_layer_views_share_memory():
+    params = tiny_params()
+    assert params.flat.tolist() == [0.5, -1.0, 0.25, 1.5, 2.0, -0.5, 0.1, -0.2, 2.0, -0.5, 0.05]
+    params.flat[4] = 9.0
+    params.flat[-1] = -3.0
+    assert params.weights[0][1, 1] == 9.0
+    assert params.biases[1][0] == -3.0
+    params.weights[1][0, 1] = 7.0
+    assert params.flat[9] == 7.0
+    with pytest.raises(ShapeError):
+        NetworkParameters(weights=[np.zeros((2, 3))], biases=[np.zeros(3)])
+
+
+# SHA-256 of model.bin for the default architecture, pinned from the
+# per-layer implementation; neither involves a matrix product, so the
+# values do not depend on the BLAS build.
+INIT_MODEL_SHA256 = "59c411cf54434318a739a1fbafd1509adb12ef9e6fdb106e42e6796ec3329265"
+ADAM3_MODEL_SHA256 = "6df66c6fd122737cd62f13b50d2fcbe1eebf3a40cf253efcbb5329a26b9b84b6"
+
+
+def test_model_file_digests_are_pinned(tmp_path):
+    norm = NormalizationSpec(
+        input_max=(510.0, 144.0, 500.0, 3650.0, 49.0, 4000.0), output_max=(6.0, 32.0, 5.0)
+    )
+    path = tmp_path / "model.bin"
+
+    def digest(params):
+        save_model(Model(config=NetworkConfig(), params=params, normalization=norm), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    params = init_parameters(NetworkConfig(), seed=0)
+    assert digest(params) == INIT_MODEL_SHA256
+    rng = np.random.default_rng(7)
+    grads = Gradients(
+        d_weights=[rng.normal(size=w.shape) for w in params.weights],
+        d_biases=[rng.normal(size=b.shape) for b in params.biases],
+    )
+    state = init_optimizer("adam", 1e-3, params)
+    for _ in range(3):
+        adam_step(params, grads, state)
+    assert digest(params) == ADAM3_MODEL_SHA256

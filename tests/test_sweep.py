@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from conftest import brute_force_select, spearman
 from sensopt.curves import CriteriaValues, criteria
+from sensopt.data import NormalizationSpec
+from sensopt.network import Model, NetworkConfig, NetworkParameters
 from sensopt.oracle import SETTING_RANGES, TABLE1, GridSpec, enumerate_grid
 from sensopt.errors import ConfigurationError, RangeError, SelectionError
 from sensopt.sweep import (
@@ -304,3 +307,52 @@ def test_run_sweep_and_report(small_model, tmp_path):
         column = header.index(label)
         flags = [line.split(",")[column] for line in lines[1:]]
         assert flags.count("1") == 1
+
+
+def _one_unfittable_corner_model() -> Model:
+    """Hand-set net whose log10(signal) is 2 + 2 * input5 / 49 plus a shift
+    that is +2 only when all five settings sit at their maxima.
+
+    Every other corner of the 2-per-axis grid gets a shift in [-0.19, 0),
+    so its curve has many points below the 2e3 AU fit bound and some in
+    the dip window; the all-maxima curve starts at 1e4 AU, so no line can
+    be fitted to it.
+    """
+    settings_sum = np.array([[1, 1, 1, 1, 0, 1, 0, 0, 0, 0]], dtype=np.float64)
+    input5 = np.eye(10)[[4]]
+    params = NetworkParameters(
+        weights=[
+            np.vstack([20.0 * settings_sum, input5]),
+            np.array([[1.0, 2.0], [0.0, 10.0], [0.05, 0.0]]),
+        ],
+        biases=[np.array([-98.0, 0.0]), np.array([2.0, 10.0, 0.5])],
+    )
+    return Model(
+        config=NetworkConfig(n_inputs=10, hidden=(2,), n_outputs=3, alpha=0.01),
+        params=params,
+        normalization=NormalizationSpec(
+            input_max=(510.0, 144.0, 500.0, 3650.0, 49.0, 4000.0), output_max=(1.0, 1.0, 1.0)
+        ),
+    )
+
+
+def test_unfittable_curve_is_unranked_not_fatal(tmp_path):
+    spec = InterpolationSpec(axes=_axes((2, 2, 2, 2, 2)))
+    result = run_sweep(_one_unfittable_corner_model(), spec)
+    corner = (510.0, 144.0, 500.0, 3650.0, 4000.0)
+    by_settings = {c.settings: c for c in result.candidates}
+    assert len(by_settings) == 32
+    bad = by_settings.pop(corner)
+    assert math.isnan(bad.criteria.c2) and math.isnan(bad.criteria.c3)
+    assert bad.ranks[1] is None and bad.ranks[2] is None
+    assert bad.ranks[0] is not None and bad.ranks[3] is not None
+    assert all(None not in c.ranks for c in by_settings.values())
+    for sel in result.selections.values():
+        assert sel.settings in by_settings
+
+    path = tmp_path / "report.csv"
+    write_report_csv(result, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    header, body = rows[0], rows[1:]
+    bad_row = next(r for r in body if tuple(float(v) for v in r[:5]) == corner)
+    assert bad_row[header.index("rank_c2")] == "" and bad_row[header.index("rank_c3")] == ""
