@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_table
 from .errors import DomainError, FitError, ShapeError
 
 # Fit the reference line where the curve is still log-linear, below 2e3 AU;
@@ -188,6 +189,4 @@ def write_curve_csv(curve: Curve, path, fit_max_signal: float = FIT_SIGNAL_MAX) 
             curve.output3,
         ]
     )
-    with open(path, "w", newline="") as fh:
-        fh.write("signal,snr,snr_ideal,snr_line,output3\n")
-        np.savetxt(fh, columns, fmt="%.17g", delimiter=",", newline="\n")
+    write_table(path, "signal,snr,snr_ideal,snr_line,output3", columns)

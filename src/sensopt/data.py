@@ -7,11 +7,27 @@ category becomes a 4-way one-hot block, and the outputs are scaled to
 [0, 1] after a log10 transform of the signal. Maxima are fitted from the
 training partition and persisted with the model, so encoding is a pure
 function of (row, normalization spec).
+
+CSV contract, shared by every float table sensopt writes (the dataset,
+the predicted-vs-actual pairs, the selected curves): a header line of
+comma-separated column names, then one line per row whose fields are
+float64 values printed with 17 significant digits, so they read back
+exactly. Files are written with LF line endings, through a temporary
+file that replaces the target only once it is complete. read_csv()
+reads LF or CRLF files and rejects, naming the 1-based line:
+  - a header other than COLUMNS;
+  - a line without exactly 10 fields, blank lines included;
+  - a field that is not a decimal literal (quoted fields, `1_0`-style
+    and hex literals are rejected);
+  - a non-finite field (nan, inf);
+  - a non-positive signal, or a category that is not an integer in 0..3.
 """
 
 from __future__ import annotations
 
-import csv
+import contextlib
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +59,15 @@ DEFAULT_FRACTIONS = (0.81, 0.09, 0.10)
 
 # 17 significant digits round-trip any float64 exactly.
 _FLOAT_FMT = "%.17g"
+# Rows formatted per % operation: bounds the text held in memory at once.
+_BLOCK_ROWS = 4096
+_HEADER = ",".join(COLUMNS)
+# The literals numpy's loadtxt parser accepts, once surrounding whitespace
+# is stripped; used only to name the line of a file it rejected.
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf(?:inity)?|nan)",
+    re.IGNORECASE | re.ASCII,
+)
 
 
 class SampleTable:
@@ -263,58 +288,103 @@ def split(
     return SplitAssignment(seed=seed, fractions=tuple(fractions), labels=labels)
 
 
+def write_rows(fh, array) -> None:
+    """Write the rows of a 2-D array to text file `fh` as CSV lines.
+
+    Every field gets 17 significant digits, and the bytes are those numpy's
+    savetxt writes with fmt "%.17g", delimiter "," and newline LF. Each
+    block of rows is formatted by a single % operation.
+    """
+    rows = np.asarray(array, dtype=np.float64)
+    line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def write_table(path, header: str, array) -> None:
+    """Write a `header` line and the rows of `array` to the CSV file `path`.
+
+    The text goes to a temporary file beside `path`, which replaces
+    `path` only once it is complete: if writing fails, the temporary file
+    is removed and whatever `path` held before is left untouched.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(header + "\n")
+            write_rows(fh, array)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(table: SampleTable, path) -> None:
     """Write `table` with the canonical header, 17 significant digits per field."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
-        np.savetxt(fh, table.values, fmt=_FLOAT_FMT, delimiter=",", newline="\n")
+    write_table(path, _HEADER, table.values)
 
 
 def read_csv(path) -> SampleTable:
     """Parse a sample CSV back into a table, losslessly.
 
+    The body is parsed by numpy's loadtxt; only when that fails does a
+    line-by-line pass run, to name the first bad line.
+
     Raises:
-        CsvParseError: wrong header, wrong column count or an unparseable
-            field; the message carries the offending 1-based line number.
+        CsvParseError: wrong header, wrong field count, an unparseable or
+            non-finite field, a non-positive signal or a non-integral
+            category; the message carries the offending 1-based line number.
     """
     n_cols = len(COLUMNS)
-    chunks: list[np.ndarray] = []
-    buf = np.empty((65536, n_cols))
-    filled = 0
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != COLUMNS:
-            raise CsvParseError(
-                f"line 1: expected header {','.join(COLUMNS)!r}", line_number=1
-            )
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != n_cols:
-                raise CsvParseError(
-                    f"line {line_no}: expected {n_cols} fields, got {len(record)}",
-                    line_number=line_no,
-                )
-            try:
-                for j in range(n_cols):
-                    buf[filled, j] = float(record[j])
-            except ValueError:
-                raise CsvParseError(
-                    f"line {line_no}: unparseable numeric field", line_number=line_no
-                ) from None
-            filled += 1
-            if filled == buf.shape[0]:
-                chunks.append(buf.copy())
-                filled = 0
-    chunks.append(buf[:filled].copy())
-    values = np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != _HEADER:
+            raise CsvParseError(f"line 1: expected header {_HEADER!r}", line_number=1)
+        n_rows = sum(1 for _ in fh)
+    values = np.empty((0, n_cols))
+    if n_rows:
+        try:
+            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
+        except ValueError:
+            values = None
+        # loadtxt skips blank lines, which the row count exposes.
+        if values is None or values.shape != (n_rows, n_cols):
+            raise _first_bad_line(path)
     table = SampleTable(values)
     _validate_rows(table)
     return table
 
 
+def _first_bad_line(path) -> CsvParseError:
+    """The error for the first data line of `path` that cannot be parsed."""
+    n_cols = len(COLUMNS)
+    with open(path) as fh:
+        next(fh)
+        for line_no, line in enumerate(fh, start=2):
+            text = line.rstrip("\n")
+            fields = text.split(",") if text else []
+            if len(fields) != n_cols:
+                return CsvParseError(
+                    f"line {line_no}: expected {n_cols} fields, got {len(fields)}",
+                    line_number=line_no,
+                )
+            if not all(_NUMBER.fullmatch(field.strip()) for field in fields):
+                return CsvParseError(
+                    f"line {line_no}: unparseable numeric field", line_number=line_no
+                )
+    return CsvParseError(f"{os.fspath(path)}: unparseable CSV body")
+
+
 def _validate_rows(table: SampleTable) -> None:
     if len(table) == 0:
         return
+    bad_value = np.nonzero(~np.isfinite(table.values).all(axis=1))[0]
+    if bad_value.size:
+        raise CsvParseError(
+            f"line {bad_value[0] + 2}: non-finite numeric field",
+            line_number=int(bad_value[0]) + 2,
+        )
     bad_signal = np.nonzero(table.column("signal") <= 0)[0]
     if bad_signal.size:
         raise CsvParseError(

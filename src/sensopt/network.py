@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +66,20 @@ class NetworkConfig:
         return len(self.hidden) + 1
 
 
-def _flatten(weights, biases) -> np.ndarray:
-    """Per-layer arrays concatenated in the layout order w0, b0, w1, b1, ..."""
+def _flatten(weights, biases) -> tuple[tuple[int, ...], np.ndarray]:
+    """Layer sizes, and the arrays concatenated in the order w0, b0, w1, b1, ...
+
+    Raises:
+        ShapeError: the (fan_out, fan_in) weights and (fan_out,) biases do
+            not chain into layers.
+    """
+    sizes = (np.shape(weights[0])[-1], *(np.size(b) for b in biases)) if weights else ()
+    given = [np.shape(a) for pair in zip(weights, biases) for a in pair]
+    wanted = [s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_out, n_in), (n_out,))]
+    if not weights or len(weights) != len(biases) or given != wanted:
+        raise ShapeError(f"weight and bias shapes {given} do not chain into layers")
     arrays = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
-    return np.concatenate(arrays, dtype=np.float64)
+    return sizes, np.concatenate(arrays, dtype=np.float64)
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -95,14 +105,8 @@ class NetworkParameters:
     """
 
     def __init__(self, weights, biases):
-        sizes = (np.shape(weights[0])[-1], *(np.size(b) for b in biases)) if weights else ()
-        given = [np.shape(a) for pair in zip(weights, biases) for a in pair]
-        wanted = [s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_out, n_in), (n_out,))]
-        if not weights or len(weights) != len(biases) or given != wanted:
-            raise ShapeError(f"weight and bias shapes {given} do not chain into layers")
-        self.layer_sizes = sizes
-        self.flat = _flatten(weights, biases)
-        self.weights, self.biases = _layer_views(self.flat, sizes)
+        self.layer_sizes, self.flat = _flatten(weights, biases)
+        self.weights, self.biases = _layer_views(self.flat, self.layer_sizes)
 
     def copy(self) -> "NetworkParameters":
         return NetworkParameters(self.weights, self.biases)
@@ -206,13 +210,29 @@ def output_delta(targets, trace: ForwardTrace, config: NetworkConfig) -> np.ndar
     return (a - y) * leaky_relu_derivative(trace.pre_activations[-1], config.alpha)
 
 
-@dataclass
 class Gradients:
-    """Cost gradients per layer; deltas are the backpropagated errors."""
+    """Cost gradients in the parameter layout; deltas are the backpropagated errors.
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-    deltas: list[np.ndarray] = field(default_factory=list)
+    `flat` holds every gradient entry in NetworkParameters.flat's order,
+    so the optimizers use it whole; `d_weights` and `d_biases` are
+    per-layer views into it. Built from per-layer arrays, it copies them.
+    """
+
+    def __init__(self, d_weights, d_biases, deltas=()):
+        layer_sizes, flat = _flatten(d_weights, d_biases)
+        self._bind(flat, layer_sizes, deltas)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layer_sizes, deltas=()) -> "Gradients":
+        """Gradients whose per-layer views share memory with `flat`."""
+        grads = cls.__new__(cls)
+        grads._bind(flat, layer_sizes, deltas)
+        return grads
+
+    def _bind(self, flat, layer_sizes, deltas) -> None:
+        self.flat = flat
+        self.d_weights, self.d_biases = _layer_views(flat, layer_sizes)
+        self.deltas = list(deltas)
 
 
 def backprop(
@@ -231,11 +251,12 @@ def backprop(
         deltas[layer] = (deltas[layer + 1] @ params.weights[layer + 1]) * (
             leaky_relu_derivative(trace.pre_activations[layer], config.alpha)
         )
-    d_weights = [
-        deltas[layer].T @ trace.activations[layer] / batch for layer in range(n_layers)
-    ]
-    d_biases = [deltas[layer].mean(axis=0) for layer in range(n_layers)]
-    return Gradients(d_weights=d_weights, d_biases=d_biases, deltas=list(deltas))
+    grads = Gradients.from_flat(np.empty_like(params.flat), params.layer_sizes, deltas)
+    for layer in range(n_layers):
+        np.matmul(deltas[layer].T, trace.activations[layer], out=grads.d_weights[layer])
+        np.sum(deltas[layer], axis=0, out=grads.d_biases[layer])
+    grads.flat /= batch
+    return grads
 
 
 def numeric_gradients(
@@ -261,7 +282,7 @@ def numeric_gradients(
         below = cost()
         flat[i] = original
         grad[i] = (above - below) / (2.0 * step)
-    return Gradients(*_layer_views(grad, params.layer_sizes))
+    return Gradients.from_flat(grad, params.layer_sizes)
 
 
 @dataclass
@@ -297,7 +318,7 @@ def sgd_step(
     if state.mode != "sgd":
         raise ConfigurationError(f"sgd_step called with optimizer mode {state.mode!r}")
     state.step_count += 1
-    params.flat -= state.learning_rate * _flatten(grads.d_weights, grads.d_biases)
+    params.flat -= state.learning_rate * grads.flat
     return params
 
 
@@ -317,7 +338,7 @@ def adam_step(
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
-    g = _flatten(grads.d_weights, grads.d_biases)
+    g = grads.flat
     m, v = state.first_moment, state.second_moment
     m *= b1
     m += (1.0 - b1) * g

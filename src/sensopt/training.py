@@ -27,6 +27,7 @@ from .data import (
     encode_table,
     fit_normalization,
     split,
+    write_table,
 )
 from .errors import ConfigurationError, TrainingDivergedError
 from .network import (
@@ -264,15 +265,8 @@ def write_prediction_csvs(report: EvaluationReport, directory) -> list[str]:
     paths = []
     for j, name in enumerate(OUTPUT_NAMES):
         path = os.path.join(directory, f"pred_vs_actual_{name}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("actual,predicted\n")
-            np.savetxt(
-                fh,
-                np.column_stack([report.actual[:, j], report.predicted[:, j]]),
-                fmt="%.17g",
-                delimiter=",",
-                newline="\n",
-            )
+        pairs = np.column_stack([report.actual[:, j], report.predicted[:, j]])
+        write_table(path, "actual,predicted", pairs)
         paths.append(path)
     return paths
 

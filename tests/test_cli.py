@@ -109,6 +109,19 @@ def test_train_missing_dataset_is_runtime_error(tmp_path):
     assert main(["train", "--out", str(tmp_path), "--dataset", "/no/such.csv"]) == 2
 
 
+def test_train_names_the_line_of_a_non_finite_field(pipeline_dir, tmp_path, capsys):
+    lines = (pipeline_dir / "dataset.csv").read_text().splitlines()
+    fields = lines[101].split(",")
+    fields[8] = "nan"  # the snr of data row 100
+    lines[101] = ",".join(fields)
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--out", str(tmp_path), "--dataset", str(dataset), "--epochs", "1"])
+    assert code == 2
+    assert "line 102: non-finite numeric field" in capsys.readouterr().err
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_evaluate_outputs(pipeline_dir, tmp_path, capsys):
     out = tmp_path / "eval"
     code = main(

@@ -1,6 +1,10 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
 
+import sensopt.data
 from conftest import random_table
 from sensopt.data import (
     COLUMNS,
@@ -18,6 +22,7 @@ from sensopt.data import (
     read_csv,
     split,
     write_csv,
+    write_rows,
 )
 from sensopt.errors import ConfigurationError, CsvParseError, DomainError, RangeError
 
@@ -195,7 +200,7 @@ def test_csv_parse_errors(tmp_path):
 
 
 def test_csv_chunked_reader_boundary(tmp_path):
-    # Cross the 65,536-row buffer boundary to exercise chunk stitching.
+    # Many writer blocks out, one loadtxt parse back in.
     table = random_table(np.random.default_rng(8), 65_600)
     path = tmp_path / "big.csv"
     write_csv(table, path)
@@ -205,3 +210,115 @@ def test_csv_chunked_reader_boundary(tmp_path):
 
 def test_default_fractions():
     assert DEFAULT_FRACTIONS == (0.81, 0.09, 0.10)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 3.0, -42.0, np.nan]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, sensopt.data._BLOCK_ROWS, sensopt.data._BLOCK_ROWS + 1])
+def test_write_rows_matches_savetxt(n_rows):
+    rng = np.random.default_rng(n_rows)
+    values = rng.normal(size=(n_rows, 10)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 10))
+    flat = values.ravel()
+    flat[: min(flat.size, 2 * len(EDGE_VALUES))] = (EDGE_VALUES * 2)[: flat.size]
+    ours, reference = io.StringIO(), io.StringIO()
+    write_rows(ours, values)
+    np.savetxt(reference, values, fmt="%.17g", delimiter=",", newline="\n")
+    assert ours.getvalue() == reference.getvalue()
+
+
+def _dataset_lines(n_rows: int) -> list[str]:
+    buffer = io.StringIO()
+    write_rows(buffer, random_table(np.random.default_rng(9), n_rows).values)
+    return [",".join(COLUMNS)] + buffer.getvalue().splitlines()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda f: f[:7] + ["oops"] + f[8:], "unparseable numeric field"),
+        (lambda f: f[:9], "expected 10 fields, got 9"),
+        (lambda f: ["1_0"] + f[1:], "unparseable numeric field"),
+        (lambda f: ['"1"'] + f[1:], "unparseable numeric field"),
+        (lambda f: [], "expected 10 fields, got 0"),
+    ],
+)
+def test_read_csv_names_the_bad_line_beyond_the_first_block(tmp_path, edit, message):
+    lines = _dataset_lines(6000)
+    lines[5000] = ",".join(edit(lines[5000].split(",")))
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvParseError) as err:
+        read_csv(path)
+    assert err.value.line_number == 5001
+    assert str(err.value) == f"line 5001: {message}"
+
+
+@pytest.mark.parametrize("field", ["1_0", '"1"', "0x10", "1e", "١", " 1 ", "\t+.5e3", "\xa01"])
+def test_read_csv_rejects_exactly_the_fields_loadtxt_rejects(tmp_path, field):
+    # Line 3 has the field, line 4 is blank: whichever comes first is named.
+    lines = _dataset_lines(4)
+    lines[2] = field + lines[2][lines[2].index(",") :]
+    lines[3] = ""
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        np.loadtxt([field], delimiter=",", comments=None)
+        expected = 4
+    except ValueError:
+        expected = 3
+    with pytest.raises(CsvParseError) as err:
+        read_csv(path)
+    assert err.value.line_number == expected
+
+
+@pytest.mark.parametrize("column, value", [("snr", "nan"), ("signal", "inf"), ("input2", "-Infinity")])
+def test_read_csv_rejects_non_finite_fields(tmp_path, column, value):
+    lines = _dataset_lines(300)
+    fields = lines[101].split(",")
+    fields[COLUMNS.index(column)] = value
+    lines[101] = ",".join(fields)
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvParseError, match="non-finite") as err:
+        read_csv(path)
+    assert err.value.line_number == 102
+    assert str(err.value).startswith("line 102: ")
+
+
+def test_read_csv_accepts_crlf_line_endings(tmp_path):
+    table = random_table(np.random.default_rng(10), 50)
+    path = tmp_path / "rows.csv"
+    write_csv(table, path)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert np.array_equal(read_csv(crlf).values, table.values)
+
+
+def test_read_csv_header_only_gives_empty_table_without_warning(tmp_path):
+    for text in (",".join(COLUMNS) + "\n", ",".join(COLUMNS)):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = read_csv(path)
+        assert table.values.shape == (0, 10)
+
+
+def test_failed_write_leaves_the_old_file_untouched(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    write_csv(random_table(np.random.default_rng(11), 20), path)
+    before = path.read_bytes()
+    real_write_rows = sensopt.data.write_rows
+
+    def failing_write_rows(fh, array):
+        real_write_rows(fh, array[:5])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sensopt.data, "write_rows", failing_write_rows)
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(random_table(np.random.default_rng(12), 20), path)
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(random_table(np.random.default_rng(12), 20), tmp_path / "new.csv")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
