@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import sys
 
 from . import __version__
 from .curves import write_curve_csv
-from .data import TEST, TRAIN, VALIDATION, read_csv, split, write_csv
+from .data import TEST, TRAIN, VALIDATION, read_csv, replacing, split, write_csv
 from .errors import ConfigurationError, SensoptError
 from .network import Model, NetworkConfig, load_model, save_model
 from .oracle import TABLE1, SensorOracle, generate_dataset
@@ -32,6 +33,7 @@ from .sweep import (
     default_sweep_spec,
     predict_curves,
     run_sweep,
+    scoring_chunk,
     subset_label,
     write_report_csv,
 )
@@ -92,6 +94,13 @@ def _resolve(defaults: dict, section: dict, flags: dict) -> dict:
     return resolved
 
 
+def _write_json(path: str, document, sort_keys: bool = True) -> None:
+    """Write `document` as indented JSON; see data.replacing() for failures."""
+    with replacing(path) as fh:
+        json.dump(document, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def _write_manifest(
     out_dir: str, command: str, resolved: dict, inputs: dict[str, str], outputs: list[str]
 ) -> None:
@@ -103,10 +112,7 @@ def _write_manifest(
         "inputs": {path: _sha256(path) for path in inputs.values()},
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, f"{command}_manifest.json"), manifest)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -137,9 +143,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     dataset_path = os.path.join(args.out, "dataset.csv")
     write_csv(table, dataset_path)
     oracle_path = os.path.join(args.out, "oracle_config.json")
-    with open(oracle_path, "w") as fh:
-        json.dump(oracle.to_config(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(oracle_path, oracle.to_config())
     _write_manifest(args.out, "generate", resolved, {}, [dataset_path, oracle_path])
     print(
         f"generated {len(table)} rows ({grid.combination_count} combinations) "
@@ -250,9 +254,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for m in report.metrics
     }
     metrics_path = os.path.join(args.out, "metrics.json")
-    with open(metrics_path, "w") as fh:
-        json.dump({"partition": resolved["partition"], "outputs": metrics}, fh, indent=2)
-        fh.write("\n")
+    _write_json(
+        metrics_path, {"partition": resolved["partition"], "outputs": metrics}, sort_keys=False
+    )
     pair_paths = write_prediction_csvs(report, args.out)
     _write_manifest(
         args.out,
@@ -304,20 +308,18 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         points = _scaled_count(resolved["points_per_axis"], resolved["scale"])
         spec = default_sweep_spec(max(points, 2), row_budget=resolved["row_budget"])
-    result = run_sweep(
-        model, spec, subsets=(ALL_CRITERIA, (1, 2, 3)),
-        chunk_combinations=resolved["chunk_combinations"],
-    )
+    chunk = resolved["chunk_combinations"]
+    result = run_sweep(model, spec, subsets=(ALL_CRITERIA, (1, 2, 3)), chunk_combinations=chunk)
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "sweep_report.csv")
     write_report_csv(result, report_path)
     summary_path = os.path.join(args.out, "selection_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(result.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary_path, result.summary())
     outputs = [report_path, summary_path]
     for subset, selection in result.selections.items():
-        curve = next(predict_curves(model, iter([selection.settings])))
+        # Export the curve that was scored: its chunk, predicted again.
+        combos, offset = scoring_chunk(spec, selection.settings, chunk)
+        curve = next(itertools.islice(predict_curves(model, combos, chunk), offset, None))
         curve_path = os.path.join(args.out, f"selected_curve_{subset_label(subset)}.csv")
         write_curve_csv(curve, curve_path)
         outputs.append(curve_path)

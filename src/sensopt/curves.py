@@ -1,11 +1,15 @@
 """Signal/SNR curve assembly and the four optimization criteria.
 
-criteria() evaluates one curve to a CriteriaValues quadruple:
+criteria_block() evaluates m curves, one per row of (m, n) arrays, to an
+(m, 4) array; criteria() is its one-row form, a CriteriaValues quadruple:
   c1  mean absolute deviation from the ideal 5*log10(signal) curve [dB]
   c2  dip prominence below the fitted low-signal line, inside the
       3e3-1e4 AU window [dB]
   c3  mean absolute deviation from that fitted line over all points [dB]
   c4  mean output3 [dimensionless]
+
+The line is fitted by least squares in closed form about the centred
+means of the points below 2e3 AU.
 
 Lower is better for all four.
 """
@@ -93,21 +97,61 @@ class FittedLine:
         return float(out) if sig.ndim == 0 else out
 
 
+def _fit_lines(log_signal: np.ndarray, snr: np.ndarray, below: np.ndarray):
+    """Row-wise least-squares lines snr = slope * log_signal + intercept.
+
+    Each row is fitted through its points where `below` is set, in
+    closed form about the centred means. Returns (slope, intercept,
+    count), each of shape (m,); slope and intercept are NaN in rows with
+    fewer than two such points or with all of them at one signal value.
+    """
+    count = below.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_x = np.where(below, log_signal, 0.0).sum(axis=1) / count
+        mean_y = np.where(below, snr, 0.0).sum(axis=1) / count
+        dx = np.where(below, log_signal - mean_x[:, None], 0.0)
+        slope = (dx * (snr - mean_y[:, None])).sum(axis=1) / (dx * dx).sum(axis=1)
+    slope[count < 2] = np.nan
+    return slope, mean_y - slope * mean_x, count
+
+
+def _prominences(signal, snr, line, window) -> np.ndarray:
+    """Row-wise largest drop of `snr` below `line` inside the signal window.
+
+    Floored at 0 (a curve above its line has no dip); NaN in rows with no
+    point inside the window.
+    """
+    lo, hi = window
+    if not 0 < lo < hi:
+        raise DomainError(f"window must satisfy 0 < low < high, got {window}")
+    inside = (signal >= lo) & (signal <= hi)
+    drop = np.where(inside, line - snr, -np.inf).max(axis=1)
+    # max(drop, 0.0), except that a NaN drop stays NaN.
+    return np.where(inside.any(axis=1), np.where(drop < 0.0, 0.0, drop), np.nan)
+
+
+def _mean_abs(a, b) -> np.ndarray:
+    return np.mean(np.abs(a - b), axis=-1)
+
+
 def fit_line(curve: Curve, fit_max_signal: float = FIT_SIGNAL_MAX) -> FittedLine:
     """Least-squares line through the curve's low-signal (log-linear) region.
 
-    Uses the points with signal strictly below `fit_max_signal`.
+    Uses the points with signal strictly below `fit_max_signal`, like
+    criteria_block().
 
     Raises:
         FitError: fewer than two points fall below the bound.
     """
-    mask = curve.signal < fit_max_signal
-    if int(mask.sum()) < 2:
+    signal = curve.signal[None]
+    slope, intercept, count = _fit_lines(np.log10(signal), curve.snr[None], signal < fit_max_signal)
+    if count[0] < 2:
         raise FitError(
-            f"need at least 2 points below {fit_max_signal!r} to fit, got {int(mask.sum())}"
+            f"need at least 2 points below {fit_max_signal!r} to fit, got {int(count[0])}"
         )
-    slope, intercept = np.polyfit(np.log10(curve.signal[mask]), curve.snr[mask], 1)
-    return FittedLine(slope=float(slope), intercept=float(intercept), fit_max_signal=fit_max_signal)
+    return FittedLine(
+        slope=float(slope[0]), intercept=float(intercept[0]), fit_max_signal=fit_max_signal
+    )
 
 
 def prominence(
@@ -119,14 +163,8 @@ def prominence(
     curve point falls inside the window; such combinations are excluded
     from criterion-2 ranking.
     """
-    lo, hi = window
-    if not 0 < lo < hi:
-        raise DomainError(f"window must satisfy 0 < low < high, got {window}")
-    mask = (curve.signal >= lo) & (curve.signal <= hi)
-    if not np.any(mask):
-        return float("nan")
-    drop = line.evaluate(curve.signal[mask]) - curve.snr[mask]
-    return float(max(float(np.max(drop)), 0.0))
+    line_snr = line.evaluate(curve.signal)
+    return float(_prominences(curve.signal[None], curve.snr[None], line_snr[None], window)[0])
 
 
 def mae(a, b) -> float:
@@ -137,7 +175,7 @@ def mae(a, b) -> float:
         raise ShapeError(f"expected equal-length 1-D arrays, got {aa.shape} and {bb.shape}")
     if aa.size == 0:
         raise ShapeError("mae needs at least one point")
-    return float(np.mean(np.abs(aa - bb)))
+    return float(_mean_abs(aa, bb))
 
 
 @dataclass(frozen=True)
@@ -151,30 +189,44 @@ class CriteriaValues:
         return (self.c1, self.c2, self.c3, self.c4)
 
 
+def criteria_block(
+    signal,
+    snr,
+    output3,
+    fit_max_signal: float = FIT_SIGNAL_MAX,
+    window: tuple[float, float] = DIP_WINDOW,
+) -> np.ndarray:
+    """The four criteria of m curves at once, as an (m, 4) array. Pure.
+
+    Row i of the (m, n) arrays `signal`, `snr` and `output3` is one
+    curve, sorted by ascending positive signal. A row's values do not
+    depend on the other rows. c2 and c3 are NaN in rows with fewer than
+    two points below `fit_max_signal`, where no line can be fitted: like
+    an empty dip window, that leaves the curve unranked on them instead
+    of aborting a sweep.
+    """
+    signal, snr, output3 = (np.asarray(v, dtype=np.float64) for v in (signal, snr, output3))
+    log_signal = np.log10(signal)
+    slope, intercept, _ = _fit_lines(log_signal, snr, signal < fit_max_signal)
+    line = slope[:, None] * log_signal + intercept[:, None]
+    out = np.empty((signal.shape[0], 4))
+    out[:, 0] = _mean_abs(IDEAL_SLOPE * log_signal, snr)
+    out[:, 1] = _prominences(signal, snr, line, window)
+    out[:, 2] = _mean_abs(line, snr)
+    out[:, 3] = np.mean(output3, axis=1)
+    return out
+
+
 def criteria(
     curve: Curve,
     fit_max_signal: float = FIT_SIGNAL_MAX,
     window: tuple[float, float] = DIP_WINDOW,
 ) -> CriteriaValues:
-    """Evaluate all four criteria on one curve. Pure.
-
-    c2 and c3 are NaN when fewer than two points lie below
-    `fit_max_signal`, so no line can be fitted: like an empty dip window,
-    that leaves the curve unranked on them instead of aborting a sweep.
-    """
-    try:
-        line = fit_line(curve, fit_max_signal)
-    except FitError:
-        c2 = c3 = float("nan")
-    else:
-        c2 = prominence(curve, line, window)
-        c3 = mae(line.evaluate(curve.signal), curve.snr)
-    return CriteriaValues(
-        c1=mae(ideal_snr(curve.signal), curve.snr),
-        c2=c2,
-        c3=c3,
-        c4=float(np.mean(curve.output3)),
+    """Evaluate all four criteria on one curve: a one-row criteria_block()."""
+    row = criteria_block(
+        curve.signal[None], curve.snr[None], curve.output3[None], fit_max_signal, window
     )
+    return CriteriaValues(*row[0].tolist())
 
 
 def write_curve_csv(curve: Curve, path, fit_max_signal: float = FIT_SIGNAL_MAX) -> None:

@@ -14,7 +14,9 @@ comma-separated column names, then one line per row whose fields are
 float64 values printed with 17 significant digits, so they read back
 exactly. Files are written with LF line endings, through a temporary
 file that replaces the target only once it is complete. read_csv()
-reads LF or CRLF files and rejects, naming the 1-based line:
+reads UTF-8 text with LF or CRLF line endings and rejects, naming the
+1-based line:
+  - bytes that are not UTF-8 text;
   - a header other than COLUMNS;
   - a line without exactly 10 fields, blank lines included;
   - a field that is not a decimal literal (quoted fields, `1_0`-style
@@ -302,23 +304,33 @@ def write_rows(fh, array) -> None:
         fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def write_table(path, header: str, array) -> None:
-    """Write a `header` line and the rows of `array` to the CSV file `path`.
+@contextlib.contextmanager
+def replacing(path):
+    """Open a text file that replaces `path` once the with-block completes.
 
-    The text goes to a temporary file beside `path`, which replaces
-    `path` only once it is complete: if writing fails, the temporary file
-    is removed and whatever `path` held before is left untouched.
+    The text goes to a temporary file beside `path`: if the block raises,
+    the temporary file is removed and whatever `path` held before is left
+    untouched.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(header + "\n")
-            write_rows(fh, array)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_table(path, header: str, array) -> None:
+    """Write a `header` line and the rows of `array` to the CSV file `path`.
+
+    The file replaces `path` only once it is complete; see replacing().
+    """
+    with replacing(path) as fh:
+        fh.write(header + "\n")
+        write_rows(fh, array)
 
 
 def write_csv(table: SampleTable, path) -> None:
@@ -333,19 +345,26 @@ def read_csv(path) -> SampleTable:
     line-by-line pass run, to name the first bad line.
 
     Raises:
-        CsvParseError: wrong header, wrong field count, an unparseable or
-            non-finite field, a non-positive signal or a non-integral
-            category; the message carries the offending 1-based line number.
+        CsvParseError: bytes that are not UTF-8 text, wrong header, wrong
+            field count, an unparseable or non-finite field, a
+            non-positive signal or a non-integral category; the message
+            carries the offending 1-based line number.
     """
     n_cols = len(COLUMNS)
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != _HEADER:
-            raise CsvParseError(f"line 1: expected header {_HEADER!r}", line_number=1)
-        n_rows = sum(1 for _ in fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            n_rows = sum(1 for _ in fh)
+    except UnicodeDecodeError:
+        raise _first_undecodable_line(path) from None
+    if header.rstrip("\n") != _HEADER:
+        raise CsvParseError(f"line 1: expected header {_HEADER!r}", line_number=1)
     values = np.empty((0, n_cols))
     if n_rows:
         try:
-            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
+            values = np.loadtxt(
+                path, delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="utf-8"
+            )
         except ValueError:
             values = None
         # loadtxt skips blank lines, which the row count exposes.
@@ -356,10 +375,21 @@ def read_csv(path) -> SampleTable:
     return table
 
 
+def _first_undecodable_line(path) -> CsvParseError:
+    """The error for the first line of `path` that is not UTF-8 text."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return CsvParseError(f"line {line_no}: not UTF-8 text", line_number=line_no)
+    return CsvParseError(f"{os.fspath(path)}: not UTF-8 text")
+
+
 def _first_bad_line(path) -> CsvParseError:
     """The error for the first data line of `path` that cannot be parsed."""
     n_cols = len(COLUMNS)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         next(fh)
         for line_no, line in enumerate(fh, start=2):
             text = line.rstrip("\n")

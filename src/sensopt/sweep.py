@@ -1,14 +1,17 @@
 """Interpolated design-space sweep over a trained surrogate.
 
 build_interpolated_grid() streams settings combinations from per-input
-arithmetic progressions; predict_curves() turns them into 200-point
-curves through the model; rank_candidates() assigns dense ascending
-ranks per criterion; select() finds the smallest K whose per-criterion
-top-K sets intersect, breaking ties by rank sum and then lexicographic
-settings order.
+arithmetic progressions; predict_blocks() turns them, a chunk at a time,
+into (chunk, 200) blocks of predicted curves; curves.criteria_block()
+scores a whole block with array operations; dense_ranks() assigns dense
+ascending ranks per criterion; select_row() finds the smallest K whose
+per-criterion top-K sets intersect, breaking ties by rank sum and then
+lexicographic settings order. rank_candidates(), select() and
+predict_curves() are the same steps on per-candidate records.
 
-Curves are scored one at a time and discarded, so peak memory is one
-score record per candidate, never the full point cloud.
+run_sweep() scores each block and discards it, so peak memory is one
+block of predicted rows plus one row of criteria and ranks per
+candidate, never the full point cloud.
 """
 
 from __future__ import annotations
@@ -16,18 +19,23 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .curves import Curve, CriteriaValues, criteria
-from .errors import ConfigurationError, SelectionError
+# criteria is not called here, but perfbench/spans.py wraps the binding
+# sensopt.sweep.criteria, so it stays importable from this module.
+from .curves import Curve, CriteriaValues, criteria, criteria_block
+from .data import replacing
+from .errors import ConfigurationError, DomainError, SelectionError
 from .network import Model, predict
 from .oracle import CATEGORY_COUNT, INPUT5_COUNT, ROWS_PER_COMBINATION, SETTING_NAMES, SETTING_RANGES
 
 ALL_CRITERIA = (1, 2, 3, 4)
 DEFAULT_ROW_BUDGET = 24_000_000
 DEFAULT_POINTS_PER_AXIS = 9
+# Report rows formatted per % operation: bounds the text held in memory.
+_REPORT_BLOCK_ROWS = 4096
 
 
 def count_experiments(resolution: int, n_inputs: int) -> int:
@@ -120,13 +128,51 @@ def build_interpolated_grid(spec: InterpolationSpec) -> Iterator[tuple[float, ..
     return itertools.product(*value_lists)
 
 
-def _batched(iterable: Iterable, size: int) -> Iterator[list]:
-    iterator = iter(iterable)
-    while True:
-        chunk = list(itertools.islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk
+class CurveBlock(NamedTuple):
+    """m predicted curves: settings (m, 5); signal, snr, output3 (m, 200).
+
+    Each row is one combination's curve, sorted by ascending signal with
+    a stable sort.
+    """
+
+    settings: np.ndarray
+    signal: np.ndarray
+    snr: np.ndarray
+    output3: np.ndarray
+
+
+def predict_blocks(
+    model: Model,
+    grid: Iterable[tuple[float, ...]],
+    chunk_combinations: int = 64,
+) -> Iterator[CurveBlock]:
+    """Predict the curves of `grid` a block of `chunk_combinations` at a time.
+
+    Blocks come in grid order. Grid values outside the model's
+    normalization range raise a RangeError naming the input; a predicted
+    signal that is not positive raises a DomainError.
+    """
+    if chunk_combinations < 1:
+        raise ConfigurationError("chunk_combinations must be at least 1")
+    input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
+    category_block = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
+    iterator = iter(grid)
+    while chunk := list(itertools.islice(iterator, chunk_combinations)):
+        settings = np.array(chunk, dtype=np.float64).reshape(len(chunk), len(SETTING_NAMES))
+        m = settings.shape[0]
+        numeric = np.empty((m, ROWS_PER_COMBINATION, 6))
+        numeric[:, :, 0:4] = settings[:, None, 0:4]
+        numeric[:, :, 4] = input5
+        numeric[:, :, 5] = settings[:, 4, None]
+        outputs = predict(model, numeric.reshape(-1, 6), np.tile(category_block, m))
+        outputs = outputs.reshape(m, ROWS_PER_COMBINATION, outputs.shape[1])
+        order = np.argsort(outputs[:, :, 0], axis=1, kind="stable")
+        signal, snr, output3 = (
+            np.take_along_axis(outputs[:, :, j], order, axis=1) for j in range(3)
+        )
+        if np.any(signal <= 0):
+            raise DomainError("curve signal values must be positive")
+        yield CurveBlock(settings=settings, signal=signal, snr=snr, output3=output3)
 
 
 def predict_curves(
@@ -136,29 +182,31 @@ def predict_curves(
 ) -> Iterator[Curve]:
     """Predict one 200-point curve per combination, in grid order.
 
-    Combinations are batched through the network for throughput but
-    yielded one curve at a time. Grid values outside the model's
-    normalization range raise a RangeError naming the input.
+    The curves of predict_blocks(), yielded one at a time.
     """
-    if chunk_combinations < 1:
-        raise ConfigurationError("chunk_combinations must be at least 1")
-    input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
-    category_block = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
-    for chunk in _batched(grid, chunk_combinations):
-        m = len(chunk)
-        numeric = np.empty((m * ROWS_PER_COMBINATION, 6))
-        for j, combo in enumerate(chunk):
-            block = numeric[j * ROWS_PER_COMBINATION : (j + 1) * ROWS_PER_COMBINATION]
-            block[:, 0:4] = np.asarray(combo[0:4], dtype=np.float64)
-            block[:, 4] = input5
-            block[:, 5] = combo[4]
-        categories = np.tile(category_block, m)
-        outputs = predict(model, numeric, categories)
-        for j, combo in enumerate(chunk):
-            rows = outputs[j * ROWS_PER_COMBINATION : (j + 1) * ROWS_PER_COMBINATION]
-            yield Curve.from_samples(
-                settings=combo, signal=rows[:, 0], snr=rows[:, 1], output3=rows[:, 2]
-            )
+    for block in predict_blocks(model, grid, chunk_combinations):
+        for settings, signal, snr, output3 in zip(
+            block.settings.tolist(), block.signal, block.snr, block.output3
+        ):
+            yield Curve(settings=tuple(settings), signal=signal, snr=snr, output3=output3)
+
+
+def scoring_chunk(
+    spec: InterpolationSpec, settings: Sequence[float], chunk_combinations: int = 64
+) -> tuple[list[tuple[float, ...]], int]:
+    """The chunk of `spec`'s grid that holds `settings`, and their offset in it.
+
+    run_sweep() predicts the grid in exactly these chunks, so predicting
+    the chunk again reproduces the curve it scored for `settings` bit for
+    bit: the network sees the same rows in the same tiles.
+    """
+    index = 0
+    for axis, value in zip(spec.axes, settings):
+        values = axis.values().tolist()
+        index = index * len(values) + values.index(value)
+    start = index - index % chunk_combinations
+    chunk = list(itertools.islice(build_interpolated_grid(spec), start, start + chunk_combinations))
+    return chunk, index - start
 
 
 @dataclass(frozen=True)
@@ -174,15 +222,6 @@ class CandidateScore:
     criteria: CriteriaValues
     ranks: tuple[int | None, int | None, int | None, int | None]
 
-    def worst_rank(self, subset: Sequence[int]) -> int | None:
-        picked = [self.ranks[i - 1] for i in subset]
-        if any(r is None for r in picked):
-            return None
-        return max(picked)
-
-    def rank_sum(self, subset: Sequence[int]) -> int:
-        return sum(self.ranks[i - 1] for i in subset)
-
 
 def _check_subset(subset: Sequence[int]) -> tuple[int, ...]:
     out = tuple(sorted(set(int(i) for i in subset)))
@@ -191,17 +230,47 @@ def _check_subset(subset: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def _dense_ranks(values: np.ndarray) -> list[int | None]:
-    """0-based dense ascending ranks; NaN entries get None."""
-    finite = ~np.isnan(values)
-    ranks: list[int | None] = [None] * values.size
-    if not np.any(finite):
-        return ranks
-    distinct = np.unique(values[finite])
-    positions = np.searchsorted(distinct, values[finite])
-    for index, rank in zip(np.nonzero(finite)[0], positions):
-        ranks[index] = int(rank)
+def dense_ranks(values) -> np.ndarray:
+    """0-based dense ascending ranks of each column of `values`; -1 where NaN.
+
+    Equal values share a rank. `values` is (n, c); so is the int result.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    ranks = np.full(values.shape, -1, dtype=np.int64)
+    for column in range(values.shape[1]):
+        scorable = ~np.isnan(values[:, column])
+        ranks[scorable, column] = np.unique(values[scorable, column], return_inverse=True)[1]
     return ranks
+
+
+def select_row(settings, ranks, subset: Sequence[int]) -> tuple[int, int]:
+    """Smallest-K prefix-intersection selection on arrays: (row, K).
+
+    `settings` is (n, d) and `ranks` (n, 4), one row per candidate, with
+    -1 for a criterion the candidate is unranked on. K is the smallest
+    value for which the per-criterion top-K sets (rank < K) over `subset`
+    share a candidate. Among that intersection the lowest rank sum wins;
+    remaining ties go to the lexicographically smallest settings, then to
+    the first row. Rows unranked on any subset criterion are excluded.
+
+    Raises:
+        SelectionError: every candidate is unranked on the subset.
+    """
+    subset = _check_subset(subset)
+    picked = np.asarray(ranks)[:, [i - 1 for i in subset]]
+    scorable = np.all(picked >= 0, axis=1)
+    if not np.any(scorable):
+        raise SelectionError(f"no candidate is scorable on criteria {subset}")
+    worst = picked.max(axis=1)
+    k = int(worst[scorable].min()) + 1
+    pool = np.nonzero(scorable & (worst < k))[0]
+    # lexsort's last key is the primary one.
+    keys = (*np.asarray(settings)[pool].T[::-1], picked[pool].sum(axis=1))
+    return int(pool[np.lexsort(keys)[0]]), k
+
+
+def _rank_tuple(row) -> tuple[int | None, ...]:
+    return tuple(None if r < 0 else r for r in row)
 
 
 def rank_candidates(
@@ -217,20 +286,12 @@ def rank_candidates(
     if not scored:
         raise ConfigurationError("no candidates to rank")
     ordered = sorted(scored, key=lambda item: item[0])
-    rank_columns: dict[int, list[int | None]] = {}
-    for criterion in subset:
-        column = np.array(
-            [item[1].as_tuple()[criterion - 1] for item in ordered], dtype=np.float64
-        )
-        rank_columns[criterion] = _dense_ranks(column)
-    out = []
-    for row, (settings, crit) in enumerate(ordered):
-        ranks = tuple(
-            rank_columns[criterion][row] if criterion in subset else None
-            for criterion in ALL_CRITERIA
-        )
-        out.append(CandidateScore(settings=tuple(settings), criteria=crit, ranks=ranks))
-    return out
+    ranks = dense_ranks([crit.as_tuple() for _, crit in ordered])
+    ranks[:, [i - 1 for i in ALL_CRITERIA if i not in subset]] = -1
+    return [
+        CandidateScore(settings=tuple(settings), criteria=crit, ranks=_rank_tuple(row))
+        for (settings, crit), row in zip(ordered, ranks.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -242,24 +303,17 @@ class SelectionResult:
 
 
 def select(ranked: Sequence[CandidateScore], subset: Sequence[int]) -> SelectionResult:
-    """Smallest-K prefix-intersection selection over `subset`.
-
-    K is the smallest value for which the per-criterion top-K sets (rank
-    < K) share a candidate. Among that intersection the lowest rank sum
-    wins; remaining ties go to the lexicographically smallest settings.
-    Candidates unscorable on any subset criterion are excluded.
+    """Smallest-K prefix-intersection selection over `subset`; see select_row().
 
     Raises:
         SelectionError: every candidate is unscorable on the subset.
     """
     subset = _check_subset(subset)
-    worst = [(c.worst_rank(subset), c) for c in ranked]
-    scorable = [(w, c) for w, c in worst if w is not None]
-    if not scorable:
-        raise SelectionError(f"no candidate is scorable on criteria {subset}")
-    k = min(w for w, _ in scorable) + 1
-    pool = [c for w, c in scorable if w <= k - 1]
-    winner = min(pool, key=lambda c: (c.rank_sum(subset), c.settings))
+    ranks = np.array(
+        [[-1 if r is None else r for r in c.ranks] for c in ranked], dtype=np.int64
+    ).reshape(len(ranked), len(ALL_CRITERIA))
+    row, k = select_row(np.array([c.settings for c in ranked]), ranks, subset)
+    winner = ranked[row]
     return SelectionResult(
         settings=winner.settings, criteria=winner.criteria, k=k, subset=subset
     )
@@ -267,14 +321,33 @@ def select(ranked: Sequence[CandidateScore], subset: Sequence[int]) -> Selection
 
 @dataclass
 class SweepResult:
-    """Ranked candidates plus the selection under each criterion subset."""
+    """Every candidate, in grid (so lexicographic settings) order, and the selections.
 
-    candidates: list[CandidateScore]
+    Row i of `settings` (n, 5), `criteria` (n, 4) and `ranks` (n, 4) is
+    one candidate; ranks are 0-based dense ascending ranks per criterion,
+    -1 where the candidate is unscorable (NaN criterion).
+    """
+
+    settings: np.ndarray
+    criteria: np.ndarray
+    ranks: np.ndarray
     selections: dict[tuple[int, ...], SelectionResult]
+
+    @property
+    def candidates(self) -> list[CandidateScore]:
+        """The candidates as CandidateScore records, in row order."""
+        return [
+            CandidateScore(
+                settings=tuple(settings), criteria=CriteriaValues(*crit), ranks=_rank_tuple(row)
+            )
+            for settings, crit, row in zip(
+                self.settings.tolist(), self.criteria.tolist(), self.ranks.tolist()
+            )
+        ]
 
     def summary(self) -> dict:
         return {
-            "candidate_count": len(self.candidates),
+            "candidate_count": len(self.settings),
             "selections": {
                 subset_label(subset): {
                     "settings": dict(zip(SETTING_NAMES, sel.settings)),
@@ -303,32 +376,46 @@ def run_sweep(
     chunk_combinations: int = 64,
 ) -> SweepResult:
     """Score every combination of `spec` and select under each subset."""
-    scored = [
-        (curve.settings, criteria(curve))
-        for curve in predict_curves(model, build_interpolated_grid(spec), chunk_combinations)
-    ]
-    ranked = rank_candidates(scored, ALL_CRITERIA)
+    settings, values = [], []
+    for block in predict_blocks(model, build_interpolated_grid(spec), chunk_combinations):
+        settings.append(block.settings)
+        values.append(criteria_block(block.signal, block.snr, block.output3))
+    settings, values = np.concatenate(settings), np.concatenate(values)
+    ranks = dense_ranks(values)
     selections = {}
     for subset in subsets:
         checked = _check_subset(subset)
-        selections[checked] = select(ranked, checked)
-    return SweepResult(candidates=ranked, selections=selections)
+        row, k = select_row(settings, ranks, checked)
+        selections[checked] = SelectionResult(
+            settings=tuple(settings[row].tolist()),
+            criteria=CriteriaValues(*values[row].tolist()),
+            k=k,
+            subset=checked,
+        )
+    return SweepResult(settings=settings, criteria=values, ranks=ranks, selections=selections)
 
 
 def write_report_csv(result: SweepResult, path) -> None:
-    """Flat CSV of every candidate: settings, criteria, ranks, selected flags."""
+    """Flat CSV of every candidate: settings, criteria, ranks, selected flags.
+
+    Written through a temporary file, like every sensopt table: a failed
+    write leaves whatever `path` held before untouched.
+    """
     subsets = sorted(result.selections)
-    selected_settings = {s: result.selections[s].settings for s in subsets}
-    with open(path, "w", newline="") as fh:
-        rank_names = [f"rank_c{i}" for i in ALL_CRITERIA]
-        flag_names = [f"selected_{subset_label(s)}" for s in subsets]
-        fh.write(",".join([*SETTING_NAMES, "c1", "c2", "c3", "c4", *rank_names, *flag_names]))
-        fh.write("\n")
-        for cand in result.candidates:
-            fields = [f"{v:.17g}" for v in cand.settings]
-            fields += [f"{v:.17g}" for v in cand.criteria.as_tuple()]
-            fields += ["" if r is None else str(r) for r in cand.ranks]
-            fields += [
-                "1" if cand.settings == selected_settings[s] else "0" for s in subsets
-            ]
-            fh.write(",".join(fields) + "\n")
+    rank_names = [f"rank_c{i}" for i in ALL_CRITERIA]
+    flag_names = [f"selected_{subset_label(s)}" for s in subsets]
+    header = ",".join([*SETTING_NAMES, "c1", "c2", "c3", "c4", *rank_names, *flag_names])
+    ranks = np.where(result.ranks < 0, "", result.ranks.astype(str))
+    flags = [
+        np.where(np.all(result.settings == result.selections[s].settings, axis=1), "1", "0")
+        for s in subsets
+    ]
+    # An object table keeps the floats as floats for the %.17g fields.
+    fields = np.column_stack([result.settings.astype(object), result.criteria, ranks, *flags])
+    numbers = result.settings.shape[1] + result.criteria.shape[1]
+    line = ",".join(["%.17g"] * numbers + ["%s"] * (fields.shape[1] - numbers)) + "\n"
+    with replacing(path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(fields), _REPORT_BLOCK_ROWS):
+            block = fields[start : start + _REPORT_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))

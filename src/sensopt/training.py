@@ -26,6 +26,7 @@ from .data import (
     decode_outputs,
     encode_table,
     fit_normalization,
+    replacing,
     split,
     write_table,
 )
@@ -111,7 +112,7 @@ class TrainHistory:
         return len(self.train_mse)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with replacing(path) as fh:
             fh.write("epoch,train_mse,val_mse,learning_rate\n")
             for epoch in range(len(self)):
                 fh.write(

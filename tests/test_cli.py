@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from sensopt.cli import _scaled_count, main
+from sensopt.cli import _scaled_count, _write_json, main
+from sensopt.curves import Curve, criteria
 from sensopt.data import read_csv
 from sensopt.errors import ConfigurationError
+from sensopt.network import save_model
 
 
 @pytest.fixture(scope="module")
@@ -315,3 +318,40 @@ def test_config_invalid_json(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text("{not json")
     assert main(["generate", "--out", str(tmp_path / "g"), "--config", str(config_path)]) == 1
+
+
+def test_train_names_the_line_that_is_not_utf8(pipeline_dir, tmp_path, capsys):
+    dataset = tmp_path / "bad.csv"
+    dataset.write_bytes((pipeline_dir / "dataset.csv").read_bytes() + b"\xff\xfe")
+    code = main(["train", "--out", str(tmp_path), "--dataset", str(dataset), "--epochs", "1"])
+    assert code == 2
+    assert "line 6402: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "model.bin").exists()
+
+
+def test_selected_curve_is_the_scored_curve(small_model, tmp_path):
+    model_path = tmp_path / "model.bin"
+    save_model(small_model, model_path)
+    out = tmp_path / "opt"
+    # 3 points per axis: 243 combinations, scored in chunks of 64.
+    assert main(["optimize", "--out", str(out), "--model", str(model_path), "--scale", "0.25"]) == 0
+    rows = [line.split(",") for line in (out / "sweep_report.csv").read_text().splitlines()]
+    header, body = rows[0], rows[1:]
+    for label in ("c1c2c3c4", "c1c2c3"):
+        flag = header.index(f"selected_{label}")
+        (row,) = [r for r in body if r[flag] == "1"]
+        scored = [float(v) for v in row[header.index("c1") : header.index("c4") + 1]]
+        exported = np.loadtxt(out / f"selected_curve_{label}.csv", delimiter=",", skiprows=1)
+        signal, snr, output3 = exported[:, 0], exported[:, 1], exported[:, 4]
+        curve = Curve(settings=(), signal=signal, snr=snr, output3=output3)
+        assert np.array_equal(criteria(curve).as_tuple(), scored, equal_nan=True), label
+
+
+def test_json_outputs_are_replaced_only_when_complete(tmp_path):
+    path = tmp_path / "selection_summary.json"
+    _write_json(str(path), {"k": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        _write_json(str(path), {"k": 2, "settings": object()})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["selection_summary.json"]

@@ -8,6 +8,7 @@ from sensopt.curves import (
     Curve,
     FittedLine,
     criteria,
+    criteria_block,
     fit_line,
     ideal_snr,
     mae,
@@ -170,3 +171,94 @@ def test_write_curve_csv(tmp_path):
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == pytest.approx(curve.signal[0])
     assert first[2] == pytest.approx(5.0 * np.log10(curve.signal[0]))
+
+
+def _sorted_rows(signal, snr, output3):
+    """Rows of samples sorted per row by signal, ties kept in sample order."""
+    order = np.argsort(signal, axis=1, kind="stable")
+    return tuple(np.take_along_axis(v, order, axis=1) for v in (signal, snr, output3))
+
+
+def _random_curves(rng, m, n=200):
+    log_s = rng.uniform(0.5, 5.0, size=(m, n))
+    centre = rng.uniform(3.4, 4.0, size=(m, 1))
+    snr = rng.uniform(4.5, 5.5, size=(m, 1)) * log_s + rng.uniform(-1.0, 1.0, size=(m, 1))
+    snr -= rng.uniform(0.0, 6.0, size=(m, 1)) * np.exp(-((log_s - centre) ** 2) / 0.03)
+    snr += rng.normal(0.0, 0.1, size=(m, n))
+    return _sorted_rows(10.0**log_s, snr, rng.uniform(0.5, 5.0, size=(m, n)))
+
+
+def test_criteria_block_matches_scalar_reference_on_random_curves():
+    signal, snr, output3 = _random_curves(np.random.default_rng(31), 40)
+    got = criteria_block(signal, snr, output3)
+    assert got.shape == (40, 4)
+    for row in range(40):
+        want = scalar_criteria(signal[row].tolist(), snr[row].tolist(), output3[row].tolist())
+        assert got[row].tolist() == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+def test_criteria_block_rows_do_not_depend_on_their_neighbours():
+    signal, snr, output3 = _random_curves(np.random.default_rng(32), 64)
+    block = criteria_block(signal, snr, output3)
+    for row in (0, 17, 63):
+        alone = criteria_block(signal[row : row + 1], snr[row : row + 1], output3[row : row + 1])
+        assert np.array_equal(alone[0], block[row])
+        curve = Curve(settings=(), signal=signal[row], snr=snr[row], output3=output3[row])
+        assert np.array_equal(criteria(curve).as_tuple(), block[row])
+
+
+def _edge_rows():
+    """Four 50-point curves: too few low points, no window points, no dip, tied signals."""
+    n = 50
+    few_low = np.concatenate([[1.5e3], np.geomspace(2.5e3, 5e4, n - 1)])
+    no_window = np.geomspace(10.0, 2.9e3, n)
+    no_dip = np.geomspace(10.0, 5e4, n)
+    tied = np.repeat(np.geomspace(10.0, 5e4, n // 5), 5)
+    signal = np.vstack([few_low, no_window, no_dip, tied])
+    log_s = np.log10(signal)
+    snr = 5.0 * log_s + 0.2
+    snr[2] += 0.4 * np.maximum(log_s[2] - np.log10(2e3), 0.0)  # bends up, above its line
+    rng = np.random.default_rng(33)
+    snr[3] += rng.normal(0.0, 0.2, size=n)
+    output3 = rng.uniform(0.5, 5.0, size=(4, n))
+    return signal, snr, output3
+
+
+def test_criteria_block_edge_cases():
+    signal, snr, output3 = _edge_rows()
+    got = criteria_block(signal, snr, output3)
+
+    # Fewer than 2 points below 2e3 AU: no line, so c2 and c3 are NaN.
+    assert np.isnan(got[0, 1]) and np.isnan(got[0, 2])
+    assert got[0, 0] == pytest.approx(np.mean(np.abs(5.0 * np.log10(signal[0]) - snr[0])))
+    assert got[0, 3] == np.mean(output3[0])
+    # Empty dip window: c2 is NaN, c3 still measured.
+    assert np.isnan(got[1, 1])
+    for row in (1, 2, 3):
+        want = scalar_criteria(signal[row].tolist(), snr[row].tolist(), output3[row].tolist())
+        assert got[row].tolist() == pytest.approx(want, rel=1e-11, abs=1e-11, nan_ok=True)
+    # A curve above its line has no dip: c2 is floored at exactly 0.
+    assert got[2, 1] == 0.0
+    assert got[2, 2] > 0.0
+
+
+def test_tied_signals_keep_sample_order_in_block_and_curve():
+    signal, snr, output3 = _edge_rows()
+    rng = np.random.default_rng(34)
+    shuffle = rng.permutation(signal.shape[1])
+    # Curve.from_samples sorts stably, as predicted blocks are sorted.
+    curve = Curve.from_samples((), signal[3, shuffle], snr[3, shuffle], output3[3, shuffle])
+    rows = _sorted_rows(signal[3:4, shuffle], snr[3:4, shuffle], output3[3:4, shuffle])
+    assert np.array_equal(rows[1][0], curve.snr)
+    assert np.array_equal(criteria_block(*rows)[0], criteria(curve).as_tuple())
+
+
+def test_one_row_block_is_criteria_and_fit_line():
+    curve = line_curve(slope=5.3, intercept=-0.4)
+    row = criteria_block(curve.signal[None], curve.snr[None], curve.output3[None])
+    assert row.shape == (1, 4)
+    assert tuple(row[0].tolist()) == criteria(curve).as_tuple()
+    line = fit_line(curve)
+    assert line.slope == pytest.approx(5.3, abs=1e-12)
+    with pytest.raises(DomainError):
+        criteria_block(curve.signal[None], curve.snr[None], curve.output3[None], window=(5.0, 1.0))

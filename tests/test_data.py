@@ -322,3 +322,33 @@ def test_failed_write_leaves_the_old_file_untouched(tmp_path, monkeypatch):
         write_csv(random_table(np.random.default_rng(12), 20), tmp_path / "new.csv")
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
+
+
+@pytest.mark.parametrize(
+    "row, tail, line_number",
+    [(2000, b"\xff\xfe", 2002), (0, b"\xe9", 2), (-1, b"\xff\xfe", 1)],
+)
+def test_read_csv_names_the_line_that_is_not_utf8(tmp_path, row, tail, line_number):
+    # row -1 puts the bytes on the header line.
+    lines = [line.encode("ascii") for line in _dataset_lines(3000)]
+    lines[row + 1] += tail
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CsvParseError) as err:
+        read_csv(path)
+    assert err.value.line_number == line_number
+    assert str(err.value) == f"line {line_number}: not UTF-8 text"
+
+
+def test_replacing_leaves_the_old_file_untouched_when_the_block_raises(tmp_path):
+    path = tmp_path / "report.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="midway"):
+        with sensopt.data.replacing(path) as fh:
+            fh.write("new, half written")
+            raise RuntimeError("midway")
+    assert path.read_text() == "old\n"
+    with sensopt.data.replacing(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]

@@ -6,6 +6,7 @@ import pytest
 from sensopt.data import NormalizationSpec, decode_outputs, encode_inputs
 from sensopt.errors import ConfigurationError, DomainError, ModelFormatError, ShapeError
 from sensopt.network import (
+    FORWARD_TILE_ROWS,
     MODEL_MAGIC,
     Gradients,
     Model,
@@ -14,6 +15,7 @@ from sensopt.network import (
     adam_step,
     backprop,
     forward,
+    forward_chunked,
     init_optimizer,
     init_parameters,
     leaky_relu,
@@ -355,3 +357,31 @@ def test_model_file_digests_are_pinned(tmp_path):
     for _ in range(3):
         adam_step(params, grads, state)
     assert digest(params) == ADAM3_MODEL_SHA256
+
+
+@pytest.mark.parametrize("n_rows", [1, 40, 3 * FORWARD_TILE_ROWS + 5])
+@pytest.mark.parametrize(
+    "config", [NetworkConfig(), NetworkConfig(hidden=(16, 8), output_activation="leaky_relu")]
+)
+def test_forward_chunked_is_forward_bit_for_bit(n_rows, config):
+    params = init_parameters(config, seed=5)
+    x = np.random.default_rng(n_rows).uniform(0.0, 1.0, size=(n_rows, config.n_inputs))
+    got = forward_chunked(params, config, x)
+    assert got.shape == (n_rows, config.n_outputs)
+    assert np.array_equal(got, forward(params, config, x).output)
+
+
+def test_forward_chunked_checks_its_inputs():
+    config = NetworkConfig()
+    params = init_parameters(config, seed=0)
+    with pytest.raises(ShapeError):
+        forward_chunked(params, config, np.zeros((4, 9)))
+    bad = np.zeros((4, 10))
+    bad[2, 3] = np.nan
+    with pytest.raises(DomainError):
+        forward_chunked(params, config, bad)
+    with pytest.raises(ShapeError):
+        forward_chunked(params, NetworkConfig(hidden=(64, 64)), np.zeros((4, 10)))
+    assert np.array_equal(
+        forward_chunked(params, config, np.zeros(10)), forward(params, config, np.zeros(10)).output
+    )

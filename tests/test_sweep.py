@@ -1,9 +1,11 @@
+import contextlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+import sensopt.sweep
 from conftest import brute_force_select, spearman
 from sensopt.curves import CriteriaValues, criteria
 from sensopt.data import NormalizationSpec
@@ -16,10 +18,14 @@ from sensopt.sweep import (
     build_interpolated_grid,
     count_experiments,
     default_sweep_spec,
+    dense_ranks,
+    predict_blocks,
     predict_curves,
     rank_candidates,
     run_sweep,
+    scoring_chunk,
     select,
+    select_row,
     subset_label,
     write_report_csv,
 )
@@ -356,3 +362,93 @@ def test_unfittable_curve_is_unranked_not_fatal(tmp_path):
     header, body = rows[0], rows[1:]
     bad_row = next(r for r in body if tuple(float(v) for v in r[:5]) == corner)
     assert bad_row[header.index("rank_c2")] == "" and bad_row[header.index("rank_c3")] == ""
+
+
+def test_dense_ranks_and_select_row_match_the_record_wrappers():
+    rng = random.Random(77)
+    for trial in range(200):
+        n = rng.randint(1, 40)
+        values = np.array(
+            [
+                [float("nan") if rng.random() < 0.15 else round(rng.random(), 1) for _ in range(4)]
+                for _ in range(n)
+            ]
+        )
+        # Few distinct settings per column, so rank-sum ties fall to them.
+        settings = np.array(
+            [[float(rng.randint(0, 3)), float(rng.randint(0, 3)), float(i)] for i in range(n)]
+        )
+        order = np.lexsort(settings.T[::-1])
+        settings, values = settings[order], values[order]
+        scored = [(tuple(s), tuple(c)) for s, c in zip(settings.tolist(), values.tolist())]
+        ranked = rank_candidates([(s, _cv(*c)) for s, c in scored])
+        ranks = dense_ranks(values)
+        assert [c.ranks for c in ranked] == [
+            tuple(None if r < 0 else r for r in row) for row in ranks.tolist()
+        ], f"trial {trial}"
+        subset = tuple(sorted(rng.sample((1, 2, 3, 4), rng.randint(1, 4))))
+        reference = brute_force_select(scored, subset)
+        if reference is None:
+            with pytest.raises(SelectionError):
+                select_row(settings, ranks, subset)
+            continue
+        row, k = select_row(settings, ranks, subset)
+        assert (tuple(settings[row].tolist()), k) == reference, f"trial {trial}"
+        assert (select(ranked, subset).settings, select(ranked, subset).k) == reference
+
+
+def test_dense_ranks_share_ties_and_skip_nan():
+    values = np.array([[0.5, np.nan], [0.1, 2.0], [0.5, 2.0], [0.3, np.nan]])
+    assert dense_ranks(values).tolist() == [[2, -1], [0, 0], [2, 0], [1, -1]]
+    assert dense_ranks(np.full((3, 1), np.nan)).tolist() == [[-1], [-1], [-1]]
+
+
+def test_predict_blocks_are_the_curves_of_predict_curves(small_model):
+    spec = InterpolationSpec(axes=_axes((3, 2, 2, 1, 1)))
+    blocks = list(predict_blocks(small_model, build_interpolated_grid(spec), 5))
+    assert [b.settings.shape for b in blocks] == [(5, 5), (5, 5), (2, 5)]
+    curves = list(predict_curves(small_model, build_interpolated_grid(spec), 5))
+    assert [c.settings for c in curves] == list(build_interpolated_grid(spec))
+    for j, curve in enumerate(curves):
+        block = blocks[j // 5]
+        assert tuple(block.settings[j % 5].tolist()) == curve.settings
+        for name in ("signal", "snr", "output3"):
+            assert getattr(block, name).shape[1] == 200
+            assert np.array_equal(getattr(block, name)[j % 5], getattr(curve, name))
+        assert np.all(np.diff(block.signal, axis=1) >= 0)
+
+
+def test_scoring_chunk_finds_the_chunk_run_sweep_scored():
+    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
+    grid = list(build_interpolated_grid(spec))
+    for index in (0, 13, 31, 47):
+        chunk, offset = scoring_chunk(spec, grid[index], 16)
+        assert chunk == grid[index - index % 16 : index - index % 16 + 16]
+        assert chunk[offset] == grid[index]
+    chunk, offset = scoring_chunk(spec, grid[47], 20)
+    assert chunk == grid[40:] and offset == 7
+
+
+def test_failed_report_write_leaves_the_old_report_untouched(small_model, tmp_path, monkeypatch):
+    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
+    result = run_sweep(small_model, spec)
+    path = tmp_path / "sweep_report.csv"
+    write_report_csv(result, path)
+    before = path.read_bytes()
+    real_replacing = sensopt.sweep.replacing
+
+    @contextlib.contextmanager
+    def failing_replacing(target):
+        with real_replacing(target) as fh:
+            class HalfWriter:
+                def write(self, text):
+                    fh.write(text[: len(text) // 2])
+                    if len(text) > 1000:
+                        raise OSError("disk full")
+            yield HalfWriter()
+
+    monkeypatch.setattr(sensopt.sweep, "replacing", failing_replacing)
+    with pytest.raises(OSError, match="disk full"):
+        write_report_csv(result, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep_report.csv"]
