@@ -14,6 +14,14 @@ predict()            raw inputs -> physical outputs via a Model bundle
 All arithmetic is float64. Weight matrices are (fan_out, fan_in), so a
 layer computes z = a_prev @ W.T + b; hidden layers use a leaky
 rectifier, the output layer is identity by default.
+
+The training math has one implementation, the in-place kernels
+forward_into() and backprop_into(). They write into buffers the caller
+owns and check nothing: training.train() allocates the buffers once per
+run and validates its arrays once, while forward() and backprop()
+validate their arguments and allocate fresh buffers on every call. The
+optimizers likewise update in place through two scratch vectors that
+init_optimizer() allocates.
 """
 
 from __future__ import annotations
@@ -136,20 +144,42 @@ def init_parameters(config: NetworkConfig, seed: int) -> NetworkParameters:
     return NetworkParameters(weights=weights, biases=biases)
 
 
+def _leaky_relu_into(z: np.ndarray, alpha: float, out: np.ndarray) -> None:
+    # For 0 < alpha < 1 (NetworkConfig enforces it) max(z, alpha * z) is
+    # where(z >= 0, z, alpha * z) bit for bit, signed zeros included, and
+    # faster. `out` must not be `z`.
+    np.multiply(z, alpha, out)
+    np.maximum(z, out, out=out)
+
+
+def _leaky_relu_derivative_into(z: np.ndarray, alpha: float, out: np.ndarray) -> None:
+    # 1.0 where z > 0, else 0.0 raised to alpha: where(z > 0, 1, alpha) bit
+    # for bit for 0 < alpha < 1, and cheaper than np.where or a masked ufunc.
+    np.greater(z, 0.0, out)
+    np.maximum(out, alpha, out=out)
+
+
 def leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
-    # For 0 < alpha < 1 (NetworkConfig enforces it) this is where(z >= 0,
-    # z, alpha * z) bit for bit, signed zeros included, and faster.
-    return np.maximum(z, alpha * z)
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    _leaky_relu_into(z, alpha, out)
+    return out
 
 
 def leaky_relu_derivative(z: np.ndarray, alpha: float) -> np.ndarray:
     # The derivative at exactly 0 is defined as alpha.
-    return np.where(np.asarray(z, dtype=np.float64) > 0, 1.0, alpha)
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    _leaky_relu_derivative_into(z, alpha, out)
+    return out
 
 
 @dataclass
 class ForwardTrace:
-    """Everything backprop needs: activations[0] is the input itself."""
+    """Everything backprop needs: activations[0] is the input itself.
+
+    With an identity output layer, activations[-1] is pre_activations[-1].
+    """
 
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
@@ -157,6 +187,37 @@ class ForwardTrace:
     @property
     def output(self) -> np.ndarray:
         return self.activations[-1]
+
+
+def empty_trace(config: NetworkConfig, inputs: np.ndarray) -> ForwardTrace:
+    """A trace of fresh buffers for a forward pass over the rows of `inputs`."""
+    rows = inputs.shape[0]
+    pre_activations = [np.empty((rows, size)) for size in config.layer_sizes[1:]]
+    activations = [inputs, *(np.empty_like(z) for z in pre_activations[:-1])]
+    if config.output_activation == "identity":
+        activations.append(pre_activations[-1])
+    else:
+        activations.append(np.empty_like(pre_activations[-1]))
+    return ForwardTrace(pre_activations=pre_activations, activations=activations)
+
+
+def forward_into(params: NetworkParameters, config: NetworkConfig, trace: ForwardTrace) -> None:
+    """Run the net on trace.activations[0], writing every z and activation of `trace`.
+
+    The buffers come from empty_trace(); nothing is checked.
+    """
+    alpha = config.alpha
+    leaky_output = config.output_activation != "identity"
+    last = len(params.weights) - 1
+    a = trace.activations[0]
+    for layer, (w, b, z, out) in enumerate(
+        zip(params.weights, params.biases, trace.pre_activations, trace.activations[1:])
+    ):
+        np.matmul(a, w.T, z)
+        np.add(z, b, z)
+        if layer != last or leaky_output:
+            _leaky_relu_into(z, alpha, out)
+        a = out
 
 
 def _check_parameter_shapes(params: NetworkParameters, config: NetworkConfig) -> None:
@@ -185,19 +246,9 @@ def forward(params: NetworkParameters, config: NetworkConfig, inputs) -> Forward
         DomainError: non-finite input entries.
     """
     x = _checked_inputs(params, config, inputs)
-    pre_activations: list[np.ndarray] = []
-    activations: list[np.ndarray] = [x]
-    a = x
-    last = config.n_layers - 1
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        if layer == last and config.output_activation == "identity":
-            a = z
-        else:
-            a = leaky_relu(z, config.alpha)
-        pre_activations.append(z)
-        activations.append(a)
-    return ForwardTrace(pre_activations=pre_activations, activations=activations)
+    trace = empty_trace(config, x)
+    forward_into(params, config, trace)
+    return trace
 
 
 def quadratic_cost(targets, outputs) -> float:
@@ -215,9 +266,10 @@ def output_delta(targets, trace: ForwardTrace, config: NetworkConfig) -> np.ndar
     a = trace.activations[-1]
     if y.shape != a.shape:
         raise ShapeError(f"targets {y.shape} and outputs {a.shape} must match")
-    if config.output_activation == "identity":
-        return a - y
-    return (a - y) * leaky_relu_derivative(trace.pre_activations[-1], config.alpha)
+    delta = a - y
+    if config.output_activation != "identity":
+        delta *= leaky_relu_derivative(trace.pre_activations[-1], config.alpha)
+    return delta
 
 
 class Gradients:
@@ -245,27 +297,61 @@ class Gradients:
         self.deltas = list(deltas)
 
 
+def empty_gradients(params: NetworkParameters, rows: int) -> Gradients:
+    """Gradients of fresh buffers, with a (rows, fan_out) delta per layer."""
+    deltas = [np.empty((rows, size)) for size in params.layer_sizes[1:]]
+    return Gradients.from_flat(np.empty_like(params.flat), params.layer_sizes, deltas)
+
+
+def backprop_into(
+    params: NetworkParameters,
+    config: NetworkConfig,
+    trace: ForwardTrace,
+    grads: Gradients,
+    scratch: list[np.ndarray],
+) -> None:
+    """Gradients of the batch-mean quadratic cost, written into `grads`.
+
+    On entry grads.deltas[-1] holds the output error a - y; `scratch`
+    holds one buffer shaped like each pre-activation, for the rectifier's
+    derivative. The batch gradient is the mean of the per-sample
+    gradients, so a weight gradient is delta.T @ a_prev / batch_size.
+    The buffers come from empty_trace() and empty_gradients(); nothing
+    is checked.
+    """
+    alpha = config.alpha
+    deltas = grads.deltas
+    zs = trace.pre_activations
+    if config.output_activation != "identity":
+        _leaky_relu_derivative_into(zs[-1], alpha, scratch[-1])
+        deltas[-1] *= scratch[-1]
+    for layer in range(len(deltas) - 2, -1, -1):
+        np.matmul(deltas[layer + 1], params.weights[layer + 1], deltas[layer])
+        _leaky_relu_derivative_into(zs[layer], alpha, scratch[layer])
+        deltas[layer] *= scratch[layer]
+    for delta, a_prev, d_w, d_b in zip(deltas, trace.activations, grads.d_weights, grads.d_biases):
+        np.matmul(delta.T, a_prev, d_w)
+        # add.reduce, not np.sum: the same sum without the Python wrapper.
+        np.add.reduce(delta, 0, None, d_b)
+    grads.flat /= trace.activations[0].shape[0]
+
+
 def backprop(
     params: NetworkParameters, config: NetworkConfig, trace: ForwardTrace, targets
 ) -> Gradients:
-    """Gradients of the batch-mean quadratic cost.
+    """Gradients of the batch-mean quadratic cost, in fresh buffers.
 
-    The batch gradient is the mean of the per-sample gradients, so a
-    single weight matrix gradient is delta.T @ a_prev / batch_size.
+    Raises:
+        ShapeError: targets do not match the trace's output.
     """
-    n_layers = config.n_layers
-    batch = trace.activations[0].shape[0]
-    deltas: list[np.ndarray | None] = [None] * n_layers
-    deltas[-1] = output_delta(targets, trace, config)
-    for layer in range(n_layers - 2, -1, -1):
-        deltas[layer] = (deltas[layer + 1] @ params.weights[layer + 1]) * (
-            leaky_relu_derivative(trace.pre_activations[layer], config.alpha)
-        )
-    grads = Gradients.from_flat(np.empty_like(params.flat), params.layer_sizes, deltas)
-    for layer in range(n_layers):
-        np.matmul(deltas[layer].T, trace.activations[layer], out=grads.d_weights[layer])
-        np.sum(deltas[layer], axis=0, out=grads.d_biases[layer])
-    grads.flat /= batch
+    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    a = trace.activations[-1]
+    if y.shape != a.shape:
+        raise ShapeError(f"targets {y.shape} and outputs {a.shape} must match")
+    grads = empty_gradients(params, a.shape[0])
+    np.subtract(a, y, grads.deltas[-1])
+    scratch = [np.empty_like(z) for z in trace.pre_activations]
+    backprop_into(params, config, trace, grads, scratch)
     return grads
 
 
@@ -307,6 +393,8 @@ class OptimizerState:
     step_count: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
+    # Two parameter-sized work vectors, so that a step allocates nothing.
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def init_optimizer(mode: str, learning_rate: float, params: NetworkParameters) -> OptimizerState:
@@ -315,6 +403,7 @@ def init_optimizer(mode: str, learning_rate: float, params: NetworkParameters) -
     if learning_rate <= 0:
         raise ConfigurationError(f"learning rate must be positive, got {learning_rate!r}")
     state = OptimizerState(mode=mode, learning_rate=learning_rate)
+    state.scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
     if mode == "adam":
         state.first_moment = np.zeros_like(params.flat)
         state.second_moment = np.zeros_like(params.flat)
@@ -328,7 +417,9 @@ def sgd_step(
     if state.mode != "sgd":
         raise ConfigurationError(f"sgd_step called with optimizer mode {state.mode!r}")
     state.step_count += 1
-    params.flat -= state.learning_rate * grads.flat
+    change = state.scratch[0]
+    np.multiply(grads.flat, state.learning_rate, change)
+    params.flat -= change
     return params
 
 
@@ -350,13 +441,24 @@ def adam_step(
     correction2 = 1.0 - b2**t
     g = grads.flat
     m, v = state.first_moment, state.second_moment
+    step, denominator = state.scratch
+    # The temporaries of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2
+    # and p -= lr * (m / c1) / (sqrt(v / c2) + eps), operation for
+    # operation, written into the two scratch vectors.
+    np.multiply(g, 1.0 - b1, step)
     m *= b1
-    m += (1.0 - b1) * g
+    m += step
+    np.multiply(g, g, step)
+    step *= 1.0 - b2
     v *= b2
-    v += (1.0 - b2) * (g * g)
-    params.flat -= state.learning_rate * (m / correction1) / (
-        np.sqrt(v / correction2) + state.epsilon
-    )
+    v += step
+    np.divide(m, correction1, step)
+    step *= state.learning_rate
+    np.divide(v, correction2, denominator)
+    np.sqrt(denominator, denominator)
+    denominator += state.epsilon
+    step /= denominator
+    params.flat -= step
     return params
 
 

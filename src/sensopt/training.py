@@ -6,6 +6,11 @@ batch-mean gradient, and halving the learning rate whenever the best
 validation MSE has not improved for `plateau_patience` consecutive
 epochs. MSE here is the mean over samples and the three normalized
 outputs.
+
+A step runs network.forward_into and network.backprop_into on buffers
+that train() allocates once per run, one set for full batches and one
+for a shorter last batch; each epoch gathers the shuffled rows once, so
+a batch is a contiguous slice.
 """
 
 from __future__ import annotations
@@ -30,15 +35,19 @@ from .data import (
     split,
     write_table,
 )
-from .errors import ConfigurationError, TrainingDivergedError
-from .network import (
+from .errors import ConfigurationError, DomainError, ShapeError, TrainingDivergedError
+from .network import (  # noqa: F401  forward, backprop: bindings perfbench/spans.py wraps
     Model,
     NetworkConfig,
     NetworkParameters,
     adam_step,
     backprop,
+    backprop_into,
+    empty_gradients,
+    empty_trace,
     forward,
     forward_chunked,
+    forward_into,
     init_optimizer,
     init_parameters,
     sgd_step,
@@ -148,6 +157,21 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(ss)).permutation(n)
 
 
+def _checked_partition(config: NetworkConfig, x, y, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """`x` and `y` as float64 arrays, after the checks train() makes once."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != config.n_inputs:
+        raise ShapeError(f"{name} inputs must have {config.n_inputs} columns, got shape {x.shape}")
+    if y.ndim != 2 or y.shape[1] != config.n_outputs:
+        raise ShapeError(f"{name} targets must have {config.n_outputs} columns, got shape {y.shape}")
+    if x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise ConfigurationError(f"{name} inputs and targets must align and be nonempty")
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{name} inputs must be finite")
+    return x, y
+
+
 def train(
     net_config: NetworkConfig,
     x_train: np.ndarray,
@@ -171,14 +195,13 @@ def train(
         epochs; there is no early stopping.
 
     Raises:
+        ShapeError: an input or target width disagrees with net_config.
+        DomainError: a non-finite input entry.
+        ConfigurationError: a partition is empty or its arrays do not align.
         TrainingDivergedError: a batch cost became non-finite.
     """
-    x_train = np.asarray(x_train, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.float64)
-    if x_train.shape[0] != y_train.shape[0] or x_train.shape[0] == 0:
-        raise ConfigurationError("training inputs and targets must align and be nonempty")
-    if x_val.shape[0] == 0:
-        raise ConfigurationError("validation partition must be nonempty")
+    x_train, y_train = _checked_partition(net_config, x_train, y_train, "training")
+    x_val, y_val = _checked_partition(net_config, x_val, y_val, "validation")
 
     params = init_parameters(net_config, cfg.seed)
     state = init_optimizer(cfg.optimizer, cfg.learning_rate, params)
@@ -186,16 +209,37 @@ def train(
     schedule = PlateauSchedule(cfg.learning_rate, cfg.plateau_patience, cfg.plateau_factor)
     history = TrainHistory(train_mse=[], val_mse=[], learning_rate=[])
     n = x_train.shape[0]
+    size = cfg.batch_size
+
+    # The epoch's shuffled rows, and per batch length (a full batch and
+    # the last one) the trace, gradient, derivative and squared-error
+    # buffers of a step.
+    xs, ys = np.empty_like(x_train), np.empty_like(y_train)
+    buffers = {}
+    for rows in (min(size, n), n - (n - 1) // size * size):
+        trace = empty_trace(net_config, xs[:rows])
+        scratch = [np.empty_like(z) for z in trace.pre_activations]
+        buffers[rows] = (trace, empty_gradients(params, rows), scratch, np.empty_like(ys[:rows]))
+    subtract, multiply, add_reduce, take = np.subtract, np.multiply, np.add.reduce, np.take
 
     for epoch in range(cfg.epochs):
         perm = _epoch_permutation(cfg.seed, epoch, n)
+        take(x_train, perm, 0, xs)
+        take(y_train, perm, 0, ys)
         state.learning_rate = schedule.rate
         squared_error_sum = 0.0
-        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
-            rows = perm[start : start + cfg.batch_size]
-            trace = forward(params, net_config, x_train[rows])
-            batch_sq = float(np.mean((y_train[rows] - trace.output) ** 2))
-            if not np.isfinite(batch_sq):
+        for batch_index, start in enumerate(range(0, n, size)):
+            stop = min(start + size, n)
+            trace, grads, scratch, squares = buffers[stop - start]
+            trace.activations[0] = xs[start:stop]
+            forward_into(params, net_config, trace)
+            # The output error a - y is backprop's starting delta; the
+            # batch MSE is taken from it before any output derivative.
+            error = grads.deltas[-1]
+            subtract(trace.activations[-1], ys[start:stop], error)
+            multiply(error, error, squares)
+            batch_sq = float(add_reduce(squares, None)) / squares.size
+            if not math.isfinite(batch_sq):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index} "
                     f"(parameter norm {params.norm():.6g})",
@@ -203,8 +247,8 @@ def train(
                     batch=batch_index,
                     parameter_norm=params.norm(),
                 )
-            squared_error_sum += batch_sq * rows.size
-            grads = backprop(params, net_config, trace, y_train[rows])
+            squared_error_sum += batch_sq * (stop - start)
+            backprop_into(params, net_config, trace, grads, scratch)
             step(params, grads, state)
         val_error = mse(y_val, forward_chunked(params, net_config, x_val))
         history.train_mse.append(squared_error_sum / n)

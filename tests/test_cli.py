@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sensopt
 from sensopt.cli import _scaled_count, _write_json, main
 from sensopt.curves import Curve, criteria
 from sensopt.data import read_csv
@@ -106,6 +111,25 @@ def test_train_rejects_single_hidden_layer(pipeline_dir, tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_train_is_identical_across_blas_thread_counts(pipeline_dir, tmp_path):
+    # One process per BLAS thread count, since OpenBLAS reads it at load.
+    src = str(Path(sensopt.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        command = [
+            sys.executable, "-c", "import sys; from sensopt.cli import main; sys.exit(main(sys.argv[1:]))",
+            "train", "--out", str(out), "--dataset", str(pipeline_dir / "dataset.csv"),
+            "--epochs", "2", "--seed", "3",
+        ]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs[threads] = [(out / name).read_bytes() for name in ("model.bin", "history.csv")]
+    assert outputs["1"] == outputs["2"]
 
 
 def test_train_missing_dataset_is_runtime_error(tmp_path):

@@ -82,6 +82,14 @@ def test_leaky_relu_values():
     assert np.array_equal(leaky_relu(z, 0.3), [-0.6, 0.0, 3.0])
     # Slope at exactly zero is the leak, matching the backward pass.
     assert np.array_equal(leaky_relu_derivative(z, 0.3), [0.3, 0.3, 1.0])
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([-0.0, 0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, np.nan])
+    for alpha in (0.3, 1e-300, 0.999):
+        reference = np.where(edges > 0, 1.0, alpha)
+        assert leaky_relu_derivative(edges, alpha).tobytes() == reference.tobytes()
+        assert leaky_relu(edges, alpha).tobytes() == np.where(
+            edges >= 0, edges, alpha * edges
+        ).tobytes()
 
 
 def test_forward_trace_by_hand():
