@@ -5,92 +5,10 @@ from-scratch feed-forward network learns (signal, snr, output3) from the
 settings, and an interpolated design-space sweep scores every candidate
 combination on four SNR-curve criteria, selecting the best by rank
 intersection.
+
+The API lives in the submodules (sensopt.oracle, sensopt.data,
+sensopt.network, sensopt.training, sensopt.curves, sensopt.sweep and the
+sensopt.cli command line); the package root holds only __version__.
 """
 
 __version__ = "0.1.0"
-
-from .curves import (
-    DIP_WINDOW,
-    FIT_SIGNAL_MAX,
-    CriteriaValues,
-    Curve,
-    FittedLine,
-    criteria,
-    fit_line,
-    ideal_snr,
-    mae,
-    prominence,
-)
-from .data import (
-    COLUMNS,
-    NormalizationSpec,
-    SampleTable,
-    SplitAssignment,
-    decode_outputs,
-    encode_inputs,
-    encode_outputs,
-    encode_table,
-    fit_normalization,
-    read_csv,
-    split,
-    write_csv,
-)
-from .errors import (
-    ConfigurationError,
-    CsvParseError,
-    DomainError,
-    FitError,
-    ModelFormatError,
-    RangeError,
-    SelectionError,
-    SensoptError,
-    ShapeError,
-    TrainingDivergedError,
-)
-from .network import (
-    Model,
-    NetworkConfig,
-    NetworkParameters,
-    OptimizerState,
-    adam_step,
-    backprop,
-    forward,
-    init_optimizer,
-    init_parameters,
-    load_model,
-    numeric_gradients,
-    predict,
-    quadratic_cost,
-    save_model,
-    sgd_step,
-)
-from .oracle import (
-    TABLE1,
-    GridSpec,
-    SensorOracle,
-    enumerate_grid,
-    generate_dataset,
-)
-from .sweep import (
-    AxisSpec,
-    CandidateScore,
-    InterpolationSpec,
-    SelectionResult,
-    build_interpolated_grid,
-    count_experiments,
-    default_sweep_spec,
-    predict_curves,
-    rank_candidates,
-    run_sweep,
-    select,
-)
-from .training import (
-    EvaluationReport,
-    TrainConfig,
-    TrainHistory,
-    evaluate,
-    mse,
-    prepare_training_data,
-    r_squared,
-    train,
-)

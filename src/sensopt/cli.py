@@ -1,9 +1,10 @@
 """Command-line pipeline: generate, train, evaluate, optimize.
 
 Every subcommand reads an optional JSON config file (one section per
-subcommand), lets explicit flags override it, writes its outputs under
---out only, and records a manifest with the fully resolved configuration
-and SHA-256 digests of its file inputs, so any run can be reproduced.
+subcommand, each value of its default's type), lets explicit flags
+override it, writes its outputs under --out only, and records a manifest
+with the fully resolved configuration and SHA-256 digests of its file
+inputs, so any run can be reproduced.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -46,6 +47,14 @@ from .training import (
 )
 
 _PARTITIONS = {"train": TRAIN, "validation": VALIDATION, "test": TEST}
+# The types a config-file value may have, by the type of its default.
+_CONFIG_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
+    type(None): ((list, type(None)), "a list or null"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +93,24 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _resolve(defaults: dict, section: dict, flags: dict) -> dict:
+def _resolve(args: argparse.Namespace, defaults: dict, flags: dict) -> dict:
+    """`defaults`, overridden by the config file's section for the command, then by `flags`.
+
+    Raises:
+        ConfigurationError: the section is not an object, or holds an
+            unknown key or a value whose type differs from its default's
+            (a bool is not a number).
+    """
+    section = _load_config(args.config).get(args.command, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config section {args.command!r} must be a JSON object")
     unknown = set(section) - set(defaults)
     if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown {args.command} config keys: {sorted(unknown)}")
+    for key, value in section.items():
+        types, expected = _CONFIG_TYPES[type(defaults[key])]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigurationError(f"{args.command}.{key} must be {expected}, got {value!r}")
     resolved = dict(defaults)
     resolved.update(section)
     resolved.update({k: v for k, v in flags.items() if v is not None})
@@ -124,11 +147,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "dip_depth": 5.0,
         "dip_width": 0.12,
     }
-    section = _load_config(args.config).get("generate", {})
     resolved = _resolve(
-        defaults,
-        section,
-        {"seed": args.seed, "scale": args.scale, "noise_db": args.noise},
+        args, defaults, {"seed": args.seed, "scale": args.scale, "noise_db": args.noise}
     )
     grid = TABLE1.subsample(_scaled_count(5, resolved["scale"]))
     oracle = SensorOracle(
@@ -159,7 +179,9 @@ def _parse_hidden(value) -> tuple[int, ...]:
             value = [int(p) for p in parts]
         except ValueError:
             raise ConfigurationError(f"--hidden must be comma-separated integers, got {value!r}")
-    hidden = tuple(int(v) for v in value)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+        raise ConfigurationError(f"train.hidden entries must be integers, got {value!r}")
+    hidden = tuple(value)
     if len(hidden) < 2:
         raise ConfigurationError("at least two hidden layers are required")
     return hidden
@@ -177,10 +199,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         "hidden": [64, 64, 64],
         "alpha": 0.3,
     }
-    section = _load_config(args.config).get("train", {})
     resolved = _resolve(
+        args,
         defaults,
-        section,
         {
             "seed": args.seed,
             "epochs": args.epochs,
@@ -191,13 +212,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         },
     )
     resolved["hidden"] = list(_parse_hidden(resolved["hidden"]))
-    dataset_path = args.dataset or os.path.join(args.out, "dataset.csv")
-
-    table = read_csv(dataset_path)
-    arrays, norm, _ = prepare_training_data(table, resolved["seed"])
-    net_config = NetworkConfig(
-        hidden=tuple(resolved["hidden"]), alpha=resolved["alpha"]
-    )
+    net_config = NetworkConfig(hidden=tuple(resolved["hidden"]), alpha=resolved["alpha"])
     train_cfg = TrainConfig(
         epochs=resolved["epochs"],
         batch_size=resolved["batch_size"],
@@ -207,6 +222,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         optimizer=resolved["optimizer"],
         seed=resolved["seed"],
     )
+    dataset_path = args.dataset or os.path.join(args.out, "dataset.csv")
+    table = read_csv(dataset_path)
+    arrays, norm, _ = prepare_training_data(table, resolved["seed"])
     params, history = train(
         net_config,
         arrays["x_train"],
@@ -232,10 +250,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     defaults = {"seed": 0, "partition": "test"}
-    section = _load_config(args.config).get("evaluate", {})
-    resolved = _resolve(
-        defaults, section, {"seed": args.seed, "partition": args.partition}
-    )
+    resolved = _resolve(args, defaults, {"seed": args.seed, "partition": args.partition})
     if resolved["partition"] not in _PARTITIONS:
         raise ConfigurationError(
             f"partition must be one of {sorted(_PARTITIONS)}, got {resolved['partition']!r}"
@@ -296,20 +311,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "scale": 1.0,
         "points_per_axis": DEFAULT_POINTS_PER_AXIS,
         "row_budget": DEFAULT_ROW_BUDGET,
-        "chunk_combinations": 64,
         "axes": None,
     }
-    section = _load_config(args.config).get("optimize", {})
-    resolved = _resolve(defaults, section, {"seed": args.seed, "scale": args.scale})
-    model = load_model(args.model)
+    resolved = _resolve(args, defaults, {"seed": args.seed, "scale": args.scale})
     axes = _axes_from_config(resolved["axes"])
     if axes is not None:
         spec = InterpolationSpec(axes=tuple(axes), row_budget=resolved["row_budget"])
     else:
         points = _scaled_count(resolved["points_per_axis"], resolved["scale"])
         spec = default_sweep_spec(max(points, 2), row_budget=resolved["row_budget"])
-    chunk = resolved["chunk_combinations"]
-    result = run_sweep(model, spec, subsets=(ALL_CRITERIA, (1, 2, 3)), chunk_combinations=chunk)
+    model = load_model(args.model)
+    result = run_sweep(model, spec, subsets=(ALL_CRITERIA, (1, 2, 3)))
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "sweep_report.csv")
     write_report_csv(result, report_path)
@@ -318,8 +330,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     outputs = [report_path, summary_path]
     for subset, selection in result.selections.items():
         # Export the curve that was scored: its chunk, predicted again.
-        combos, offset = scoring_chunk(spec, selection.settings, chunk)
-        curve = next(itertools.islice(predict_curves(model, combos, chunk), offset, None))
+        combos, offset = scoring_chunk(spec, selection.settings)
+        curve = next(itertools.islice(predict_curves(model, combos), offset, None))
         curve_path = os.path.join(args.out, f"selected_curve_{subset_label(subset)}.csv")
         write_curve_csv(curve, curve_path)
         outputs.append(curve_path)
@@ -402,3 +414,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

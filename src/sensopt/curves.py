@@ -4,12 +4,13 @@ criteria_block() evaluates m curves, one per row of (m, n) arrays, to an
 (m, 4) array; criteria() is its one-row form, a CriteriaValues quadruple:
   c1  mean absolute deviation from the ideal 5*log10(signal) curve [dB]
   c2  dip prominence below the fitted low-signal line, inside the
-      3e3-1e4 AU window [dB]
+      DIP_WINDOW of 3e3-1e4 AU [dB]
   c3  mean absolute deviation from that fitted line over all points [dB]
   c4  mean output3 [dimensionless]
 
 The line is fitted by least squares in closed form about the centred
-means of the points below 2e3 AU.
+means of the points below FIT_SIGNAL_MAX, 2e3 AU. fit_line() and
+prominence() are the c2 steps on one Curve; both bounds are fixed.
 
 Lower is better for all four.
 """
@@ -67,10 +68,6 @@ class Curve:
             output3=np.asarray(output3, dtype=np.float64)[order],
         )
 
-    @property
-    def n_points(self) -> int:
-        return int(self.signal.size)
-
 
 def ideal_snr(signal):
     """SNR of an ideal sensor, 5 * log10(signal) dB."""
@@ -83,11 +80,10 @@ def ideal_snr(signal):
 
 @dataclass(frozen=True)
 class FittedLine:
-    """snr = slope * log10(signal) + intercept, fitted below fit_max_signal."""
+    """snr = slope * log10(signal) + intercept, fitted below FIT_SIGNAL_MAX."""
 
     slope: float
     intercept: float
-    fit_max_signal: float
 
     def evaluate(self, signal):
         sig = np.asarray(signal, dtype=np.float64)
@@ -115,15 +111,13 @@ def _fit_lines(log_signal: np.ndarray, snr: np.ndarray, below: np.ndarray):
     return slope, mean_y - slope * mean_x, count
 
 
-def _prominences(signal, snr, line, window) -> np.ndarray:
-    """Row-wise largest drop of `snr` below `line` inside the signal window.
+def _prominences(signal, snr, line) -> np.ndarray:
+    """Row-wise largest drop of `snr` below `line` inside DIP_WINDOW.
 
     Floored at 0 (a curve above its line has no dip); NaN in rows with no
     point inside the window.
     """
-    lo, hi = window
-    if not 0 < lo < hi:
-        raise DomainError(f"window must satisfy 0 < low < high, got {window}")
+    lo, hi = DIP_WINDOW
     inside = (signal >= lo) & (signal <= hi)
     drop = np.where(inside, line - snr, -np.inf).max(axis=1)
     # max(drop, 0.0), except that a NaN drop stays NaN.
@@ -134,48 +128,33 @@ def _mean_abs(a, b) -> np.ndarray:
     return np.mean(np.abs(a - b), axis=-1)
 
 
-def fit_line(curve: Curve, fit_max_signal: float = FIT_SIGNAL_MAX) -> FittedLine:
+def fit_line(curve: Curve) -> FittedLine:
     """Least-squares line through the curve's low-signal (log-linear) region.
 
-    Uses the points with signal strictly below `fit_max_signal`, like
+    Uses the points with signal strictly below FIT_SIGNAL_MAX, like
     criteria_block().
 
     Raises:
         FitError: fewer than two points fall below the bound.
     """
     signal = curve.signal[None]
-    slope, intercept, count = _fit_lines(np.log10(signal), curve.snr[None], signal < fit_max_signal)
+    slope, intercept, count = _fit_lines(np.log10(signal), curve.snr[None], signal < FIT_SIGNAL_MAX)
     if count[0] < 2:
         raise FitError(
-            f"need at least 2 points below {fit_max_signal!r} to fit, got {int(count[0])}"
+            f"need at least 2 points below {FIT_SIGNAL_MAX!r} to fit, got {int(count[0])}"
         )
-    return FittedLine(
-        slope=float(slope[0]), intercept=float(intercept[0]), fit_max_signal=fit_max_signal
-    )
+    return FittedLine(slope=float(slope[0]), intercept=float(intercept[0]))
 
 
-def prominence(
-    curve: Curve, line: FittedLine, window: tuple[float, float] = DIP_WINDOW
-) -> float:
-    """Largest drop of the curve below `line` inside the signal window.
+def prominence(curve: Curve, line: FittedLine) -> float:
+    """Largest drop of the curve below `line` inside DIP_WINDOW.
 
     Floored at 0 (a curve above the line has no dip). Returns NaN when no
     curve point falls inside the window; such combinations are excluded
     from criterion-2 ranking.
     """
     line_snr = line.evaluate(curve.signal)
-    return float(_prominences(curve.signal[None], curve.snr[None], line_snr[None], window)[0])
-
-
-def mae(a, b) -> float:
-    """Mean absolute difference of two equal-length vectors."""
-    aa = np.asarray(a, dtype=np.float64)
-    bb = np.asarray(b, dtype=np.float64)
-    if aa.shape != bb.shape or aa.ndim != 1:
-        raise ShapeError(f"expected equal-length 1-D arrays, got {aa.shape} and {bb.shape}")
-    if aa.size == 0:
-        raise ShapeError("mae needs at least one point")
-    return float(_mean_abs(aa, bb))
+    return float(_prominences(curve.signal[None], curve.snr[None], line_snr[None])[0])
 
 
 @dataclass(frozen=True)
@@ -189,49 +168,37 @@ class CriteriaValues:
         return (self.c1, self.c2, self.c3, self.c4)
 
 
-def criteria_block(
-    signal,
-    snr,
-    output3,
-    fit_max_signal: float = FIT_SIGNAL_MAX,
-    window: tuple[float, float] = DIP_WINDOW,
-) -> np.ndarray:
+def criteria_block(signal, snr, output3) -> np.ndarray:
     """The four criteria of m curves at once, as an (m, 4) array. Pure.
 
     Row i of the (m, n) arrays `signal`, `snr` and `output3` is one
     curve, sorted by ascending positive signal. A row's values do not
     depend on the other rows. c2 and c3 are NaN in rows with fewer than
-    two points below `fit_max_signal`, where no line can be fitted: like
+    two points below FIT_SIGNAL_MAX, where no line can be fitted: like
     an empty dip window, that leaves the curve unranked on them instead
     of aborting a sweep.
     """
     signal, snr, output3 = (np.asarray(v, dtype=np.float64) for v in (signal, snr, output3))
     log_signal = np.log10(signal)
-    slope, intercept, _ = _fit_lines(log_signal, snr, signal < fit_max_signal)
+    slope, intercept, _ = _fit_lines(log_signal, snr, signal < FIT_SIGNAL_MAX)
     line = slope[:, None] * log_signal + intercept[:, None]
     out = np.empty((signal.shape[0], 4))
     out[:, 0] = _mean_abs(IDEAL_SLOPE * log_signal, snr)
-    out[:, 1] = _prominences(signal, snr, line, window)
+    out[:, 1] = _prominences(signal, snr, line)
     out[:, 2] = _mean_abs(line, snr)
     out[:, 3] = np.mean(output3, axis=1)
     return out
 
 
-def criteria(
-    curve: Curve,
-    fit_max_signal: float = FIT_SIGNAL_MAX,
-    window: tuple[float, float] = DIP_WINDOW,
-) -> CriteriaValues:
+def criteria(curve: Curve) -> CriteriaValues:
     """Evaluate all four criteria on one curve: a one-row criteria_block()."""
-    row = criteria_block(
-        curve.signal[None], curve.snr[None], curve.output3[None], fit_max_signal, window
-    )
+    row = criteria_block(curve.signal[None], curve.snr[None], curve.output3[None])
     return CriteriaValues(*row[0].tolist())
 
 
-def write_curve_csv(curve: Curve, path, fit_max_signal: float = FIT_SIGNAL_MAX) -> None:
+def write_curve_csv(curve: Curve, path) -> None:
     """Export a curve with its ideal and fitted-line references."""
-    line = fit_line(curve, fit_max_signal)
+    line = fit_line(curve)
     columns = np.column_stack(
         [
             curve.signal,

@@ -6,7 +6,8 @@ The six numeric inputs are normalized by a per-input maximum, the
 category becomes a 4-way one-hot block, and the outputs are scaled to
 [0, 1] after a log10 transform of the signal. Maxima are fitted from the
 training partition and persisted with the model, so encoding is a pure
-function of (row, normalization spec).
+function of (row, normalization spec). split() assigns rows to the
+train/validation/test partitions in the fixed shares DEFAULT_FRACTIONS.
 
 CSV contract, shared by every float table sensopt writes (the dataset,
 the predicted-vs-actual pairs, the selected curves): a header line of
@@ -28,6 +29,7 @@ reads UTF-8 text with LF or CRLF line endings and rejects, naming the
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -56,7 +58,7 @@ N_OUTPUTS = 3
 ENCODED_INPUT_SIZE = N_NUMERIC_INPUTS + N_CATEGORIES
 
 TRAIN, VALIDATION, TEST = 0, 1, 2
-PARTITION_NAMES = {TRAIN: "train", VALIDATION: "validation", TEST: "test"}
+# Shares of the train, validation and test partitions in every split.
 DEFAULT_FRACTIONS = (0.81, 0.09, 0.10)
 
 # 17 significant digits round-trip any float64 exactly.
@@ -103,12 +105,10 @@ class NormalizationSpec:
     Attributes:
         input_max: maximum each of the 6 numeric inputs may assume.
         output_max: maxima of (log10(signal), snr, output3).
-        signal_log_base: base of the signal log transform.
     """
 
     input_max: tuple[float, ...]
     output_max: tuple[float, ...]
-    signal_log_base: float = 10.0
 
     def __post_init__(self):
         if len(self.input_max) != N_NUMERIC_INPUTS:
@@ -119,10 +119,8 @@ class NormalizationSpec:
             raise ConfigurationError(
                 f"expected {N_OUTPUTS} output maxima, got {len(self.output_max)}"
             )
-        if any(m <= 0 for m in self.input_max) or any(m <= 0 for m in self.output_max):
-            raise ConfigurationError("normalization maxima must all be positive")
-        if self.signal_log_base <= 1:
-            raise ConfigurationError("signal log base must exceed 1")
+        if not all(math.isfinite(m) and m > 0 for m in (*self.input_max, *self.output_max)):
+            raise ConfigurationError("normalization maxima must all be positive and finite")
 
 
 def fit_normalization(table: SampleTable) -> NormalizationSpec:
@@ -212,12 +210,8 @@ def encode_outputs(outputs: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
     if np.any(rows[:, 0] <= 0):
         raise DomainError("signal must be positive for the log transform")
     maxima = np.asarray(norm.output_max)
-    if norm.signal_log_base == 10.0:
-        log_signal = np.log10(rows[:, 0])
-    else:
-        log_signal = np.log(rows[:, 0]) / np.log(norm.signal_log_base)
     encoded = np.empty_like(rows)
-    encoded[:, 0] = log_signal / maxima[0]
+    encoded[:, 0] = np.log10(rows[:, 0]) / maxima[0]
     encoded[:, 1] = rows[:, 1] / maxima[1]
     encoded[:, 2] = rows[:, 2] / maxima[2]
     return encoded[0] if single else encoded
@@ -232,7 +226,7 @@ def decode_outputs(encoded: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
         raise ConfigurationError(f"expected {N_OUTPUTS} outputs per row, got {rows.shape[1]}")
     maxima = np.asarray(norm.output_max)
     decoded = np.empty_like(rows)
-    decoded[:, 0] = norm.signal_log_base ** (rows[:, 0] * maxima[0])
+    decoded[:, 0] = 10.0 ** (rows[:, 0] * maxima[0])
     decoded[:, 1] = rows[:, 1] * maxima[1]
     decoded[:, 2] = rows[:, 2] * maxima[2]
     return decoded[0] if single else decoded
@@ -250,7 +244,6 @@ class SplitAssignment:
     """Row-to-partition assignment, a pure function of (seed, row count)."""
 
     seed: int
-    fractions: tuple[float, float, float]
     labels: np.ndarray  # (n,) int8 of TRAIN / VALIDATION / TEST
 
     def indices(self, label: int) -> np.ndarray:
@@ -265,29 +258,24 @@ class SplitAssignment:
         )
 
 
-def split(
-    n_rows: int, seed: int, fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
-) -> SplitAssignment:
+def split(n_rows: int, seed: int) -> SplitAssignment:
     """Shuffle row indices with `seed` and cut train/validation/test prefixes.
 
-    Sizes are floor(f_train * n), floor(f_val * n) and the remainder, so the
+    With DEFAULT_FRACTIONS (f_train, f_val, f_test), sizes are
+    floor(f_train * n), floor(f_val * n) and the remainder, so the
     partition is exhaustive and disjoint.
     """
     if n_rows < 10:
         raise ConfigurationError(f"need at least 10 rows to split, got {n_rows}")
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ConfigurationError("fractions must be three positive numbers")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigurationError(f"fractions must sum to 1, got {sum(fractions)!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     perm = rng.permutation(n_rows)
-    n_train = int(np.floor(fractions[0] * n_rows))
-    n_val = int(np.floor(fractions[1] * n_rows))
+    n_train = int(np.floor(DEFAULT_FRACTIONS[0] * n_rows))
+    n_val = int(np.floor(DEFAULT_FRACTIONS[1] * n_rows))
     labels = np.empty(n_rows, dtype=np.int8)
     labels[perm[:n_train]] = TRAIN
     labels[perm[n_train : n_train + n_val]] = VALIDATION
     labels[perm[n_train + n_val :]] = TEST
-    return SplitAssignment(seed=seed, fractions=tuple(fractions), labels=labels)
+    return SplitAssignment(seed=seed, labels=labels)
 
 
 def write_rows(fh, array) -> None:

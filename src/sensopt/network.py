@@ -2,7 +2,6 @@
 
 forward()            batched forward pass recording z's and activations
 quadratic_cost()     half squared error, averaged over a batch
-output_delta()       error vector at the output layer
 backprop()           parameter gradients by backward error propagation
 sgd_step()           plain gradient-descent update, in place
 adam_step()          adaptive-moment update, in place
@@ -13,7 +12,7 @@ predict()            raw inputs -> physical outputs via a Model bundle
 
 All arithmetic is float64. Weight matrices are (fan_out, fan_in), so a
 layer computes z = a_prev @ W.T + b; hidden layers use a leaky
-rectifier, the output layer is identity by default.
+rectifier, the output layer is the identity.
 
 The training math has one implementation, the in-place kernels
 forward_into() and backprop_into(). They write into buffers the caller
@@ -41,7 +40,6 @@ MODEL_MAGIC = b"SNSOPT01"
 # fewer runs another kernel and may differ in the last bit; tiles of about
 # 1,024 rows also keep the layer buffers in cache.
 FORWARD_TILE_ROWS = 1024
-_ACTIVATIONS = ("identity", "leaky_relu")
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,6 @@ class NetworkConfig:
     hidden: tuple[int, ...] = (64, 64, 64)
     n_outputs: int = 3
     alpha: float = 0.3
-    output_activation: str = "identity"
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -65,10 +62,6 @@ class NetworkConfig:
             raise ConfigurationError(f"layer sizes must be positive integers, got {sizes}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        if self.output_activation not in _ACTIVATIONS:
-            raise ConfigurationError(
-                f"output_activation must be one of {_ACTIVATIONS}, got {self.output_activation!r}"
-            )
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -124,10 +117,6 @@ class NetworkParameters:
     def copy(self) -> "NetworkParameters":
         return NetworkParameters(self.weights, self.biases)
 
-    @property
-    def n_parameters(self) -> int:
-        return self.flat.size
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
 
@@ -178,7 +167,7 @@ def leaky_relu_derivative(z: np.ndarray, alpha: float) -> np.ndarray:
 class ForwardTrace:
     """Everything backprop needs: activations[0] is the input itself.
 
-    With an identity output layer, activations[-1] is pre_activations[-1].
+    The output layer is the identity, so activations[-1] is pre_activations[-1].
     """
 
     pre_activations: list[np.ndarray]
@@ -193,11 +182,7 @@ def empty_trace(config: NetworkConfig, inputs: np.ndarray) -> ForwardTrace:
     """A trace of fresh buffers for a forward pass over the rows of `inputs`."""
     rows = inputs.shape[0]
     pre_activations = [np.empty((rows, size)) for size in config.layer_sizes[1:]]
-    activations = [inputs, *(np.empty_like(z) for z in pre_activations[:-1])]
-    if config.output_activation == "identity":
-        activations.append(pre_activations[-1])
-    else:
-        activations.append(np.empty_like(pre_activations[-1]))
+    activations = [inputs, *(np.empty_like(z) for z in pre_activations[:-1]), pre_activations[-1]]
     return ForwardTrace(pre_activations=pre_activations, activations=activations)
 
 
@@ -207,7 +192,6 @@ def forward_into(params: NetworkParameters, config: NetworkConfig, trace: Forwar
     The buffers come from empty_trace(); nothing is checked.
     """
     alpha = config.alpha
-    leaky_output = config.output_activation != "identity"
     last = len(params.weights) - 1
     a = trace.activations[0]
     for layer, (w, b, z, out) in enumerate(
@@ -215,7 +199,7 @@ def forward_into(params: NetworkParameters, config: NetworkConfig, trace: Forwar
     ):
         np.matmul(a, w.T, z)
         np.add(z, b, z)
-        if layer != last or leaky_output:
+        if layer != last:
             _leaky_relu_into(z, alpha, out)
         a = out
 
@@ -260,18 +244,6 @@ def quadratic_cost(targets, outputs) -> float:
     return float(0.5 * np.mean(np.sum((y - a) ** 2, axis=1)))
 
 
-def output_delta(targets, trace: ForwardTrace, config: NetworkConfig) -> np.ndarray:
-    """Error at the output layer: -(y - a) times the activation derivative."""
-    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    a = trace.activations[-1]
-    if y.shape != a.shape:
-        raise ShapeError(f"targets {y.shape} and outputs {a.shape} must match")
-    delta = a - y
-    if config.output_activation != "identity":
-        delta *= leaky_relu_derivative(trace.pre_activations[-1], config.alpha)
-    return delta
-
-
 class Gradients:
     """Cost gradients in the parameter layout; deltas are the backpropagated errors.
 
@@ -313,8 +285,8 @@ def backprop_into(
     """Gradients of the batch-mean quadratic cost, written into `grads`.
 
     On entry grads.deltas[-1] holds the output error a - y; `scratch`
-    holds one buffer shaped like each pre-activation, for the rectifier's
-    derivative. The batch gradient is the mean of the per-sample
+    holds one buffer shaped like each hidden pre-activation, for the
+    rectifier's derivative. The batch gradient is the mean of the per-sample
     gradients, so a weight gradient is delta.T @ a_prev / batch_size.
     The buffers come from empty_trace() and empty_gradients(); nothing
     is checked.
@@ -322,9 +294,6 @@ def backprop_into(
     alpha = config.alpha
     deltas = grads.deltas
     zs = trace.pre_activations
-    if config.output_activation != "identity":
-        _leaky_relu_derivative_into(zs[-1], alpha, scratch[-1])
-        deltas[-1] *= scratch[-1]
     for layer in range(len(deltas) - 2, -1, -1):
         np.matmul(deltas[layer + 1], params.weights[layer + 1], deltas[layer])
         _leaky_relu_derivative_into(zs[layer], alpha, scratch[layer])
@@ -350,7 +319,7 @@ def backprop(
         raise ShapeError(f"targets {y.shape} and outputs {a.shape} must match")
     grads = empty_gradients(params, a.shape[0])
     np.subtract(a, y, grads.deltas[-1])
-    scratch = [np.empty_like(z) for z in trace.pre_activations]
+    scratch = [np.empty_like(z) for z in trace.pre_activations[:-1]]
     backprop_into(params, config, trace, grads, scratch)
     return grads
 
@@ -497,7 +466,7 @@ def forward_chunked(params: NetworkParameters, config: NetworkConfig, x) -> np.n
             z = outputs[start:stop] if layer == last else hidden[layer][:rows]
             np.matmul(a, w.T, out=z)
             np.add(z, biases[layer][:rows], out=z)
-            if layer != last or config.output_activation != "identity":
+            if layer != last:
                 # leaky_relu(z), written into z.
                 alpha_z = scratch[:rows, : z.shape[1]]
                 np.multiply(z, config.alpha, out=alpha_z)
@@ -506,17 +475,10 @@ def forward_chunked(params: NetworkParameters, config: NetworkConfig, x) -> np.n
     return outputs
 
 
-def predict(model: Model, numeric, category, chunk_size: int = 65536) -> np.ndarray:
-    """Physical (signal, snr, output3) predictions for raw input rows.
-
-    The encoded rows go through forward_chunked `chunk_size` at a time.
-    """
+def predict(model: Model, numeric, category) -> np.ndarray:
+    """Physical (signal, snr, output3) predictions for raw input rows."""
     x = encode_inputs(numeric, category, model.normalization)
-    rows = np.atleast_2d(x)
-    outputs = np.empty((rows.shape[0], model.config.n_outputs))
-    for start in range(0, rows.shape[0], chunk_size):
-        stop = start + chunk_size
-        outputs[start:stop] = forward_chunked(model.params, model.config, rows[start:stop])
+    outputs = forward_chunked(model.params, model.config, x)
     decoded = decode_outputs(outputs, model.normalization)
     return decoded[0] if x.ndim == 1 else decoded
 
@@ -527,7 +489,10 @@ def predict(model: Model, numeric, category, chunk_size: int = 65536) -> np.ndar
 #   bytes 0..7    magic b"SNSOPT01" (version is part of the magic)
 #   bytes 8..11   uint32 header length H
 #   bytes 12..    UTF-8 JSON header of H bytes with keys
-#                 config, layers, normalization, param_sha256
+#                 config, layers, normalization, param_sha256; the
+#                 keys config.output_activation and
+#                 normalization.signal_log_base hold the only values
+#                 the format allows, "identity" and 10.0
 #   then the parameter payload: NetworkParameters.flat as float64, that
 #                 is per layer, in order, the row-major weights
 #                 (fan_out * fan_in values), then the bias (fan_out values)
@@ -547,13 +512,13 @@ def save_model(model: Model, path) -> None:
             "hidden": list(model.config.hidden),
             "n_outputs": model.config.n_outputs,
             "alpha": model.config.alpha,
-            "output_activation": model.config.output_activation,
+            "output_activation": "identity",
         },
         "layers": layers,
         "normalization": {
             "input_max": list(model.normalization.input_max),
             "output_max": list(model.normalization.output_max),
-            "signal_log_base": model.normalization.signal_log_base,
+            "signal_log_base": 10.0,
         },
         "param_sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -570,7 +535,9 @@ def load_model(path) -> Model:
 
     Raises:
         ModelFormatError: wrong magic/version, truncation, malformed
-            header, or a parameter checksum mismatch.
+            header (an output activation other than "identity" or a
+            signal log base other than 10 included), or a parameter
+            checksum mismatch.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -591,17 +558,21 @@ def load_model(path) -> Model:
             hidden=tuple(header["config"]["hidden"]),
             n_outputs=header["config"]["n_outputs"],
             alpha=header["config"]["alpha"],
-            output_activation=header["config"]["output_activation"],
         )
         normalization = NormalizationSpec(
             input_max=tuple(header["normalization"]["input_max"]),
             output_max=tuple(header["normalization"]["output_max"]),
-            signal_log_base=header["normalization"]["signal_log_base"],
         )
+        fixed = (header["config"]["output_activation"], header["normalization"]["signal_log_base"])
         layers = [(layer["fan_in"], layer["fan_out"]) for layer in header["layers"]]
         expected_digest = header["param_sha256"]
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ModelFormatError(f"malformed model header: {exc}") from exc
+    if fixed != ("identity", 10.0):
+        raise ModelFormatError(
+            f"model header output_activation and signal_log_base are {fixed}; "
+            "the format allows only ('identity', 10.0)"
+        )
     sizes = config.layer_sizes
     if layers != list(zip(sizes, sizes[1:])):
         raise ModelFormatError(f"header layers {layers} do not match the config's sizes {sizes}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -156,6 +157,8 @@ class SensorOracle:
         dip_width: dip width in log10(signal) units.
         noise_db: standard deviation of optional Gaussian SNR noise (dB);
             0 disables the noise path entirely.
+
+    Every parameter must be finite.
     """
 
     def __init__(
@@ -166,6 +169,8 @@ class SensorOracle:
         dip_width: float = 0.12,
         noise_db: float = 0.0,
     ):
+        if not all(map(math.isfinite, (dip_center, dip_depth, dip_width, noise_db))):
+            raise ConfigurationError("dip_center, dip_depth, dip_width and noise_db must be finite")
         if not DIP_WINDOW[0] <= dip_center <= DIP_WINDOW[1]:
             raise ConfigurationError(
                 f"dip_center {dip_center!r} outside analysis window {DIP_WINDOW}"

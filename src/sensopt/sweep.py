@@ -1,13 +1,15 @@
 """Interpolated design-space sweep over a trained surrogate.
 
 build_interpolated_grid() streams settings combinations from per-input
-arithmetic progressions; predict_blocks() turns them, a chunk at a time,
-into (chunk, 200) blocks of predicted curves; curves.criteria_block()
-scores a whole block with array operations; dense_ranks() assigns dense
-ascending ranks per criterion; select_row() finds the smallest K whose
-per-criterion top-K sets intersect, breaking ties by rank sum and then
-lexicographic settings order. rank_candidates(), select() and
-predict_curves() are the same steps on per-candidate records.
+arithmetic progressions; predict_blocks() turns them, CHUNK_COMBINATIONS
+at a time, into (chunk, 200) blocks of predicted curves;
+curves.criteria_block() scores a whole block with array operations;
+dense_ranks() assigns dense ascending ranks per criterion; select_row()
+finds the smallest K whose per-criterion top-K sets intersect, breaking
+ties by rank sum and then lexicographic settings order.
+rank_candidates(), select() and predict_curves() are the same steps on
+per-candidate records; scoring_chunk() finds the chunk a combination was
+scored in, so that its curve can be predicted again bit for bit.
 
 run_sweep() scores each block and discards it, so peak memory is one
 block of predicted rows plus one row of criteria and ranks per
@@ -34,19 +36,12 @@ from .oracle import CATEGORY_COUNT, INPUT5_COUNT, ROWS_PER_COMBINATION, SETTING_
 ALL_CRITERIA = (1, 2, 3, 4)
 DEFAULT_ROW_BUDGET = 24_000_000
 DEFAULT_POINTS_PER_AXIS = 9
+# Combinations per predicted block: 64 * 200 = 12,800 rows share the
+# network's forward tiles. It sets which rows share a tile, so the
+# exported selected curves must be predicted in the same chunks.
+CHUNK_COMBINATIONS = 64
 # Report rows formatted per % operation: bounds the text held in memory.
 _REPORT_BLOCK_ROWS = 4096
-
-
-def count_experiments(resolution: int, n_inputs: int) -> int:
-    """Number of exhaustive experiments at `resolution` values per input.
-
-    Python integers do not overflow, so arbitrarily large grids report
-    their exact count.
-    """
-    if resolution < 1 or n_inputs < 1:
-        raise ConfigurationError("resolution and n_inputs must be at least 1")
-    return resolution**n_inputs
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,11 @@ class AxisSpec:
     step: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.minimum, self.maximum, self.step)):
+            raise ConfigurationError(
+                f"axis bounds and step must be finite, got {self.minimum!r}, "
+                f"{self.maximum!r}, {self.step!r}"
+            )
         if self.step <= 0:
             raise ConfigurationError(f"step must be positive, got {self.step!r}")
         if self.maximum < self.minimum:
@@ -141,23 +141,17 @@ class CurveBlock(NamedTuple):
     output3: np.ndarray
 
 
-def predict_blocks(
-    model: Model,
-    grid: Iterable[tuple[float, ...]],
-    chunk_combinations: int = 64,
-) -> Iterator[CurveBlock]:
-    """Predict the curves of `grid` a block of `chunk_combinations` at a time.
+def predict_blocks(model: Model, grid: Iterable[tuple[float, ...]]) -> Iterator[CurveBlock]:
+    """Predict the curves of `grid` a block of CHUNK_COMBINATIONS at a time.
 
     Blocks come in grid order. Grid values outside the model's
     normalization range raise a RangeError naming the input; a predicted
     signal that is not positive raises a DomainError.
     """
-    if chunk_combinations < 1:
-        raise ConfigurationError("chunk_combinations must be at least 1")
     input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
     category_block = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
     iterator = iter(grid)
-    while chunk := list(itertools.islice(iterator, chunk_combinations)):
+    while chunk := list(itertools.islice(iterator, CHUNK_COMBINATIONS)):
         settings = np.array(chunk, dtype=np.float64).reshape(len(chunk), len(SETTING_NAMES))
         m = settings.shape[0]
         numeric = np.empty((m, ROWS_PER_COMBINATION, 6))
@@ -175,16 +169,12 @@ def predict_blocks(
         yield CurveBlock(settings=settings, signal=signal, snr=snr, output3=output3)
 
 
-def predict_curves(
-    model: Model,
-    grid: Iterable[tuple[float, ...]],
-    chunk_combinations: int = 64,
-) -> Iterator[Curve]:
+def predict_curves(model: Model, grid: Iterable[tuple[float, ...]]) -> Iterator[Curve]:
     """Predict one 200-point curve per combination, in grid order.
 
     The curves of predict_blocks(), yielded one at a time.
     """
-    for block in predict_blocks(model, grid, chunk_combinations):
+    for block in predict_blocks(model, grid):
         for settings, signal, snr, output3 in zip(
             block.settings.tolist(), block.signal, block.snr, block.output3
         ):
@@ -192,7 +182,7 @@ def predict_curves(
 
 
 def scoring_chunk(
-    spec: InterpolationSpec, settings: Sequence[float], chunk_combinations: int = 64
+    spec: InterpolationSpec, settings: Sequence[float]
 ) -> tuple[list[tuple[float, ...]], int]:
     """The chunk of `spec`'s grid that holds `settings`, and their offset in it.
 
@@ -204,9 +194,9 @@ def scoring_chunk(
     for axis, value in zip(spec.axes, settings):
         values = axis.values().tolist()
         index = index * len(values) + values.index(value)
-    start = index - index % chunk_combinations
-    chunk = list(itertools.islice(build_interpolated_grid(spec), start, start + chunk_combinations))
-    return chunk, index - start
+    start = index - index % CHUNK_COMBINATIONS
+    stop = start + CHUNK_COMBINATIONS
+    return list(itertools.islice(build_interpolated_grid(spec), start, stop)), index - start
 
 
 @dataclass(frozen=True)
@@ -373,11 +363,10 @@ def run_sweep(
     model: Model,
     spec: InterpolationSpec,
     subsets: Sequence[Sequence[int]] = (ALL_CRITERIA, (1, 2, 3)),
-    chunk_combinations: int = 64,
 ) -> SweepResult:
     """Score every combination of `spec` and select under each subset."""
     settings, values = [], []
-    for block in predict_blocks(model, build_interpolated_grid(spec), chunk_combinations):
+    for block in predict_blocks(model, build_interpolated_grid(spec)):
         settings.append(block.settings)
         values.append(criteria_block(block.signal, block.snr, block.output3))
     settings, values = np.concatenate(settings), np.concatenate(values)

@@ -71,12 +71,14 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if self.plateau_patience < 1:
             raise ConfigurationError("plateau_patience must be at least 1")
-        if self.plateau_factor <= 1:
-            raise ConfigurationError("plateau_factor must exceed 1")
+        if not (math.isfinite(self.plateau_factor) and self.plateau_factor > 1):
+            raise ConfigurationError("plateau_factor must be finite and exceed 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigurationError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
@@ -212,13 +214,13 @@ def train(
     size = cfg.batch_size
 
     # The epoch's shuffled rows, and per batch length (a full batch and
-    # the last one) the trace, gradient, derivative and squared-error
-    # buffers of a step.
+    # the last one) the trace, gradient, hidden-layer derivative and
+    # squared-error buffers of a step.
     xs, ys = np.empty_like(x_train), np.empty_like(y_train)
     buffers = {}
     for rows in (min(size, n), n - (n - 1) // size * size):
         trace = empty_trace(net_config, xs[:rows])
-        scratch = [np.empty_like(z) for z in trace.pre_activations]
+        scratch = [np.empty_like(z) for z in trace.pre_activations[:-1]]
         buffers[rows] = (trace, empty_gradients(params, rows), scratch, np.empty_like(ys[:rows]))
     subtract, multiply, add_reduce, take = np.subtract, np.multiply, np.add.reduce, np.take
 
@@ -272,12 +274,6 @@ class EvaluationReport:
     metrics: tuple[OutputMetrics, ...]
     actual: np.ndarray
     predicted: np.ndarray
-
-    def metric(self, name: str) -> OutputMetrics:
-        for m in self.metrics:
-            if m.name == name:
-                return m
-        raise KeyError(name)
 
 
 def evaluate(model: Model, table: SampleTable) -> EvaluationReport:

@@ -13,6 +13,7 @@ from sensopt.curves import Curve, criteria
 from sensopt.data import read_csv
 from sensopt.errors import ConfigurationError
 from sensopt.network import save_model
+from sensopt.oracle import SETTING_RANGES
 
 
 @pytest.fixture(scope="module")
@@ -379,3 +380,77 @@ def test_json_outputs_are_replaced_only_when_complete(tmp_path):
         _write_json(str(path), {"k": 2, "settings": object()})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["selection_summary.json"]
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "batch_size", 2.5),
+        ("train", "epochs", "1"),
+        ("optimize", "points_per_axis", "3"),
+        ("generate", "seed", "x"),
+        ("generate", "scale", True),
+        ("evaluate", "partition", 3),
+        ("train", "hidden", [64.5, 64]),
+    ],
+)
+def test_config_values_must_have_their_defaults_type(command, key, value, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({command: {key: value}}))
+    argv = [command, "--out", str(tmp_path / "out"), "--config", str(config_path)]
+    if command in ("evaluate", "optimize"):
+        argv += ["--model", str(tmp_path / "model.bin")]
+    if command == "evaluate":
+        argv += ["--dataset", str(tmp_path / "dataset.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: {command}.{key}" in err
+    assert "Traceback" not in err
+
+
+def test_optimize_rejects_chunk_combinations_key(tmp_path, capsys):
+    # Predicted blocks always hold sweep.CHUNK_COMBINATIONS combinations.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"optimize": {"chunk_combinations": 64}}))
+    argv = ["optimize", "--out", str(tmp_path / "opt"), "--model", str(tmp_path / "model.bin")]
+    assert main([*argv, "--config", str(config_path)]) == 1
+    assert "unknown optimize config keys: ['chunk_combinations']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--noise", "nan"],
+        ["train", "--learning-rate", "nan"],
+        ["train", "--learning-rate", "inf"],
+    ],
+)
+def test_non_finite_flags_are_configuration_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["minimum", "step"])
+def test_optimize_rejects_a_non_finite_axis(field, tmp_path, capsys):
+    axes = [{"minimum": lo, "maximum": hi, "step": hi - lo} for lo, hi in SETTING_RANGES]
+    axes[2][field] = float("nan")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"optimize": {"axes": axes}}))
+    argv = ["optimize", "--out", str(tmp_path / "opt"), "--model", str(tmp_path / "model.bin")]
+    assert main([*argv, "--config", str(config_path)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_python_m_sensopt_cli_runs_the_cli():
+    src = str(Path(sensopt.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "sensopt.cli", "--version"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"sensopt {sensopt.__version__}"

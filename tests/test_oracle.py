@@ -195,3 +195,13 @@ def test_depth_field_is_smooth_and_nonconstant():
     depths = oracle.dip_depth_at(np.asarray(enumerate_grid(TABLE1)))
     assert depths.max() - depths.min() > 1.0
     assert depths.min() > 0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("dip_center", np.nan), ("dip_depth", np.nan), ("dip_width", np.nan),
+     ("noise_db", np.nan), ("noise_db", np.inf)],
+)
+def test_oracle_rejects_non_finite_parameters(name, value):
+    with pytest.raises(ConfigurationError, match="finite"):
+        SensorOracle(**{name: value})

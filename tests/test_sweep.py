@@ -16,7 +16,6 @@ from sensopt.sweep import (
     AxisSpec,
     InterpolationSpec,
     build_interpolated_grid,
-    count_experiments,
     default_sweep_spec,
     dense_ranks,
     predict_blocks,
@@ -29,17 +28,6 @@ from sensopt.sweep import (
     subset_label,
     write_report_csv,
 )
-
-
-def test_count_experiments():
-    assert count_experiments(9, 5) == 59_049
-    assert count_experiments(60, 5) == 777_600_000
-    # Arbitrary-precision: counts beyond 2**63 stay exact.
-    assert count_experiments(60, 14) == 60**14
-    with pytest.raises(ConfigurationError):
-        count_experiments(0, 5)
-    with pytest.raises(ConfigurationError):
-        count_experiments(9, 0)
 
 
 def test_axis_spec_counts_and_values():
@@ -134,7 +122,7 @@ def test_endpoint_grid_matches_enumerated_corners():
     assert list(build_interpolated_grid(spec)) == enumerate_grid(corners)
 
 
-def test_predict_curves_shapes_and_chunking(small_model):
+def test_predict_curves_shapes_and_chunking(small_model, monkeypatch):
     combos = [
         (418.0, 112.0, 400.0, 2850.0, 3200.0),
         (464.0, 128.0, 450.0, 3250.0, 3600.0),
@@ -143,15 +131,14 @@ def test_predict_curves_shapes_and_chunking(small_model):
     curves = list(predict_curves(small_model, iter(combos)))
     assert [c.settings for c in curves] == combos
     for curve in curves:
-        assert curve.n_points == 200
+        assert curve.signal.shape == (200,)
         assert np.all(np.diff(curve.signal) >= 0)
 
-    rechunked = list(predict_curves(small_model, iter(combos), chunk_combinations=2))
+    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 2)
+    rechunked = list(predict_curves(small_model, iter(combos)))
     for a, b in zip(curves, rechunked):
         assert np.allclose(a.snr, b.snr, rtol=1e-12)
 
-    with pytest.raises(ConfigurationError):
-        list(predict_curves(small_model, iter(combos), chunk_combinations=0))
     with pytest.raises(RangeError, match="input1"):
         list(predict_curves(small_model, iter([(600.0, 112.0, 400.0, 2850.0, 3200.0)])))
 
@@ -160,7 +147,7 @@ def test_predict_curves_single_combination_and_determinism(small_model):
     combo = (441.0, 120.0, 425.0, 3050.0, 3400.0)
     only = list(predict_curves(small_model, iter([combo])))
     assert len(only) == 1
-    assert only[0].n_points == 200
+    assert only[0].signal.shape == (200,)
 
     again = list(predict_curves(small_model, iter([combo])))
     assert np.array_equal(only[0].signal, again[0].signal)
@@ -174,7 +161,7 @@ def test_converged_curves_track_true_dip_depth(converged_setup):
     grid = enumerate_grid(TABLE1)
     c1 = [
         criteria(curve).c1
-        for curve in predict_curves(converged_setup.model, iter(grid), 128)
+        for curve in predict_curves(converged_setup.model, iter(grid))
     ]
     true_depth = converged_setup.oracle.dip_depth_at(np.asarray(grid))
     assert spearman(c1, true_depth) > 0.9
@@ -403,11 +390,12 @@ def test_dense_ranks_share_ties_and_skip_nan():
     assert dense_ranks(np.full((3, 1), np.nan)).tolist() == [[-1], [-1], [-1]]
 
 
-def test_predict_blocks_are_the_curves_of_predict_curves(small_model):
+def test_predict_blocks_are_the_curves_of_predict_curves(small_model, monkeypatch):
+    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 5)
     spec = InterpolationSpec(axes=_axes((3, 2, 2, 1, 1)))
-    blocks = list(predict_blocks(small_model, build_interpolated_grid(spec), 5))
+    blocks = list(predict_blocks(small_model, build_interpolated_grid(spec)))
     assert [b.settings.shape for b in blocks] == [(5, 5), (5, 5), (2, 5)]
-    curves = list(predict_curves(small_model, build_interpolated_grid(spec), 5))
+    curves = list(predict_curves(small_model, build_interpolated_grid(spec)))
     assert [c.settings for c in curves] == list(build_interpolated_grid(spec))
     for j, curve in enumerate(curves):
         block = blocks[j // 5]
@@ -418,14 +406,16 @@ def test_predict_blocks_are_the_curves_of_predict_curves(small_model):
         assert np.all(np.diff(block.signal, axis=1) >= 0)
 
 
-def test_scoring_chunk_finds_the_chunk_run_sweep_scored():
+def test_scoring_chunk_finds_the_chunk_run_sweep_scored(monkeypatch):
     spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
     grid = list(build_interpolated_grid(spec))
+    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 16)
     for index in (0, 13, 31, 47):
-        chunk, offset = scoring_chunk(spec, grid[index], 16)
+        chunk, offset = scoring_chunk(spec, grid[index])
         assert chunk == grid[index - index % 16 : index - index % 16 + 16]
         assert chunk[offset] == grid[index]
-    chunk, offset = scoring_chunk(spec, grid[47], 20)
+    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 20)
+    chunk, offset = scoring_chunk(spec, grid[47])
     assert chunk == grid[40:] and offset == 7
 
 
@@ -452,3 +442,13 @@ def test_failed_report_write_leaves_the_old_report_untouched(small_model, tmp_pa
         write_report_csv(result, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep_report.csv"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("minimum", math.nan), ("maximum", math.nan), ("step", math.nan), ("step", math.inf)],
+)
+def test_axis_spec_rejects_non_finite_values(field, value):
+    bounds = {"minimum": 418.0, "maximum": 510.0, "step": 23.0, field: value}
+    with pytest.raises(ConfigurationError, match="finite"):
+        AxisSpec(**bounds)
