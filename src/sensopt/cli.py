@@ -99,7 +99,7 @@ def _resolve(args: argparse.Namespace, defaults: dict, flags: dict) -> dict:
     Raises:
         ConfigurationError: the section is not an object, or holds an
             unknown key or a value whose type differs from its default's
-            (a bool is not a number).
+            (a bool is not a number), or the seed is negative.
     """
     section = _load_config(args.config).get(args.command, {})
     if not isinstance(section, dict):
@@ -114,6 +114,10 @@ def _resolve(args: argparse.Namespace, defaults: dict, flags: dict) -> dict:
     resolved = dict(defaults)
     resolved.update(section)
     resolved.update({k: v for k, v in flags.items() if v is not None})
+    if resolved["seed"] < 0:
+        raise ConfigurationError(
+            f"{args.command}.seed must be a non-negative integer, got {resolved['seed']!r}"
+        )
     return resolved
 
 
@@ -291,17 +295,20 @@ def _axes_from_config(axes_config) -> list[AxisSpec] | None:
     if not isinstance(axes_config, list) or len(axes_config) != 5:
         raise ConfigurationError("optimize.axes must list exactly 5 axis objects")
     axes = []
-    for entry in axes_config:
-        try:
-            axes.append(
-                AxisSpec(
-                    minimum=float(entry["minimum"]),
-                    maximum=float(entry["maximum"]),
-                    step=float(entry["step"]),
+    for i, entry in enumerate(axes_config):
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"optimize.axes[{i}] must be an object, got {entry!r}")
+        bounds = {}
+        for key in ("minimum", "maximum", "step"):
+            if key not in entry:
+                raise ConfigurationError(f"optimize.axes[{i}] has no {key!r}")
+            value = entry[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(
+                    f"optimize.axes[{i}].{key} must be a number, got {value!r}"
                 )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed axis entry {entry!r}: {exc}") from exc
+            bounds[key] = float(value)
+        axes.append(AxisSpec(**bounds))
     return axes
 
 

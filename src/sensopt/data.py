@@ -293,16 +293,16 @@ def write_rows(fh, array) -> None:
 
 
 @contextlib.contextmanager
-def replacing(path):
-    """Open a text file that replaces `path` once the with-block completes.
+def replacing(path, binary: bool = False):
+    """Open a file that replaces `path` once the with-block completes.
 
-    The text goes to a temporary file beside `path`: if the block raises,
-    the temporary file is removed and whatever `path` held before is left
-    untouched.
+    A text file with LF line endings, or a binary one. The data goes to a
+    temporary file beside `path`: if the block raises, the temporary file
+    is removed and whatever `path` held before is left untouched.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -7,7 +7,9 @@ sgd_step()           plain gradient-descent update, in place
 adam_step()          adaptive-moment update, in place
 numeric_gradients()  central finite-difference gradient check
 save_model()/load_model()  versioned binary model container
-forward_chunked()    inference outputs for many encoded rows, tile by tile
+forward_tiles_into() inference outputs for many encoded rows, tile by tile,
+                     in caller-owned TileBuffers; forward_chunked() is its
+                     checked form
 predict()            raw inputs -> physical outputs via a Model bundle
 
 All arithmetic is float64. Weight matrices are (fan_out, fan_in), so a
@@ -28,14 +30,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import NormalizationSpec, decode_outputs, encode_inputs
+from .data import NormalizationSpec, decode_outputs, encode_inputs, replacing
 from .errors import ConfigurationError, DomainError, ModelFormatError, ShapeError
 
 MODEL_MAGIC = b"SNSOPT01"
-# Rows per tile of forward_chunked. On OpenBLAS 0.3.31 a product of 512 or
+# Rows per tile of forward_tiles_into. On OpenBLAS 0.3.31 a product of 512 or
 # more rows gives the same bits as one over all rows, while one of ~400 or
 # fewer runs another kernel and may differ in the last bit; tiles of about
 # 1,024 rows also keep the layer buffers in cache.
@@ -440,38 +443,87 @@ class Model:
     normalization: NormalizationSpec
 
 
-def forward_chunked(params: NetworkParameters, config: NetworkConfig, x) -> np.ndarray:
-    """Network outputs for encoded rows `x`, bit for bit forward(...).output.
+class TileBuffers(NamedTuple):
+    """Buffers of forward_tiles_into() for tiles of up to `rows` rows.
+
+    `biases` holds each layer's bias repeated per row (adding a whole
+    array beats a broadcast add); forward_tiles_into() only reads it, so
+    threads may share it. `z` and `a` are flat work buffers, each of
+    `rows` times the widest layer, for a layer's pre-activation and its
+    activation; one thread at a time may use them.
+    """
+
+    biases: list[np.ndarray]
+    z: np.ndarray
+    a: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.biases[0].shape[0]
+
+    def for_another_thread(self) -> "TileBuffers":
+        """The same tiled biases, with work buffers of its own."""
+        return self._replace(z=np.empty_like(self.z), a=np.empty_like(self.a))
+
+
+def tile_rows(n: int) -> int:
+    """Rows of the longest tile forward_tiles_into() cuts `n` rows into."""
+    return -(-n // max(1, n // FORWARD_TILE_ROWS))
+
+
+def empty_tile_buffers(params: NetworkParameters, config: NetworkConfig, rows: int) -> TileBuffers:
+    """TileBuffers for tiles of up to `rows` rows, holding the biases of `params`."""
+    width = rows * max(config.layer_sizes[1:])
+    return TileBuffers(
+        biases=[np.tile(b, (rows, 1)) for b in params.biases], z=np.empty(width), a=np.empty(width)
+    )
+
+
+def forward_tiles_into(
+    params: NetworkParameters,
+    config: NetworkConfig,
+    x: np.ndarray,
+    out: np.ndarray,
+    buffers: TileBuffers,
+) -> None:
+    """Network outputs for the encoded rows `x`, written into `out`.
 
     Inference only, so nothing is kept for backprop: the rows go through
     in near-equal tiles of FORWARD_TILE_ROWS to 2 * FORWARD_TILE_ROWS rows
-    (one tile when `x` is shorter), and every layer is computed in place
-    in buffers allocated once per call. forward()'s checks run once.
+    (one tile when `x` is shorter), and every layer is computed in
+    `buffers`, which must hold tile_rows(len(x)) rows and the biases of
+    `params`. The tiles depend on len(x) alone, so a row's bits do not
+    depend on the buffers. Nothing is checked.
     """
-    x = _checked_inputs(params, config, x)
     n = x.shape[0]
-    outputs = np.empty((n, config.n_outputs))
     tiles = max(1, n // FORWARD_TILE_ROWS)
-    tile_rows = -(-n // tiles)
-    hidden = [np.empty((tile_rows, size)) for size in config.layer_sizes[1:-1]]
-    # Biases repeated per row: adding a whole array beats a broadcast add.
-    biases = [np.tile(b, (tile_rows, 1)) for b in params.biases]
-    scratch = np.empty((tile_rows, max(config.layer_sizes[1:])))
     last = config.n_layers - 1
     for tile in range(tiles):
         start, stop = tile * n // tiles, (tile + 1) * n // tiles
         rows = stop - start
         a = x[start:stop]
-        for layer, w in enumerate(params.weights):
-            z = outputs[start:stop] if layer == last else hidden[layer][:rows]
+        for layer, (w, b) in enumerate(zip(params.weights, buffers.biases)):
+            size = w.shape[0]
+            z = out[start:stop] if layer == last else buffers.z[: rows * size].reshape(rows, size)
             np.matmul(a, w.T, out=z)
-            np.add(z, biases[layer][:rows], out=z)
+            np.add(z, b[:rows], out=z)
             if layer != last:
-                # leaky_relu(z), written into z.
-                alpha_z = scratch[:rows, : z.shape[1]]
-                np.multiply(z, config.alpha, out=alpha_z)
-                np.maximum(z, alpha_z, out=z)
-            a = z
+                # leaky_relu(z), written into the activation buffer.
+                a = buffers.a[: rows * size].reshape(rows, size)
+                np.multiply(z, config.alpha, out=a)
+                np.maximum(z, a, out=a)
+
+
+def forward_chunked(params: NetworkParameters, config: NetworkConfig, x) -> np.ndarray:
+    """Network outputs for encoded rows `x`, bit for bit forward(...).output.
+
+    forward()'s checks, once, then forward_tiles_into() on buffers
+    allocated for this call.
+    """
+    x = _checked_inputs(params, config, x)
+    outputs = np.empty((x.shape[0], config.n_outputs))
+    buffers = empty_tile_buffers(params, config, tile_rows(x.shape[0]))
+    forward_tiles_into(params, config, x, outputs, buffers)
     return outputs
 
 
@@ -501,7 +553,11 @@ def predict(model: Model, numeric, category) -> np.ndarray:
 
 
 def save_model(model: Model, path) -> None:
-    """Write the model container described in the module byte-layout note."""
+    """Write the model container described in the module byte-layout note.
+
+    Written through a temporary file, like every sensopt output: a failed
+    write leaves whatever `path` held before untouched.
+    """
     _check_parameter_shapes(model.params, model.config)
     sizes = model.params.layer_sizes
     layers = [{"fan_in": fan_in, "fan_out": fan_out} for fan_in, fan_out in zip(sizes, sizes[1:])]
@@ -523,7 +579,7 @@ def save_model(model: Model, path) -> None:
         "param_sha256": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(len(header_bytes).to_bytes(4, "little"))
         fh.write(header_bytes)

@@ -1,36 +1,49 @@
 """Interpolated design-space sweep over a trained surrogate.
 
 build_interpolated_grid() streams settings combinations from per-input
-arithmetic progressions; predict_blocks() turns them, CHUNK_COMBINATIONS
-at a time, into (chunk, 200) blocks of predicted curves;
-curves.criteria_block() scores a whole block with array operations;
-dense_ranks() assigns dense ascending ranks per criterion; select_row()
-finds the smallest K whose per-criterion top-K sets intersect, breaking
-ties by rank sum and then lexicographic settings order.
-rank_candidates(), select() and predict_curves() are the same steps on
-per-candidate records; scoring_chunk() finds the chunk a combination was
-scored in, so that its curve can be predicted again bit for bit.
+arithmetic progressions. A chunk of CHUNK_COMBINATIONS of them is
+predicted into (chunk, 200) blocks of curves by one kernel,
+_ChunkPredictor.predict(): it writes the chunk's settings into an
+encoded input block whose other columns were written once, runs the
+network's tiled forward and decodes and sorts the outputs, all in
+buffers it reuses. curves.criteria_block() scores a whole block with
+array operations; dense_ranks() assigns dense ascending ranks per
+criterion; select_row() finds the smallest K whose per-criterion top-K
+sets intersect, breaking ties by rank sum and then lexicographic
+settings order.
 
-run_sweep() scores each block and discards it, so peak memory is one
-block of predicted rows plus one row of criteria and ranks per
-candidate, never the full point cloud.
+run_sweep() scores the chunks on one thread per CPU (the calling thread
+and helpers), each with its own buffers, and keeps only the settings and criteria
+of every candidate: peak memory is one block of predicted rows per
+worker plus one row of settings, criteria and ranks per candidate,
+never the full point cloud. predict_blocks() runs the same kernel on a
+streamed grid, one chunk after another; predict_curves() yields its
+curves one at a time. rank_candidates() and select() are the ranking
+steps on per-candidate records; scoring_chunk() finds the chunk a
+combination was scored in, so that its curve can be predicted again bit
+for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# criteria is not called here, but perfbench/spans.py wraps the binding
-# sensopt.sweep.criteria, so it stays importable from this module.
-from .curves import Curve, CriteriaValues, criteria, criteria_block
-from .data import replacing
-from .errors import ConfigurationError, DomainError, SelectionError
-from .network import Model, predict
+from .curves import Curve, CriteriaValues, criteria_block
+from .data import ENCODED_INPUT_SIZE, N_NUMERIC_INPUTS, replacing
+from .errors import ConfigurationError, DomainError, RangeError, SelectionError
+from .network import Model, TileBuffers, empty_tile_buffers, forward_tiles_into, tile_rows
+# Not called here, but perfbench/spans.py wraps the bindings
+# sensopt.sweep.criteria and sensopt.sweep.predict, so they stay
+# importable from this module.
+from .curves import criteria  # noqa: F401
+from .network import predict  # noqa: F401
 from .oracle import CATEGORY_COUNT, INPUT5_COUNT, ROWS_PER_COMBINATION, SETTING_NAMES, SETTING_RANGES
 
 ALL_CRITERIA = (1, 2, 3, 4)
@@ -141,32 +154,104 @@ class CurveBlock(NamedTuple):
     output3: np.ndarray
 
 
+class _ChunkPredictor:
+    """The buffers that predict chunks of up to CHUNK_COMBINATIONS curves.
+
+    Made once per worker and run, and reused for every chunk it predicts.
+    The encoded input block's input5 and one-hot category columns are
+    the same for every chunk, so they are written here, once, and a
+    chunk writes only its five settings columns. Every value is computed
+    as data.encode_inputs() and data.decode_outputs() compute it, so the
+    curves are those of network.predict() on the chunk, bit for bit.
+    """
+
+    def __init__(self, model: Model, tiles: TileBuffers | None = None):
+        """Buffers for `model`, sharing the tiled biases of `tiles` if given."""
+        self.model = model
+        maxima = np.asarray(model.normalization.input_max)
+        input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
+        if input5[-1] > maxima[4]:
+            raise RangeError(
+                f"input5 value {float(input5[-1])!r} exceeds recorded maximum "
+                f"{float(maxima[4])!r}"
+            )
+        self.settings_max = maxima[[0, 1, 2, 3, 5]]
+        self.output_max = np.asarray(model.normalization.output_max)
+        rows = CHUNK_COMBINATIONS * ROWS_PER_COMBINATION
+        self.encoded = np.zeros((rows, ENCODED_INPUT_SIZE))
+        block = self.encoded.reshape(CHUNK_COMBINATIONS, ROWS_PER_COMBINATION, -1)
+        block[:, :, 4] = input5 / maxima[4]
+        category = np.tile(np.arange(CATEGORY_COUNT), INPUT5_COUNT)
+        block[:, np.arange(ROWS_PER_COMBINATION), N_NUMERIC_INPUTS + category] = 1.0
+        self.outputs = np.empty((rows, model.config.n_outputs))
+        if tiles is None:
+            self.tiles = empty_tile_buffers(model.params, model.config, tile_rows(rows))
+        else:
+            self.tiles = tiles.for_another_thread()
+        self.decoded = np.empty((3, rows))
+        self.curves = np.empty((3, CHUNK_COMBINATIONS, ROWS_PER_COMBINATION))
+        self.row_starts = np.arange(0, rows, ROWS_PER_COMBINATION)[:, None]
+
+    def predict(self, settings: np.ndarray) -> CurveBlock:
+        """The curves of the (m, 5) `settings`, m <= CHUNK_COMBINATIONS.
+
+        The curve arrays are views into this object's buffers, valid until
+        the next call.
+
+        Raises:
+            RangeError: a setting exceeds the model's normalization maximum.
+            DomainError: a predicted signal is not positive.
+        """
+        over = settings > self.settings_max
+        if np.any(over):
+            r, c = np.argwhere(over)[0]
+            raise RangeError(
+                f"{SETTING_NAMES[c]} value {float(settings[r, c])!r} exceeds recorded "
+                f"maximum {float(self.settings_max[c])!r}"
+            )
+        m = settings.shape[0]
+        rows = m * ROWS_PER_COMBINATION
+        scaled = settings / self.settings_max
+        block = self.encoded[:rows].reshape(m, ROWS_PER_COMBINATION, -1)
+        block[:, :, 0:4] = scaled[:, None, 0:4]
+        block[:, :, 5] = scaled[:, 4, None]
+        if tile_rows(rows) > self.tiles.rows:
+            # A short last chunk may be cut into longer tiles than a full one.
+            self.tiles = empty_tile_buffers(self.model.params, self.model.config, tile_rows(rows))
+        outputs = self.outputs[:rows]
+        forward_tiles_into(
+            self.model.params, self.model.config, self.encoded[:rows], outputs, self.tiles
+        )
+        decoded = self.decoded[:, :rows]
+        np.multiply(outputs[:, 0], self.output_max[0], decoded[0])
+        np.power(10.0, decoded[0], decoded[0])
+        np.multiply(outputs[:, 1], self.output_max[1], decoded[1])
+        np.multiply(outputs[:, 2], self.output_max[2], decoded[2])
+        order = np.argsort(decoded[0].reshape(m, -1), axis=1, kind="stable")
+        order += self.row_starts[:m]
+        curves = self.curves[:, :m]
+        for column, curve in zip(decoded, curves):
+            np.take(column, order, out=curve, mode="clip")
+        signal, snr, output3 = curves
+        if np.any(signal <= 0):
+            raise DomainError("curve signal values must be positive")
+        return CurveBlock(settings=settings, signal=signal, snr=snr, output3=output3)
+
+
 def predict_blocks(model: Model, grid: Iterable[tuple[float, ...]]) -> Iterator[CurveBlock]:
     """Predict the curves of `grid` a block of CHUNK_COMBINATIONS at a time.
 
-    Blocks come in grid order. Grid values outside the model's
-    normalization range raise a RangeError naming the input; a predicted
-    signal that is not positive raises a DomainError.
+    Blocks come in grid order, each in arrays of its own. Grid values
+    outside the model's normalization range raise a RangeError naming
+    the input; a predicted signal that is not positive raises a
+    DomainError.
     """
-    input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
-    category_block = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
+    predictor = _ChunkPredictor(model)
     iterator = iter(grid)
     while chunk := list(itertools.islice(iterator, CHUNK_COMBINATIONS)):
         settings = np.array(chunk, dtype=np.float64).reshape(len(chunk), len(SETTING_NAMES))
-        m = settings.shape[0]
-        numeric = np.empty((m, ROWS_PER_COMBINATION, 6))
-        numeric[:, :, 0:4] = settings[:, None, 0:4]
-        numeric[:, :, 4] = input5
-        numeric[:, :, 5] = settings[:, 4, None]
-        outputs = predict(model, numeric.reshape(-1, 6), np.tile(category_block, m))
-        outputs = outputs.reshape(m, ROWS_PER_COMBINATION, outputs.shape[1])
-        order = np.argsort(outputs[:, :, 0], axis=1, kind="stable")
-        signal, snr, output3 = (
-            np.take_along_axis(outputs[:, :, j], order, axis=1) for j in range(3)
-        )
-        if np.any(signal <= 0):
-            raise DomainError("curve signal values must be positive")
-        yield CurveBlock(settings=settings, signal=signal, snr=snr, output3=output3)
+        block = predictor.predict(settings)
+        yield CurveBlock(settings, *(np.array(curve) for curve in block[1:]))
 
 
 def predict_curves(model: Model, grid: Iterable[tuple[float, ...]]) -> Iterator[Curve]:
@@ -359,17 +444,78 @@ def subset_label(subset: Sequence[int]) -> str:
     return "".join(f"c{i}" for i in sorted(subset))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _grid_settings(spec: InterpolationSpec) -> np.ndarray:
+    """The (n, 5) settings of build_interpolated_grid(spec), in its order.
+
+    Built from the axis values directly, with no tuple per combination.
+    """
+    columns = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
+    return np.stack(columns, axis=-1).reshape(-1, len(SETTING_NAMES))
+
+
 def run_sweep(
     model: Model,
     spec: InterpolationSpec,
     subsets: Sequence[Sequence[int]] = (ALL_CRITERIA, (1, 2, 3)),
 ) -> SweepResult:
-    """Score every combination of `spec` and select under each subset."""
-    settings, values = [], []
-    for block in predict_blocks(model, build_interpolated_grid(spec)):
-        settings.append(block.settings)
-        values.append(criteria_block(block.signal, block.snr, block.output3))
-    settings, values = np.concatenate(settings), np.concatenate(values)
+    """Score every combination of `spec` and select under each subset.
+
+    The chunks of CHUNK_COMBINATIONS combinations are scored by one
+    worker per CPU, at most one per chunk: the calling thread and
+    helper threads, each with a _ChunkPredictor of its own. A chunk's
+    criteria depend on its rows alone, so the result does not depend on
+    the number of workers. Workers take chunks in grid order and stop
+    taking them once one has failed; every earlier chunk still runs, so
+    the error raised is the one the first failing chunk in grid order
+    raises, as in a one-chunk-at-a-time loop.
+    """
+    settings = _grid_settings(spec)
+    n = settings.shape[0]
+    values = np.empty((n, len(ALL_CRITERIA)))
+    starts = iter(range(0, n, CHUNK_COMBINATIONS))
+    taking = threading.Lock()
+    failed = threading.Event()
+    failures: dict[int, Exception] = {}
+
+    def work(predictor: _ChunkPredictor) -> None:
+        while not failed.is_set():
+            with taking:
+                start = next(starts, None)
+            if start is None:
+                return
+            stop = start + CHUNK_COMBINATIONS
+            try:
+                block = predictor.predict(settings[start:stop])
+                values[start:stop] = criteria_block(block.signal, block.snr, block.output3)
+            except Exception as exc:
+                failures[start] = exc
+                failed.set()
+
+    # The calling thread is a worker too: with glibc, every thread that
+    # scores chunks keeps a malloc arena of a few MB for the rest of the
+    # process.
+    first = _ChunkPredictor(model)
+    helpers = [
+        threading.Thread(target=work, args=(_ChunkPredictor(model, first.tiles),))
+        for _ in range(min(_cpu_count(), -(-n // CHUNK_COMBINATIONS)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(first)
+    finally:
+        failed.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
     ranks = dense_ranks(values)
     selections = {}
     for subset in subsets:

@@ -392,6 +392,10 @@ def test_json_outputs_are_replaced_only_when_complete(tmp_path):
         ("generate", "scale", True),
         ("evaluate", "partition", 3),
         ("train", "hidden", [64.5, 64]),
+        ("generate", "seed", -1),
+        ("train", "seed", -1),
+        ("evaluate", "seed", -1),
+        ("optimize", "seed", -1),
     ],
 )
 def test_config_values_must_have_their_defaults_type(command, key, value, tmp_path, capsys):
@@ -441,6 +445,30 @@ def test_optimize_rejects_a_non_finite_axis(field, tmp_path, capsys):
     argv = ["optimize", "--out", str(tmp_path / "opt"), "--model", str(tmp_path / "model.bin")]
     assert main([*argv, "--config", str(config_path)]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["generate", "--seed", "-1", "--scale", "0.2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: generate.seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "index, field, value", [(0, "minimum", "418"), (1, "maximum", True), (4, "step", None)]
+)
+def test_optimize_axis_entries_must_be_numbers(index, field, value, tmp_path, capsys):
+    axes = [{"minimum": lo, "maximum": hi, "step": hi - lo} for lo, hi in SETTING_RANGES]
+    axes[index][field] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"optimize": {"axes": axes}}))
+    argv = ["optimize", "--out", str(tmp_path / "opt"), "--model", str(tmp_path / "model.bin")]
+    assert main([*argv, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: optimize.axes[{index}].{field} must be a number" in err
+    assert not (tmp_path / "opt").exists()
 
 
 def test_python_m_sensopt_cli_runs_the_cli():

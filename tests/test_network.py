@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
 import json
 
 import numpy as np
 import pytest
+
+import sensopt.network
 
 from sensopt.data import NormalizationSpec, decode_outputs, encode_inputs
 from sensopt.errors import ConfigurationError, DomainError, ModelFormatError, ShapeError
@@ -15,8 +18,10 @@ from sensopt.network import (
     NetworkParameters,
     adam_step,
     backprop,
+    empty_tile_buffers,
     forward,
     forward_chunked,
+    forward_tiles_into,
     init_optimizer,
     init_parameters,
     leaky_relu,
@@ -27,6 +32,7 @@ from sensopt.network import (
     quadratic_cost,
     save_model,
     sgd_step,
+    tile_rows,
 )
 
 # 3-2-1 net small enough to check every number by hand.
@@ -291,6 +297,38 @@ def test_model_format_errors(tmp_path):
     assert raw[:8] == MODEL_MAGIC
 
 
+def test_failed_model_write_leaves_the_old_model_untouched(tmp_path, monkeypatch):
+    old_model = _toy_model()
+    path = tmp_path / "model.bin"
+    save_model(old_model, path)
+    before = path.read_bytes()
+    new_model = _toy_model()
+    new_model.params.flat[:] += 1.0
+    real_replacing = sensopt.network.replacing
+    payload = new_model.params.flat.tobytes()
+
+    @contextlib.contextmanager
+    def failing_replacing(target, binary=False):
+        with real_replacing(target, binary=binary) as fh:
+            class HalfWriter:
+                def write(self, data):
+                    if data == payload:
+                        fh.write(data[: len(data) // 2])
+                        raise OSError("disk full")
+                    fh.write(data)
+            yield HalfWriter()
+
+    monkeypatch.setattr(sensopt.network, "replacing", failing_replacing)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(new_model, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+
+    monkeypatch.setattr(sensopt.network, "replacing", real_replacing)
+    save_model(new_model, path)
+    assert load_model(path).params.flat.tobytes() == payload
+
+
 def test_model_payload_is_the_flat_vector(tmp_path):
     model = _toy_model()
     path = tmp_path / "model.bin"
@@ -344,7 +382,7 @@ def test_model_file_digests_are_pinned(tmp_path):
     assert digest(params) == ADAM3_MODEL_SHA256
 
 
-@pytest.mark.parametrize("n_rows", [1, 40, 3 * FORWARD_TILE_ROWS + 5])
+@pytest.mark.parametrize("n_rows", [1, 40, 3 * FORWARD_TILE_ROWS + 5, 511, 12_800, 12_801])
 @pytest.mark.parametrize("config", [NetworkConfig(), NetworkConfig(hidden=(16, 8))])
 def test_forward_chunked_is_forward_bit_for_bit(n_rows, config):
     params = init_parameters(config, seed=5)
@@ -352,6 +390,20 @@ def test_forward_chunked_is_forward_bit_for_bit(n_rows, config):
     got = forward_chunked(params, config, x)
     assert got.shape == (n_rows, config.n_outputs)
     assert np.array_equal(got, forward(params, config, x).output)
+
+
+def test_forward_tiles_into_reuses_one_buffer_set():
+    # The sweep runs the kernel on buffers it keeps across calls, sized for
+    # other row counts; a row's bits must not depend on them.
+    config = NetworkConfig()
+    params = init_parameters(config, seed=5)
+    buffers = empty_tile_buffers(params, config, tile_rows(12_801))
+    for n_rows in (12_801, 511, 12_800, 1, 3 * FORWARD_TILE_ROWS + 5):
+        x = np.random.default_rng(n_rows).uniform(0.0, 1.0, size=(n_rows, config.n_inputs))
+        out = np.full((n_rows, config.n_outputs), np.nan)
+        forward_tiles_into(params, config, x, out, buffers)
+        assert np.array_equal(out, forward_chunked(params, config, x))
+    assert tile_rows(12_800) == 1067 and tile_rows(511) == 511 and tile_rows(2047) == 2047
 
 
 def test_forward_chunked_checks_its_inputs():

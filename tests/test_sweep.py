@@ -1,17 +1,29 @@
 import contextlib
+import dataclasses
+import json
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import sensopt.sweep
 from conftest import brute_force_select, spearman
-from sensopt.curves import CriteriaValues, criteria
+from sensopt.cli import main
+from sensopt.curves import CriteriaValues, criteria, criteria_block
 from sensopt.data import NormalizationSpec
-from sensopt.network import Model, NetworkConfig, NetworkParameters
-from sensopt.oracle import SETTING_RANGES, TABLE1, GridSpec, enumerate_grid
-from sensopt.errors import ConfigurationError, RangeError, SelectionError
+from sensopt.network import Model, NetworkConfig, NetworkParameters, predict, save_model
+from sensopt.oracle import (
+    CATEGORY_COUNT,
+    INPUT5_COUNT,
+    SETTING_RANGES,
+    TABLE1,
+    GridSpec,
+    enumerate_grid,
+)
+from sensopt.errors import ConfigurationError, DomainError, RangeError, SelectionError
 from sensopt.sweep import (
     AxisSpec,
     InterpolationSpec,
@@ -452,3 +464,148 @@ def test_axis_spec_rejects_non_finite_values(field, value):
     bounds = {"minimum": 418.0, "maximum": 510.0, "step": 23.0, field: value}
     with pytest.raises(ConfigurationError, match="finite"):
         AxisSpec(**bounds)
+
+
+def _predicted_criteria(model: Model, spec: InterpolationSpec) -> np.ndarray:
+    """The criteria of `spec`'s grid from network.predict(), chunk by chunk.
+
+    Each chunk is expanded into its raw (m * 200, 6) input rows and
+    predicted whole, then sorted by signal: the sweep's result, computed
+    through the public prediction path.
+    """
+    grid = np.array(list(build_interpolated_grid(spec)))
+    input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
+    category = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
+    values = []
+    for start in range(0, len(grid), sensopt.sweep.CHUNK_COMBINATIONS):
+        settings = grid[start : start + sensopt.sweep.CHUNK_COMBINATIONS]
+        m = len(settings)
+        numeric = np.empty((m, len(input5), 6))
+        numeric[:, :, 0:4] = settings[:, None, 0:4]
+        numeric[:, :, 4] = input5
+        numeric[:, :, 5] = settings[:, 4, None]
+        outputs = predict(model, numeric.reshape(-1, 6), np.tile(category, m)).reshape(m, -1, 3)
+        order = np.argsort(outputs[:, :, 0], axis=1, kind="stable")
+        curves = (np.take_along_axis(outputs[:, :, j], order, axis=1) for j in range(3))
+        values.append(criteria_block(*curves))
+    return np.concatenate(values)
+
+
+@pytest.mark.parametrize("chunk", [64, 5])
+def test_run_sweep_does_not_depend_on_the_worker_count(chunk, small_model, tmp_path, monkeypatch):
+    # 72 combinations: neither 64 nor 5 divides them, so the last chunk is short.
+    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", chunk)
+    spec = InterpolationSpec(axes=_axes((3, 3, 2, 2, 2)))
+    reports = []
+    for workers in (1, 3):
+        monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: workers)
+        result = run_sweep(small_model, spec)
+        assert np.array_equal(result.settings, np.array(list(build_interpolated_grid(spec))))
+        assert np.array_equal(
+            result.criteria, _predicted_criteria(small_model, spec), equal_nan=True
+        )
+        path = tmp_path / f"report_{workers}.csv"
+        write_report_csv(result, path)
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_run_sweep_with_more_workers_than_cpus_under_switch_stress(small_model, monkeypatch):
+    # A chunk per combination, eight workers and a thread switch every
+    # microsecond: a buffer set two chunks shared, or a lost write,
+    # would change the criteria.
+    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 1)
+    monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: 8)
+    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sweep = threading.Thread(target=lambda: results.append(run_sweep(small_model, spec)))
+        sweep.start()
+        sweep.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not sweep.is_alive() and len(results) == 1
+    expected = _predicted_criteria(small_model, spec)
+    assert np.array_equal(results[0].criteria, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_first_failing_chunk_raises_its_own_error(workers, small_model, monkeypatch):
+    # One combination per chunk. Combination 1 exceeds only its input6
+    # maximum, combination 2 its input4 maximum first. With more than one
+    # worker, chunk 1 is held until chunk 2 has failed: the error raised
+    # must still be chunk 1's.
+    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 1)
+    monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: workers)
+    norm = small_model.normalization
+    maxima = (*norm.input_max[:3], 3600.0, norm.input_max[4], 3900.0)
+    narrow = dataclasses.replace(
+        small_model, normalization=NormalizationSpec(maxima, norm.output_max)
+    )
+    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
+    grid = list(build_interpolated_grid(spec))
+    real_predict = sensopt.sweep._ChunkPredictor.predict
+    chunk_2_failed = threading.Event()
+
+    def predict(self, settings):
+        combination = tuple(settings[0].tolist())
+        if combination == grid[1] and workers > 1:
+            assert chunk_2_failed.wait(timeout=60)
+        try:
+            return real_predict(self, settings)
+        except RangeError:
+            if combination == grid[2]:
+                chunk_2_failed.set()
+            raise
+
+    monkeypatch.setattr(sensopt.sweep._ChunkPredictor, "predict", predict)
+    message = r"^input6 value 4000\.0 exceeds recorded maximum 3900\.0$"
+    with pytest.raises(RangeError, match=message):
+        run_sweep(narrow, spec)
+    assert chunk_2_failed.is_set() == (workers > 1)
+
+
+def _dead_signal_model() -> Model:
+    """The net of _one_unfittable_corner_model() with its signal zeroed near the corner.
+
+    log10(signal) is 2 + 2 * input5 / 49 + 5000 * (a tiny leak) where the
+    first hidden unit is negative, and below -900 where it is positive:
+    at the two combinations whose settings are all at their maxima but
+    input1, which is 464 or 510. There the signal underflows to 0.
+    """
+    model = _one_unfittable_corner_model()
+    weights = [w.copy() for w in model.params.weights]
+    weights[1][0] = (-5000.0, 2.0)
+    return dataclasses.replace(
+        model,
+        config=dataclasses.replace(model.config, alpha=1e-6),
+        params=NetworkParameters(weights=weights, biases=model.params.biases),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_domain_error_mid_grid_writes_no_report(workers, tmp_path, monkeypatch, capsys):
+    # 48 combinations in ten chunks of 5; combination 31, in chunk 6, is
+    # the first with a zero signal.
+    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 5)
+    monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: workers)
+    model = _dead_signal_model()
+    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
+    grid = list(build_interpolated_grid(spec))
+    healthy = [combo for i, combo in enumerate(grid) if i not in (31, 47)]
+    assert len(list(predict_curves(model, iter(healthy)))) == 46
+    with pytest.raises(DomainError, match="signal values must be positive"):
+        list(predict_curves(model, iter(grid[30:35])))
+
+    model_path = tmp_path / "model.bin"
+    save_model(model, model_path)
+    axes = [{"minimum": a.minimum, "maximum": a.maximum, "step": a.step} for a in spec.axes]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"optimize": {"axes": axes}}))
+    out = tmp_path / "opt"
+    argv = ["optimize", "--out", str(out), "--model", str(model_path), "--config", str(config_path)]
+    assert main(argv) == 2
+    assert "error: curve signal values must be positive" in capsys.readouterr().err
+    assert not (out / "sweep_report.csv").exists()
