@@ -14,7 +14,10 @@ the predicted-vs-actual pairs, the selected curves): a header line of
 comma-separated column names, then one line per row whose fields are
 float64 values printed with 17 significant digits, so they read back
 exactly. Files are written with LF line endings, through a temporary
-file that replaces the target only once it is complete. read_csv()
+file that replaces the target only once it is complete. In a column whose
+values repeat, such as a dataset's settings, input5, category and
+output3, the writer formats each distinct value once per block of rows;
+the bytes are those of formatting every field. read_csv()
 reads UTF-8 text with LF or CRLF line endings and rejects, naming the
 1-based line:
   - bytes that are not UTF-8 text;
@@ -65,6 +68,9 @@ DEFAULT_FRACTIONS = (0.81, 0.09, 0.10)
 _FLOAT_FMT = "%.17g"
 # Rows formatted per % operation: bounds the text held in memory at once.
 _BLOCK_ROWS = 4096
+# Leading rows of a block's column that decide whether its values repeat
+# enough to format each distinct value once (see write_rows).
+_SAMPLE_ROWS = 64
 _HEADER = ",".join(COLUMNS)
 # The literals numpy's loadtxt parser accepts, once surrounding whitespace
 # is stripped; used only to name the line of a file it rejected.
@@ -278,18 +284,40 @@ def split(n_rows: int, seed: int) -> SplitAssignment:
     return SplitAssignment(seed=seed, labels=labels)
 
 
+def _repeats(column: np.ndarray) -> bool:
+    """Whether at least half of a column's first _SAMPLE_ROWS values repeat."""
+    sample = np.sort(column[:_SAMPLE_ROWS].view(np.uint64))
+    return 2 * np.count_nonzero(sample[1:] == sample[:-1]) >= sample.size
+
+
+def _texts(column: np.ndarray) -> np.ndarray:
+    """The "%.17g" text of each value, each distinct value formatted once."""
+    distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    texts = [_FLOAT_FMT % v for v in distinct.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[inverse]
+
+
 def write_rows(fh, array) -> None:
     """Write the rows of a 2-D array to text file `fh` as CSV lines.
 
     Every field gets 17 significant digits, and the bytes are those numpy's
     savetxt writes with fmt "%.17g", delimiter "," and newline LF. Each
-    block of rows is formatted by a single % operation.
+    block of rows is written by a single % operation. In a column whose
+    values repeat, each distinct value of the block is formatted once and
+    its text spliced in with "%s". Values are distinct by their bits, so
+    -0.0 and 0.0, or NaNs of either sign, are each formatted on their own.
     """
     rows = np.asarray(array, dtype=np.float64)
-    line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
-        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        repeated = [_repeats(column) for column in block.T]
+        line = ",".join("%s" if r else _FLOAT_FMT for r in repeated) + "\n"
+        fields = block
+        if any(repeated):
+            fields = np.empty(block.shape, dtype=object)
+            for j, column in enumerate(block.T):
+                fields[:, j] = _texts(column) if repeated[j] else column
+        fh.write((line * block.shape[0]) % tuple(fields.ravel().tolist()))
 
 
 @contextlib.contextmanager

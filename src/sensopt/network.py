@@ -416,7 +416,9 @@ def adam_step(
     step, denominator = state.scratch
     # The temporaries of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2
     # and p -= lr * (m / c1) / (sqrt(v / c2) + eps), operation for
-    # operation, written into the two scratch vectors.
+    # operation, written into the two scratch vectors. Once a correction
+    # has rounded to 1.0 (from t = 356 for beta1 = 0.9, t = 37,412 for
+    # beta2 = 0.999) its division is skipped: x / 1.0 == x bit for bit.
     np.multiply(g, 1.0 - b1, step)
     m *= b1
     m += step
@@ -424,10 +426,16 @@ def adam_step(
     step *= 1.0 - b2
     v *= b2
     v += step
-    np.divide(m, correction1, step)
-    step *= state.learning_rate
-    np.divide(v, correction2, denominator)
-    np.sqrt(denominator, denominator)
+    if correction1 == 1.0:
+        np.multiply(m, state.learning_rate, step)
+    else:
+        np.divide(m, correction1, step)
+        step *= state.learning_rate
+    if correction2 == 1.0:
+        np.sqrt(v, denominator)
+    else:
+        np.divide(v, correction2, denominator)
+        np.sqrt(denominator, denominator)
     denominator += state.epsilon
     step /= denominator
     params.flat -= step

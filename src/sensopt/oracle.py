@@ -20,6 +20,11 @@ settings, drawn once per seed, so every output is a pure function of
 dB around the dip center, which must sit inside the 3e3-1e4 AU analysis
 window; the constructor rejects parameter sets that would violate either
 property.
+
+SensorOracle.simulate_blocks() computes the noise-free curves of many
+combinations at once; generate_dataset() runs it on blocks of 64
+combinations and adds each combination's own seeded noise stream, so a
+dataset has the same bytes as one simulated combination by combination.
 """
 
 from __future__ import annotations
@@ -68,6 +73,18 @@ _CAT_RATE_SPAN = 0.02
 _TREND_SLOPE = 5.0
 _TREND_TOLERANCE_DB = 0.5
 _FIT_SIGNAL_MAX = 2.0e3
+
+# input5 and category of a combination's 200 rows: input5-major,
+# category-minor.
+_INPUT5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
+_CATEGORY = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
+# The category's terms of log10(signal) on those rows: an offset added to
+# level and a factor on rate.
+_CAT_LEVEL = _CAT_LEVEL_STEP * (_CATEGORY / (CATEGORY_COUNT - 1))
+_CAT_RATE = 1.0 + _CAT_RATE_SPAN * (_CATEGORY / (CATEGORY_COUNT - 1) - 0.5)
+# Combinations per simulate_blocks call in generate_dataset: bounds the
+# (m, 200) temporaries whatever the grid size.
+_GENERATE_COMBINATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -215,7 +232,7 @@ class SensorOracle:
     @staticmethod
     def _field(u: np.ndarray, weights: np.ndarray, phase: float) -> np.ndarray:
         # Smooth, bounded in [-1, 1], non-constant for generic weights.
-        return np.cos(np.pi * (u @ weights) + phase)
+        return np.cos(np.pi * _row_products(u, weights) + phase)
 
     def _level(self, u: np.ndarray) -> np.ndarray:
         return _LEVEL_BASE + _LEVEL_SPAN * self._field(u, self._w_level, self._p_level)
@@ -232,8 +249,8 @@ class SensorOracle:
         )
 
     def _output3(self, u: np.ndarray) -> np.ndarray:
-        quad = ((u - self._out3_center) ** 2) @ self._out3_quad
-        lin = (u - 0.5) @ self._out3_lin
+        quad = _row_products((u - self._out3_center) ** 2, self._out3_quad)
+        lin = _row_products(u - 0.5, self._out3_lin)
         return 0.8 + quad + lin
 
     # -- public queries ----------------------------------------------------
@@ -268,32 +285,53 @@ class SensorOracle:
         gen = np.random.Generator(np.random.Philox(key=key))
         return gen.standard_normal(ROWS_PER_COMBINATION)
 
+    def simulate_blocks(self, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Noise-free outputs of m combinations at once.
+
+        Args:
+            settings: shape (m, 5), one combination per row.
+
+        Returns:
+            (signal, snr, output3) arrays of shape (m, 200): row i holds
+            combination i, and column input5 * 4 + category that sweep
+            position. Each row equals simulate_block() of its combination
+            on an oracle without noise, bit for bit.
+
+        Raises:
+            ConfigurationError: settings is not of shape (m, 5).
+        """
+        rows = np.asarray(settings, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ConfigurationError(
+                f"settings must have shape (m, {len(SETTING_NAMES)}), got {rows.shape}"
+            )
+        u = _normalize_settings(rows)
+        level = self._level(u)[:, None]
+        rate = self._rate(u)[:, None]
+        dev = self._slope_dev(u)[:, None]
+        depth = self._depth(u)[:, None]
+        out3 = self._output3(u)[:, None]
+
+        log_sig = (level + _CAT_LEVEL) + rate * _CAT_RATE * _INPUT5
+        signal = 10.0**log_sig
+        dip = depth * np.exp(-0.5 * ((log_sig - self._log_center) / self.dip_width) ** 2)
+        snr = (_TREND_SLOPE + dev) * log_sig - dip
+        return signal, snr, np.repeat(out3, ROWS_PER_COMBINATION, axis=1)
+
     def simulate_block(self, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All 200 rows of one combination: input5-major, category-minor.
+
+        The one-row simulate_blocks() call, plus the combination's SNR
+        noise when noise_db > 0.
 
         Returns:
             (signal, snr, output3) arrays of length 200, where row
             input5 * 4 + category corresponds to that sweep position.
         """
-        u = np.atleast_2d(_normalize_settings(settings))
-        level = self._level(u)[0]
-        rate = self._rate(u)[0]
-        dev = self._slope_dev(u)[0]
-        depth = self._depth(u)[0]
-        out3 = self._output3(u)[0]
-
-        input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
-        category = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
-        cat_frac = category / (CATEGORY_COUNT - 1)
-        log_sig = (level + _CAT_LEVEL_STEP * cat_frac) + rate * (
-            1.0 + _CAT_RATE_SPAN * (cat_frac - 0.5)
-        ) * input5
-        signal = 10.0**log_sig
-        dip = depth * np.exp(-0.5 * ((log_sig - self._log_center) / self.dip_width) ** 2)
-        snr = (_TREND_SLOPE + dev) * log_sig - dip
+        signal, snr, out3 = (a[0] for a in self.simulate_blocks([settings]))
         if self.noise_db > 0:
             snr = snr + self.noise_db * self._block_noise(settings)
-        return signal, snr, np.full(ROWS_PER_COMBINATION, out3)
+        return signal, snr, out3
 
     def simulate(self, settings, input5, category) -> tuple[float, float, float]:
         """Outputs (signal, snr, output3) of one observation row.
@@ -337,21 +375,35 @@ def generate_dataset(oracle: SensorOracle, spec: GridSpec) -> SampleTable:
 
     Row order is combination-major (lexicographic), then input5, then
     category, so regeneration with the same oracle and spec is
-    byte-identical.
+    byte-identical. The rows are those of simulate_block(): noise-free
+    curves from simulate_blocks(), a block of combinations at a time,
+    plus each combination's own noise stream.
     """
-    combos = enumerate_grid(spec)
-    n = len(combos) * ROWS_PER_COMBINATION
-    values = np.empty((n, len(COLUMN_INDEX)))
-    input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
-    category = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
-    for i, combo in enumerate(combos):
-        signal, snr, out3 = oracle.simulate_block(combo)
-        block = values[i * ROWS_PER_COMBINATION : (i + 1) * ROWS_PER_COMBINATION]
-        block[:, 0:4] = combo[0:4]
-        block[:, 4] = input5
-        block[:, 5] = combo[4]
-        block[:, 6] = category
-        block[:, 7] = signal
-        block[:, 8] = snr
-        block[:, 9] = out3
-    return SampleTable(values)
+    combos = np.asarray(enumerate_grid(spec), dtype=np.float64)
+    values = np.empty((len(combos), ROWS_PER_COMBINATION, len(COLUMN_INDEX)))
+    values[:, :, 0:4] = combos[:, None, 0:4]
+    values[:, :, 4] = _INPUT5
+    values[:, :, 5] = combos[:, None, 4]
+    values[:, :, 6] = _CATEGORY
+    for start in range(0, len(combos), _GENERATE_COMBINATIONS):
+        block = combos[start : start + _GENERATE_COMBINATIONS]
+        signal, snr, out3 = oracle.simulate_blocks(block)
+        if oracle.noise_db > 0:
+            for row, settings in zip(snr, block):
+                row += oracle.noise_db * oracle._block_noise(settings)
+        rows = values[start : start + len(block)]
+        rows[:, :, 7] = signal
+        rows[:, :, 8] = snr
+        rows[:, :, 9] = out3
+    return SampleTable(values.reshape(-1, len(COLUMN_INDEX)))
+
+
+def _row_products(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """rows @ weights, one row at a time.
+
+    A one-row product is BLAS's dot, an (m, 5) @ (5,) product its
+    matrix-vector kernel, which sums in another order: the last bits of
+    every coefficient field would then depend on how many combinations
+    were simulated together.
+    """
+    return np.array([row @ weights for row in rows], dtype=np.float64)

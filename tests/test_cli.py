@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +79,26 @@ def test_generate_is_reproducible(pipeline_dir, tmp_path):
     again = tmp_path / "again"
     assert main(["generate", "--out", str(again), "--scale", "0.2", "--seed", "0"]) == 0
     assert (again / "dataset.csv").read_bytes() == (pipeline_dir / "dataset.csv").read_bytes()
+
+
+# SHA-256 of dataset.csv from `sensopt generate --scale 0.4 --noise 0.5`
+# (243 combinations, 48,600 rows, the benchmark's desk fixture), pinned
+# from the per-combination oracle loop and the one-format-per-field CSV
+# writer that the batched oracle and the distinct-value writer replaced.
+# The oracle's math functions and BLAS dot products decide the last bits:
+# this was pinned with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
+DESK_DATASET_SHA256 = {
+    0: "56e87046f6b0e4f9e2ea9991f23bca40ce5d1dac3d5093ce57dedbfc798b0180",
+    3: "180d805c1b3ce18a87fa56a899c30604e70cb094b1edb4af28d2989bf77b97f2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_DATASET_SHA256))
+def test_desk_dataset_bytes_are_pinned(seed, tmp_path):
+    argv = ["generate", "--out", str(tmp_path), "--scale", "0.4", "--noise", "0.5"]
+    assert main(argv + ["--seed", str(seed)]) == 0
+    digest = hashlib.sha256((tmp_path / "dataset.csv").read_bytes()).hexdigest()
+    assert digest == DESK_DATASET_SHA256[seed]
 
 
 def test_generate_rejects_bad_scale(tmp_path):

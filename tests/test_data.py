@@ -221,6 +221,39 @@ def test_write_rows_matches_savetxt(n_rows):
     assert ours.getvalue() == reference.getvalue()
 
 
+_TWO_BLOCKS = sensopt.data._BLOCK_ROWS + 300
+_ROW = np.arange(_TWO_BLOCKS)
+_TINY = np.finfo(np.float64).smallest_subnormal
+_MAX = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.full(_TWO_BLOCKS, 478.0),
+        np.array([0.1, 2.0, -3.5e-7, 49.0])[_ROW % 4],
+        np.array([0.0, -0.0, 1.0])[_ROW % 3],
+        np.array([np.nan, -np.nan, 2.5])[_ROW % 3],
+        np.array([_TINY, -_TINY, 3 * _TINY, 2.2e-308, _MAX, -_MAX])[_ROW % 6],
+        # The second block adds 3.0 and 0.1, which the first never holds.
+        np.where(_ROW < sensopt.data._BLOCK_ROWS, np.array([1.0, 2.0])[_ROW % 2],
+                 np.array([2.0, 3.0, 0.1])[_ROW % 3]),
+    ],
+    ids=["constant", "cycle4", "signed_zeros", "signed_nans", "subnormal_and_max",
+         "new_value_in_next_block"],
+)
+def test_write_rows_matches_savetxt_on_repeating_columns(column):
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(_TWO_BLOCKS, 4)) * 1e3
+    values[:, 1] = column
+    values[:, 3] = column[::-1]
+    assert sensopt.data._repeats(values[:, 1]) and not sensopt.data._repeats(values[:, 0])
+    ours, reference = io.StringIO(), io.StringIO()
+    write_rows(ours, values)
+    np.savetxt(reference, values, fmt="%.17g", delimiter=",", newline="\n")
+    assert ours.getvalue() == reference.getvalue()
+
+
 def _dataset_lines(n_rows: int) -> list[str]:
     buffer = io.StringIO()
     write_rows(buffer, random_table(np.random.default_rng(9), n_rows).values)

@@ -205,6 +205,29 @@ def test_adam_constant_gradient_step_approaches_learning_rate():
     assert abs(step) == pytest.approx(0.01, rel=1e-3)
 
 
+def test_adam_matches_the_bias_corrected_formula_past_both_corrections():
+    # 40,000 steps pass t = 356 and t = 37,412, where 1 - beta1**t and
+    # 1 - beta2**t round to 1.0 and adam_step skips their divisions.
+    rng = np.random.default_rng(23)
+    params = NetworkParameters(weights=[np.zeros((2, 3))], biases=[np.zeros(2)])
+    grads = Gradients(d_weights=[np.zeros((2, 3))], d_biases=[np.zeros(2)])
+    state = init_optimizer("adam", 0.001, params)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.learning_rate
+    p, m, v = params.flat.copy(), np.zeros(8), np.zeros(8)
+    magnitudes = 10.0 ** rng.uniform(-8.0, 2.0, size=(40_000, 8))
+    signs = rng.choice((-1.0, 1.0), size=(40_000, 8))
+    for t, g in enumerate(signs * magnitudes, start=1):
+        grads.flat[:] = g
+        adam_step(params, grads, state)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    assert state.step_count == 40_000
+    assert params.flat.tobytes() == p.tobytes()
+    assert state.first_moment.tobytes() == m.tobytes()
+    assert state.second_moment.tobytes() == v.tobytes()
+
+
 def test_init_optimizer_validation():
     params = tiny_params()
     with pytest.raises(ConfigurationError):

@@ -79,6 +79,46 @@ def test_simulate_matches_block():
         )
 
 
+@pytest.mark.parametrize("seed", [0, 6, 11])
+def test_simulate_blocks_rows_equal_simulate_block(seed):
+    oracle = SensorOracle(seed=seed)
+    settings = np.asarray(enumerate_grid(TABLE1.subsample(3)))
+    blocks = oracle.simulate_blocks(settings)
+    assert all(b.shape == (len(settings), ROWS_PER_COMBINATION) for b in blocks)
+    for i, combo in enumerate(settings):
+        for block, row in zip(blocks, oracle.simulate_block(combo)):
+            assert block[i].tobytes() == row.tobytes()
+    # The depths dip_depth_at reports are the ones the curves were made with.
+    depths = oracle.dip_depth_at(settings)
+    assert all(depths[i] == oracle.dip_depth_at(combo) for i, combo in enumerate(settings))
+
+
+def test_simulate_blocks_shapes():
+    oracle = SensorOracle(seed=1)
+    with pytest.raises(ConfigurationError):
+        oracle.simulate_blocks(np.zeros((3, 4)))
+    with pytest.raises(ConfigurationError):
+        oracle.simulate_blocks((418.0, 112.0, 400.0, 2850.0, 3200.0))
+    for block in oracle.simulate_blocks(np.empty((0, 5))):
+        assert block.shape == (0, ROWS_PER_COMBINATION)
+
+
+def test_generate_dataset_matches_per_combination_reference():
+    spec = TABLE1.subsample(3)
+    oracle = SensorOracle(seed=4, noise_db=0.5)
+    input5 = np.repeat(np.arange(50.0), 4)
+    category = np.tile(np.arange(4.0), 50)
+    reference = []
+    for combo in enumerate_grid(spec):
+        signal, snr, out3 = oracle.simulate_block(combo)
+        settings = np.tile(combo, (ROWS_PER_COMBINATION, 1))
+        reference.append(np.column_stack(
+            [settings[:, :4], input5, settings[:, 4], category, signal, snr, out3]
+        ))
+    table = generate_dataset(oracle, spec)
+    assert table.values.tobytes() == np.concatenate(reference).tobytes()
+
+
 def test_simulate_range_errors():
     oracle = SensorOracle(seed=0)
     settings = (418.0, 112.0, 400.0, 2850.0, 3200.0)
