@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import os
 import sys
 
 from . import __version__
-from .curves import write_curve_csv
+from .curves import Curve, write_curve_csv
 from .data import TEST, TRAIN, VALIDATION, read_csv, replacing, split, write_csv
 from .errors import ConfigurationError, SensoptError
 from .network import Model, NetworkConfig, load_model, save_model
@@ -31,10 +30,10 @@ from .sweep import (
     InterpolationSpec,
     DEFAULT_POINTS_PER_AXIS,
     DEFAULT_ROW_BUDGET,
+    EXPORT_COPIES,
     default_sweep_spec,
     predict_curves,
     run_sweep,
-    scoring_chunk,
     subset_label,
     write_report_csv,
 )
@@ -312,6 +311,18 @@ def _axes_from_config(axes_config) -> list[AxisSpec] | None:
     return axes
 
 
+def _scored_curves(model: Model, settings: list[tuple[float, ...]]) -> list[Curve]:
+    """The curves the sweep scored for `settings`, bit for bit.
+
+    By the export rule of sensopt.sweep: all of them are predicted in one
+    block, each EXPORT_COPIES times in a row, so the block has
+    EXPORT_COPIES * 200 rows or more. That holds for up to
+    CHUNK_COMBINATIONS // EXPORT_COPIES combinations.
+    """
+    repeated = [combination for combination in settings for _ in range(EXPORT_COPIES)]
+    return list(predict_curves(model, repeated))[::EXPORT_COPIES]
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     defaults = {
         "seed": 0,
@@ -335,10 +346,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     summary_path = os.path.join(args.out, "selection_summary.json")
     _write_json(summary_path, result.summary())
     outputs = [report_path, summary_path]
-    for subset, selection in result.selections.items():
-        # Export the curve that was scored: its chunk, predicted again.
-        combos, offset = scoring_chunk(spec, selection.settings)
-        curve = next(itertools.islice(predict_curves(model, combos), offset, None))
+    curves = _scored_curves(model, [s.settings for s in result.selections.values()])
+    for (subset, selection), curve in zip(result.selections.items(), curves):
         curve_path = os.path.join(args.out, f"selected_curve_{subset_label(subset)}.csv")
         write_curve_csv(curve, curve_path)
         outputs.append(curve_path)

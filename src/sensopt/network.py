@@ -38,10 +38,15 @@ from .data import NormalizationSpec, decode_outputs, encode_inputs, replacing
 from .errors import ConfigurationError, DomainError, ModelFormatError, ShapeError
 
 MODEL_MAGIC = b"SNSOPT01"
-# Rows per tile of forward_tiles_into. On OpenBLAS 0.3.31 a product of 512 or
-# more rows gives the same bits as one over all rows, while one of ~400 or
-# fewer runs another kernel and may differ in the last bit; tiles of about
-# 1,024 rows also keep the layer buffers in cache.
+# On OpenBLAS 0.3.31 a product of BIT_STABLE_ROWS or more rows gives each row
+# the same bits as one over all rows, while one of ~400 or fewer runs another
+# kernel and may differ in the last bit. Two things rely on it: the tiles of
+# forward_tiles_into, which are never shorter unless the whole input is, and
+# `sensopt optimize`, which exports a selected curve by predicting its
+# combination again in a block of at least BIT_STABLE_ROWS rows
+# (sweep.EXPORT_COPIES). Tiles of about FORWARD_TILE_ROWS rows also keep the
+# layer buffers in cache.
+BIT_STABLE_ROWS = 512
 FORWARD_TILE_ROWS = 1024
 
 

@@ -276,13 +276,26 @@ class SensorOracle:
 
     # -- simulation --------------------------------------------------------
 
-    def _block_noise(self, settings) -> np.ndarray:
+    def _block_noise(self, settings, gen: np.random.Generator) -> np.ndarray:
+        """The combination's 200 standard normals, drawn with `gen`.
+
+        `gen` runs on a Philox bit generator (see _noise_generator()). Its
+        state is reset to a fresh Philox keyed by the oracle seed and a
+        hash of the settings, so the stream depends on nothing else.
+        """
         packed = struct.pack("<5d", *(float(v) for v in settings))
         digest = hashlib.blake2b(packed, digest_size=8).digest()
         key = np.array(
             [self.seed % 2**64, int.from_bytes(digest, "little")], dtype=np.uint64
         )
-        gen = np.random.Generator(np.random.Philox(key=key))
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return gen.standard_normal(ROWS_PER_COMBINATION)
 
     def simulate_blocks(self, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,7 +343,7 @@ class SensorOracle:
         """
         signal, snr, out3 = (a[0] for a in self.simulate_blocks([settings]))
         if self.noise_db > 0:
-            snr = snr + self.noise_db * self._block_noise(settings)
+            snr = snr + self.noise_db * self._block_noise(settings, _noise_generator())
         return signal, snr, out3
 
     def simulate(self, settings, input5, category) -> tuple[float, float, float]:
@@ -385,17 +398,26 @@ def generate_dataset(oracle: SensorOracle, spec: GridSpec) -> SampleTable:
     values[:, :, 4] = _INPUT5
     values[:, :, 5] = combos[:, None, 4]
     values[:, :, 6] = _CATEGORY
+    noise = _noise_generator()
     for start in range(0, len(combos), _GENERATE_COMBINATIONS):
         block = combos[start : start + _GENERATE_COMBINATIONS]
         signal, snr, out3 = oracle.simulate_blocks(block)
         if oracle.noise_db > 0:
             for row, settings in zip(snr, block):
-                row += oracle.noise_db * oracle._block_noise(settings)
+                row += oracle.noise_db * oracle._block_noise(settings, noise)
         rows = values[start : start + len(block)]
         rows[:, :, 7] = signal
         rows[:, :, 8] = snr
         rows[:, :, 9] = out3
     return SampleTable(values.reshape(-1, len(COLUMN_INDEX)))
+
+
+def _noise_generator() -> np.random.Generator:
+    """A Philox generator for SensorOracle._block_noise(), which sets its key.
+
+    Seeded, so that making it draws no OS entropy.
+    """
+    return np.random.Generator(np.random.Philox(0))
 
 
 def _row_products(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:

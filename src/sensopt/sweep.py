@@ -19,9 +19,14 @@ worker plus one row of settings, criteria and ranks per candidate,
 never the full point cloud. predict_blocks() runs the same kernel on a
 streamed grid, one chunk after another; predict_curves() yields its
 curves one at a time. rank_candidates() and select() are the ranking
-steps on per-candidate records; scoring_chunk() finds the chunk a
-combination was scored in, so that its curve can be predicted again bit
-for bit.
+steps on per-candidate records. write_report_csv() writes every
+candidate, a block of rows at a time.
+
+Export rule: a combination's curve has the same bits in every predicted
+block of network.BIT_STABLE_ROWS rows or more, whichever combinations
+share that block. So the curve run_sweep() scored for a combination is
+reproduced by predicting the combination EXPORT_COPIES times in a row,
+on its own or next to other combinations, without its chunk.
 """
 
 from __future__ import annotations
@@ -36,9 +41,16 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .curves import Curve, CriteriaValues, criteria_block
-from .data import ENCODED_INPUT_SIZE, N_NUMERIC_INPUTS, replacing
+from .data import ENCODED_INPUT_SIZE, N_NUMERIC_INPUTS, _texts, replacing
 from .errors import ConfigurationError, DomainError, RangeError, SelectionError
-from .network import Model, TileBuffers, empty_tile_buffers, forward_tiles_into, tile_rows
+from .network import (
+    BIT_STABLE_ROWS,
+    Model,
+    TileBuffers,
+    empty_tile_buffers,
+    forward_tiles_into,
+    tile_rows,
+)
 # Not called here, but perfbench/spans.py wraps the bindings
 # sensopt.sweep.criteria and sensopt.sweep.predict, so they stay
 # importable from this module.
@@ -50,9 +62,11 @@ ALL_CRITERIA = (1, 2, 3, 4)
 DEFAULT_ROW_BUDGET = 24_000_000
 DEFAULT_POINTS_PER_AXIS = 9
 # Combinations per predicted block: 64 * 200 = 12,800 rows share the
-# network's forward tiles. It sets which rows share a tile, so the
-# exported selected curves must be predicted in the same chunks.
+# network's forward tiles.
 CHUNK_COMBINATIONS = 64
+# Copies of one combination that fill a block of at least BIT_STABLE_ROWS
+# rows (3 * 200 = 600): see the export rule above.
+EXPORT_COPIES = -(-BIT_STABLE_ROWS // ROWS_PER_COMBINATION)
 # Report rows formatted per % operation: bounds the text held in memory.
 _REPORT_BLOCK_ROWS = 4096
 
@@ -155,7 +169,7 @@ class CurveBlock(NamedTuple):
 
 
 class _ChunkPredictor:
-    """The buffers that predict chunks of up to CHUNK_COMBINATIONS curves.
+    """The buffers that predict chunks of up to `combinations` curves.
 
     Made once per worker and run, and reused for every chunk it predicts.
     The encoded input block's input5 and one-hot category columns are
@@ -165,7 +179,12 @@ class _ChunkPredictor:
     curves are those of network.predict() on the chunk, bit for bit.
     """
 
-    def __init__(self, model: Model, tiles: TileBuffers | None = None):
+    def __init__(
+        self,
+        model: Model,
+        combinations: int = CHUNK_COMBINATIONS,
+        tiles: TileBuffers | None = None,
+    ):
         """Buffers for `model`, sharing the tiled biases of `tiles` if given."""
         self.model = model
         maxima = np.asarray(model.normalization.input_max)
@@ -177,9 +196,9 @@ class _ChunkPredictor:
             )
         self.settings_max = maxima[[0, 1, 2, 3, 5]]
         self.output_max = np.asarray(model.normalization.output_max)
-        rows = CHUNK_COMBINATIONS * ROWS_PER_COMBINATION
+        rows = combinations * ROWS_PER_COMBINATION
         self.encoded = np.zeros((rows, ENCODED_INPUT_SIZE))
-        block = self.encoded.reshape(CHUNK_COMBINATIONS, ROWS_PER_COMBINATION, -1)
+        block = self.encoded.reshape(combinations, ROWS_PER_COMBINATION, -1)
         block[:, :, 4] = input5 / maxima[4]
         category = np.tile(np.arange(CATEGORY_COUNT), INPUT5_COUNT)
         block[:, np.arange(ROWS_PER_COMBINATION), N_NUMERIC_INPUTS + category] = 1.0
@@ -189,11 +208,11 @@ class _ChunkPredictor:
         else:
             self.tiles = tiles.for_another_thread()
         self.decoded = np.empty((3, rows))
-        self.curves = np.empty((3, CHUNK_COMBINATIONS, ROWS_PER_COMBINATION))
+        self.curves = np.empty((3, combinations, ROWS_PER_COMBINATION))
         self.row_starts = np.arange(0, rows, ROWS_PER_COMBINATION)[:, None]
 
     def predict(self, settings: np.ndarray) -> CurveBlock:
-        """The curves of the (m, 5) `settings`, m <= CHUNK_COMBINATIONS.
+        """The curves of the (m, 5) `settings`, m at most this object's `combinations`.
 
         The curve arrays are views into this object's buffers, valid until
         the next call.
@@ -246,9 +265,11 @@ def predict_blocks(model: Model, grid: Iterable[tuple[float, ...]]) -> Iterator[
     the input; a predicted signal that is not positive raises a
     DomainError.
     """
-    predictor = _ChunkPredictor(model)
     iterator = iter(grid)
+    predictor = None
     while chunk := list(itertools.islice(iterator, CHUNK_COMBINATIONS)):
+        # No later chunk is longer than the first, so it sizes the buffers.
+        predictor = predictor or _ChunkPredictor(model, len(chunk))
         settings = np.array(chunk, dtype=np.float64).reshape(len(chunk), len(SETTING_NAMES))
         block = predictor.predict(settings)
         yield CurveBlock(settings, *(np.array(curve) for curve in block[1:]))
@@ -264,24 +285,6 @@ def predict_curves(model: Model, grid: Iterable[tuple[float, ...]]) -> Iterator[
             block.settings.tolist(), block.signal, block.snr, block.output3
         ):
             yield Curve(settings=tuple(settings), signal=signal, snr=snr, output3=output3)
-
-
-def scoring_chunk(
-    spec: InterpolationSpec, settings: Sequence[float]
-) -> tuple[list[tuple[float, ...]], int]:
-    """The chunk of `spec`'s grid that holds `settings`, and their offset in it.
-
-    run_sweep() predicts the grid in exactly these chunks, so predicting
-    the chunk again reproduces the curve it scored for `settings` bit for
-    bit: the network sees the same rows in the same tiles.
-    """
-    index = 0
-    for axis, value in zip(spec.axes, settings):
-        values = axis.values().tolist()
-        index = index * len(values) + values.index(value)
-    start = index - index % CHUNK_COMBINATIONS
-    stop = start + CHUNK_COMBINATIONS
-    return list(itertools.islice(build_interpolated_grid(spec), start, stop)), index - start
 
 
 @dataclass(frozen=True)
@@ -503,7 +506,7 @@ def run_sweep(
     # process.
     first = _ChunkPredictor(model)
     helpers = [
-        threading.Thread(target=work, args=(_ChunkPredictor(model, first.tiles),))
+        threading.Thread(target=work, args=(_ChunkPredictor(model, tiles=first.tiles),))
         for _ in range(min(_cpu_count(), -(-n // CHUNK_COMBINATIONS)) - 1)
     ]
     for helper in helpers:
@@ -533,24 +536,35 @@ def run_sweep(
 def write_report_csv(result: SweepResult, path) -> None:
     """Flat CSV of every candidate: settings, criteria, ranks, selected flags.
 
-    Written through a temporary file, like every sensopt table: a failed
-    write leaves whatever `path` held before untouched.
+    Settings and criteria get 17 significant digits. The fields are built
+    and written _REPORT_BLOCK_ROWS rows at a time, and each distinct
+    setting of a block is formatted once. Written through a temporary
+    file, like every sensopt table: a failed write leaves whatever `path`
+    held before untouched.
     """
     subsets = sorted(result.selections)
     rank_names = [f"rank_c{i}" for i in ALL_CRITERIA]
     flag_names = [f"selected_{subset_label(s)}" for s in subsets]
     header = ",".join([*SETTING_NAMES, "c1", "c2", "c3", "c4", *rank_names, *flag_names])
-    ranks = np.where(result.ranks < 0, "", result.ranks.astype(str))
-    flags = [
-        np.where(np.all(result.settings == result.selections[s].settings, axis=1), "1", "0")
-        for s in subsets
-    ]
-    # An object table keeps the floats as floats for the %.17g fields.
-    fields = np.column_stack([result.settings.astype(object), result.criteria, ranks, *flags])
-    numbers = result.settings.shape[1] + result.criteria.shape[1]
-    line = ",".join(["%.17g"] * numbers + ["%s"] * (fields.shape[1] - numbers)) + "\n"
+    line = ",".join(
+        ["%s"] * len(SETTING_NAMES) + ["%.17g"] * len(ALL_CRITERIA)
+        + ["%s"] * (len(ALL_CRITERIA) + len(subsets))
+    ) + "\n"
     with replacing(path) as fh:
         fh.write(header + "\n")
-        for start in range(0, len(fields), _REPORT_BLOCK_ROWS):
-            block = fields[start : start + _REPORT_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for start in range(0, len(result.settings), _REPORT_BLOCK_ROWS):
+            rows = slice(start, start + _REPORT_BLOCK_ROWS)
+            settings, ranks = result.settings[rows], result.ranks[rows]
+            rank_fields = ranks.astype(object)
+            rank_fields[ranks < 0] = ""
+            # An object table keeps the criteria as floats for the %.17g fields.
+            fields = np.column_stack([
+                *(_texts(column) for column in settings.T),
+                result.criteria[rows],
+                rank_fields,
+                *(
+                    np.where(np.all(settings == result.selections[s].settings, axis=1), "1", "0")
+                    for s in subsets
+                ),
+            ])
+            fh.write((line * len(fields)) % tuple(fields.ravel().tolist()))

@@ -15,6 +15,7 @@ from sensopt.data import read_csv
 from sensopt.errors import ConfigurationError
 from sensopt.network import save_model
 from sensopt.oracle import SETTING_RANGES
+from sensopt.sweep import CHUNK_COMBINATIONS
 
 
 @pytest.fixture(scope="module")
@@ -378,19 +379,35 @@ def test_train_names_the_line_that_is_not_utf8(pipeline_dir, tmp_path, capsys):
 def test_selected_curve_is_the_scored_curve(small_model, tmp_path):
     model_path = tmp_path / "model.bin"
     save_model(small_model, model_path)
-    out = tmp_path / "opt"
-    # 3 points per axis: 243 combinations, scored in chunks of 64.
-    assert main(["optimize", "--out", str(out), "--model", str(model_path), "--scale", "0.25"]) == 0
-    rows = [line.split(",") for line in (out / "sweep_report.csv").read_text().splitlines()]
-    header, body = rows[0], rows[1:]
-    for label in ("c1c2c3c4", "c1c2c3"):
-        flag = header.index(f"selected_{label}")
-        (row,) = [r for r in body if r[flag] == "1"]
-        scored = [float(v) for v in row[header.index("c1") : header.index("c4") + 1]]
-        exported = np.loadtxt(out / f"selected_curve_{label}.csv", delimiter=",", skiprows=1)
-        signal, snr, output3 = exported[:, 0], exported[:, 1], exported[:, 4]
-        curve = Curve(settings=(), signal=signal, snr=snr, output3=output3)
-        assert np.array_equal(criteria(curve).as_tuple(), scored, equal_nan=True), label
+    config_path = tmp_path / "config.json"
+    # 324 combinations, scored in chunks of 64 with a short last chunk of
+    # 4. The selections pick combinations 177 and 276.
+    axes = [
+        {"minimum": lo, "maximum": hi, "step": (hi - lo) / (count - 1)}
+        for (lo, hi), count in zip(SETTING_RANGES, (3, 4, 3, 3, 3))
+    ]
+    config_path.write_text(json.dumps({"optimize": {"axes": axes}}))
+    runs = {
+        # 3 points per axis: 243 combinations. Both selections pick
+        # combination 123.
+        "default": ["--scale", "0.25"],
+        "custom_axes": ["--config", str(config_path)],
+    }
+    for name, flags in runs.items():
+        out = tmp_path / name
+        assert main(["optimize", "--out", str(out), "--model", str(model_path), *flags]) == 0
+        rows = [line.split(",") for line in (out / "sweep_report.csv").read_text().splitlines()]
+        header, body = rows[0], rows[1:]
+        for label in ("c1c2c3c4", "c1c2c3"):
+            flag = header.index(f"selected_{label}")
+            (row,) = [r for r in body if r[flag] == "1"]
+            # Outside the first chunk, whose curves a sweep predicts first.
+            assert body.index(row) >= CHUNK_COMBINATIONS, (name, label)
+            scored = [float(v) for v in row[header.index("c1") : header.index("c4") + 1]]
+            exported = np.loadtxt(out / f"selected_curve_{label}.csv", delimiter=",", skiprows=1)
+            signal, snr, output3 = exported[:, 0], exported[:, 1], exported[:, 4]
+            curve = Curve(settings=(), signal=signal, snr=snr, output3=output3)
+            assert np.array_equal(criteria(curve).as_tuple(), scored, equal_nan=True), (name, label)
 
 
 def test_json_outputs_are_replaced_only_when_complete(tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from sensopt.oracle import (
     TABLE1,
     GridSpec,
     SensorOracle,
+    _noise_generator,
     enumerate_grid,
     generate_dataset,
 )
@@ -205,6 +209,22 @@ def test_noise_is_deterministic_and_snr_only():
     assert np.array_equal(sig_n, sig_c)
     assert np.array_equal(out3_n, out3_c)
     assert not np.array_equal(snr_n, snr_c)
+
+
+def test_block_noise_on_a_reused_generator_is_a_fresh_philox_stream():
+    # The reference builds a new Philox per combination. The reused
+    # generator is left mid-buffer, and with a spare 32-bit half, by draws
+    # of other sizes in between.
+    oracle = SensorOracle(seed=2**64 + 9, noise_db=0.5)
+    rng = np.random.default_rng(0)
+    gen = _noise_generator()
+    for trial in range(200):
+        settings = tuple(rng.uniform(0.0, 4000.0, 5).tolist())
+        digest = hashlib.blake2b(struct.pack("<5d", *settings), digest_size=8).digest()
+        key = np.array([oracle.seed % 2**64, int.from_bytes(digest, "little")], dtype=np.uint64)
+        reference = np.random.Generator(np.random.Philox(key=key)).standard_normal(200)
+        gen.integers(0, 2**32, size=trial % 7, dtype=np.uint32)
+        assert np.array_equal(oracle._block_noise(settings, gen), reference), trial
 
 
 def test_invalid_oracle_configs():

@@ -5,13 +5,14 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sensopt.sweep
 from conftest import brute_force_select, spearman
-from sensopt.cli import main
+from sensopt.cli import _scored_curves, main
 from sensopt.curves import CriteriaValues, criteria, criteria_block
 from sensopt.data import NormalizationSpec
 from sensopt.network import Model, NetworkConfig, NetworkParameters, predict, save_model
@@ -25,8 +26,11 @@ from sensopt.oracle import (
 )
 from sensopt.errors import ConfigurationError, DomainError, RangeError, SelectionError
 from sensopt.sweep import (
+    CHUNK_COMBINATIONS,
     AxisSpec,
     InterpolationSpec,
+    SelectionResult,
+    SweepResult,
     build_interpolated_grid,
     default_sweep_spec,
     dense_ranks,
@@ -34,7 +38,6 @@ from sensopt.sweep import (
     predict_curves,
     rank_candidates,
     run_sweep,
-    scoring_chunk,
     select,
     select_row,
     subset_label,
@@ -418,17 +421,94 @@ def test_predict_blocks_are_the_curves_of_predict_curves(small_model, monkeypatc
         assert np.all(np.diff(block.signal, axis=1) >= 0)
 
 
-def test_scoring_chunk_finds_the_chunk_run_sweep_scored(monkeypatch):
-    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
-    grid = list(build_interpolated_grid(spec))
-    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 16)
-    for index in (0, 13, 31, 47):
-        chunk, offset = scoring_chunk(spec, grid[index])
-        assert chunk == grid[index - index % 16 : index - index % 16 + 16]
-        assert chunk[offset] == grid[index]
-    monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 20)
-    chunk, offset = scoring_chunk(spec, grid[47])
-    assert chunk == grid[40:] and offset == 7
+def test_exported_curves_are_the_scored_curves_bit_for_bit(small_model):
+    # 243 combinations: three chunks of 64 and a short one of 51, each
+    # forward cut into tiles of ~1,066 rows, so the combinations cover
+    # every offset in a chunk and straddle every tile boundary. Each is
+    # exported beside another, as optimize exports its two selections,
+    # and on its own.
+    grid = list(build_interpolated_grid(InterpolationSpec(axes=_axes((3, 3, 3, 3, 3)))))
+    blocks = list(predict_blocks(small_model, grid))
+    assert [len(block.settings) for block in blocks] == [64, 64, 64, 51]
+
+    def scored(index):
+        chunk, offset = divmod(index, CHUNK_COMBINATIONS)
+        return [curves[offset] for curves in blocks[chunk][1:]]
+
+    for index, combination in enumerate(grid):
+        partner = len(grid) - 1 - index
+        exports = [(index, curve) for curve in _scored_curves(small_model, [combination])]
+        exports += zip((index, partner), _scored_curves(small_model, [combination, grid[partner]]))
+        for row, curve in exports:
+            assert curve.settings == grid[row]
+            for got, want in zip((curve.signal, curve.snr, curve.output3), scored(row)):
+                assert got.tobytes() == want.tobytes(), (index, row)
+
+
+def _report_result(n: int, seed: int) -> SweepResult:
+    """n candidates on a 9-per-axis grid's values, ~10 % of criteria NaN."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.choice(axis.values(), n) for axis in _axes((9, 9, 9, 9, 9))]
+    settings = np.column_stack(columns)
+    criteria = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-5, 6, size=(n, 4))
+    criteria[rng.random((n, 4)) < 0.1] = np.nan
+    criteria[rng.random(n) < 0.2, 0] = 0.5
+    criteria[-1, 1] = np.nan
+    ranks = dense_ranks(criteria)
+    selections = {
+        subset: SelectionResult(
+            settings=tuple(settings[row].tolist()),
+            criteria=CriteriaValues(*criteria[row].tolist()),
+            k=1,
+            subset=subset,
+        )
+        for subset, row in (((1, 2, 3, 4), 0), ((1, 2, 3), n // 2))
+    }
+    return SweepResult(settings=settings, criteria=criteria, ranks=ranks, selections=selections)
+
+
+def _whole_table_report(result: SweepResult) -> bytes:
+    """The report's bytes from one object table of every candidate, one % per 4,096 rows."""
+    subsets = sorted(result.selections)
+    header = ",".join(
+        [
+            "input1", "input2", "input3", "input4", "input6", "c1", "c2", "c3", "c4",
+            "rank_c1", "rank_c2", "rank_c3", "rank_c4",
+            *(f"selected_{subset_label(s)}" for s in subsets),
+        ]
+    )
+    ranks = np.where(result.ranks < 0, "", result.ranks.astype(str))
+    flags = [
+        np.where(np.all(result.settings == result.selections[s].settings, axis=1), "1", "0")
+        for s in subsets
+    ]
+    fields = np.column_stack([result.settings.astype(object), result.criteria, ranks, *flags])
+    line = ",".join(["%.17g"] * 9 + ["%s"] * (fields.shape[1] - 9)) + "\n"
+    text = [header + "\n"]
+    for start in range(0, len(fields), 4096):
+        block = fields[start : start + 4096]
+        text.append((line * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(text).encode()
+
+
+@pytest.mark.parametrize("n", [1, 4096, 4097, 10_000])
+def test_report_bytes_equal_the_whole_table_reference(n, tmp_path):
+    result = _report_result(n, seed=n)
+    path = tmp_path / "report.csv"
+    write_report_csv(result, path)
+    assert path.read_bytes() == _whole_table_report(result)
+
+
+def test_report_write_holds_one_block_of_fields_in_memory(tmp_path):
+    # A table of every candidate's fields takes ~46 MB here.
+    result = _report_result(50_000, seed=1)
+    tracemalloc.start()
+    try:
+        write_report_csv(result, tmp_path / "report.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_failed_report_write_leaves_the_old_report_untouched(small_model, tmp_path, monkeypatch):
