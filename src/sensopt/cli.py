@@ -4,7 +4,9 @@ Every subcommand reads an optional JSON config file (one section per
 subcommand, each value of its default's type), lets explicit flags
 override it, writes its outputs under --out only, and records a manifest
 with the fully resolved configuration and SHA-256 digests of its file
-inputs, so any run can be reproduced.
+inputs, so any run can be reproduced. The manifest is the run's last
+write, and the command deletes any earlier one before its first output
+write: a run that fails midway leaves no manifest.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -127,6 +130,22 @@ def _write_json(path: str, document, sort_keys: bool = True) -> None:
         fh.write("\n")
 
 
+def _manifest_path(out_dir: str, command: str) -> str:
+    return os.path.join(out_dir, f"{command}_manifest.json")
+
+
+def _start_outputs(out_dir: str, command: str) -> None:
+    """Make `out_dir` and delete the command's manifest there, before any output is written.
+
+    The manifest is written last, so until a run has written all its
+    outputs no manifest vouches for them: a run that fails midway leaves
+    no manifest beside a mix of its outputs and an earlier run's.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(_manifest_path(out_dir, command))
+
+
 def _write_manifest(
     out_dir: str, command: str, resolved: dict, inputs: dict[str, str], outputs: list[str]
 ) -> None:
@@ -138,7 +157,7 @@ def _write_manifest(
         "inputs": {path: _sha256(path) for path in inputs.values()},
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
-    _write_json(os.path.join(out_dir, f"{command}_manifest.json"), manifest)
+    _write_json(_manifest_path(out_dir, command), manifest)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -161,8 +180,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         dip_width=resolved["dip_width"],
         noise_db=resolved["noise_db"],
     )
-    os.makedirs(args.out, exist_ok=True)
     table = generate_dataset(oracle, grid)
+    _start_outputs(args.out, "generate")
     dataset_path = os.path.join(args.out, "dataset.csv")
     write_csv(table, dataset_path)
     oracle_path = os.path.join(args.out, "oracle_config.json")
@@ -226,8 +245,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=resolved["seed"],
     )
     dataset_path = args.dataset or os.path.join(args.out, "dataset.csv")
-    table = read_csv(dataset_path)
-    arrays, norm, _ = prepare_training_data(table, resolved["seed"])
+    # No name holds the raw table, so it is freed before training starts.
+    arrays, norm, _ = prepare_training_data(read_csv(dataset_path), resolved["seed"])
     params, history = train(
         net_config,
         arrays["x_train"],
@@ -236,7 +255,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         arrays["y_val"],
         train_cfg,
     )
-    os.makedirs(args.out, exist_ok=True)
+    _start_outputs(args.out, "train")
     model_path = os.path.join(args.out, "model.bin")
     save_model(Model(config=net_config, params=params, normalization=norm), model_path)
     history_path = os.path.join(args.out, "history.csv")
@@ -263,7 +282,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     assignment = split(len(table), resolved["seed"])
     rows = table.select(assignment.indices(_PARTITIONS[resolved["partition"]]))
     report = evaluate(model, rows)
-    os.makedirs(args.out, exist_ok=True)
+    _start_outputs(args.out, "evaluate")
     metrics = {
         m.name: {
             "mse": m.mse,
@@ -340,7 +359,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         spec = default_sweep_spec(max(points, 2), row_budget=resolved["row_budget"])
     model = load_model(args.model)
     result = run_sweep(model, spec, subsets=(ALL_CRITERIA, (1, 2, 3)))
-    os.makedirs(args.out, exist_ok=True)
+    _start_outputs(args.out, "optimize")
     report_path = os.path.join(args.out, "sweep_report.csv")
     write_report_csv(result, report_path)
     summary_path = os.path.join(args.out, "selection_summary.json")

@@ -18,8 +18,8 @@ file that replaces the target only once it is complete. In a column whose
 values repeat, such as a dataset's settings, input5, category and
 output3, the writer formats each distinct value once per block of rows;
 the bytes are those of formatting every field. read_csv()
-reads UTF-8 text with LF or CRLF line endings and rejects, naming the
-1-based line:
+reads UTF-8 text with LF, CRLF or lone CR line endings and rejects,
+naming the 1-based line:
   - bytes that are not UTF-8 text;
   - a header other than COLUMNS;
   - a line without exactly 10 fields, blank lines included;
@@ -31,6 +31,7 @@ reads UTF-8 text with LF or CRLF line endings and rejects, naming the
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import math
 import os
@@ -71,6 +72,8 @@ _BLOCK_ROWS = 4096
 # Leading rows of a block's column that decide whether its values repeat
 # enough to format each distinct value once (see write_rows).
 _SAMPLE_ROWS = 64
+# Bytes read at a time when read_csv() counts a file's lines.
+_SCAN_BYTES = 1 << 20
 _HEADER = ",".join(COLUMNS)
 # The literals numpy's loadtxt parser accepts, once surrounding whitespace
 # is stripped; used only to name the line of a file it rejected.
@@ -129,22 +132,26 @@ class NormalizationSpec:
             raise ConfigurationError("normalization maxima must all be positive and finite")
 
 
-def fit_normalization(table: SampleTable) -> NormalizationSpec:
-    """Compute normalization maxima from the rows of `table`.
+def fit_normalization(
+    table: SampleTable, rows: np.ndarray | slice = slice(None)
+) -> NormalizationSpec:
+    """Compute normalization maxima from the rows of `table` at `rows` (all by default).
 
     Fit this on the training partition only, so held-out rows never leak
-    into the scaling constants.
+    into the scaling constants. Each column is read on its own, so the
+    rows are never copied as a table.
     """
-    if len(table) == 0:
+    values = table.values
+    signal = values[rows, COLUMN_INDEX["signal"]]
+    if signal.size == 0:
         raise ConfigurationError("cannot fit normalization on an empty table")
-    signal = table.column("signal")
     if np.any(signal <= 0):
         raise DomainError("signal values must be positive to fit a log transform")
-    input_max = tuple(float(table.values[:, j].max()) for j in range(N_NUMERIC_INPUTS))
+    input_max = tuple(float(values[rows, j].max()) for j in range(N_NUMERIC_INPUTS))
     output_max = (
         float(np.log10(signal).max()),
-        float(table.column("snr").max()),
-        float(table.column("output3").max()),
+        float(values[rows, COLUMN_INDEX["snr"]].max()),
+        float(values[rows, COLUMN_INDEX["output3"]].max()),
     )
     return NormalizationSpec(input_max=input_max, output_max=output_max)
 
@@ -197,7 +204,7 @@ def encode_inputs(
     if cat.shape[0] != rows.shape[0]:
         raise ConfigurationError("numeric rows and category entries must match in count")
     encoded = np.zeros((rows.shape[0], ENCODED_INPUT_SIZE))
-    encoded[:, :N_NUMERIC_INPUTS] = rows / maxima
+    np.divide(rows, maxima, out=encoded[:, :N_NUMERIC_INPUTS])
     encoded[np.arange(rows.shape[0]), N_NUMERIC_INPUTS + cat] = 1.0
     return encoded[0] if single else encoded
 
@@ -238,10 +245,17 @@ def decode_outputs(encoded: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
     return decoded[0] if single else decoded
 
 
-def encode_table(table: SampleTable, norm: NormalizationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Encode a whole table into (inputs, targets) arrays."""
-    x = encode_inputs(table.values[:, :N_NUMERIC_INPUTS], table.column("category"), norm)
-    y = encode_outputs(table.values[:, N_NUMERIC_INPUTS + 1 :], norm)
+def encode_table(
+    table: SampleTable, norm: NormalizationSpec, rows: np.ndarray | slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode the rows of `table` at `rows` (all by default) into (inputs, targets) arrays.
+
+    The inputs, the category and the outputs are gathered apart, each
+    just before it is encoded, so the rows are never copied as a table.
+    """
+    values = table.values
+    x = encode_inputs(values[rows, :N_NUMERIC_INPUTS], values[rows, N_NUMERIC_INPUTS], norm)
+    y = encode_outputs(values[rows, N_NUMERIC_INPUTS + 1 :], norm)
     return x, y
 
 
@@ -301,23 +315,33 @@ def write_rows(fh, array) -> None:
     """Write the rows of a 2-D array to text file `fh` as CSV lines.
 
     Every field gets 17 significant digits, and the bytes are those numpy's
-    savetxt writes with fmt "%.17g", delimiter "," and newline LF. Each
-    block of rows is written by a single % operation. In a column whose
-    values repeat, each distinct value of the block is formatted once and
-    its text spliced in with "%s". Values are distinct by their bits, so
-    -0.0 and 0.0, or NaNs of either sign, are each formatted on their own.
+    savetxt writes with fmt "%.17g", delimiter "," and newline LF. A block
+    of rows with no repeating column is written by a single % operation.
+    Otherwise the block is built column by column: each distinct value of
+    a repeating column is formatted once and its text spliced in, each
+    other column is formatted by one % operation, and the column texts
+    are joined row by row. Values are distinct by their bits, so -0.0
+    and 0.0, or NaNs of either sign, are each formatted on their own.
     """
     rows = np.asarray(array, dtype=np.float64)
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
         repeated = [_repeats(column) for column in block.T]
-        line = ",".join("%s" if r else _FLOAT_FMT for r in repeated) + "\n"
-        fields = block
-        if any(repeated):
-            fields = np.empty(block.shape, dtype=object)
-            for j, column in enumerate(block.T):
-                fields[:, j] = _texts(column) if repeated[j] else column
-        fh.write((line * block.shape[0]) % tuple(fields.ravel().tolist()))
+        if not any(repeated):
+            line = ",".join([_FLOAT_FMT] * block.shape[1]) + "\n"
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+            continue
+        columns = [
+            _texts(column).tolist() if r else _column_texts(column)
+            for r, column in zip(repeated, block.T)
+        ]
+        fh.write("\n".join(map(",".join, zip(*columns))))
+        fh.write("\n")
+
+
+def _column_texts(column: np.ndarray) -> list[str]:
+    """The "%.17g" text of each value, formatted by one % operation."""
+    return ((_FLOAT_FMT + "\n") * column.size % tuple(column.tolist())).splitlines()
 
 
 @contextlib.contextmanager
@@ -370,7 +394,7 @@ def read_csv(path) -> SampleTable:
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
-            n_rows = sum(1 for _ in fh)
+        n_rows = _count_lines(path) - 1
     except UnicodeDecodeError:
         raise _first_undecodable_line(path) from None
     if header.rstrip("\n") != _HEADER:
@@ -389,6 +413,31 @@ def read_csv(path) -> SampleTable:
     table = SampleTable(values)
     _validate_rows(table)
     return table
+
+
+def _count_lines(path) -> int:
+    """The number of lines of `path`, checking on the way that it is UTF-8 text.
+
+    Lines end as in Python's universal newlines mode, at LF, CRLF or a
+    lone CR, and a last line without an ending counts too. The file is
+    read in binary blocks of _SCAN_BYTES, so no line is decoded alone.
+
+    Raises:
+        UnicodeDecodeError: the bytes are not UTF-8 text.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    endings, last = 0, b""
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BYTES):
+            decoder.decode(block)
+            endings += block.count(b"\n")
+            if b"\r" in block:
+                endings += block.count(b"\r") - block.count(b"\r\n")
+            # A CRLF split between two blocks is one ending, not two.
+            endings -= last == b"\r" and block[:1] == b"\n"
+            last = block[-1:]
+    decoder.decode(b"", final=True)
+    return endings + (last not in (b"", b"\r", b"\n"))
 
 
 def _first_undecodable_line(path) -> CsvParseError:

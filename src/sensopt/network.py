@@ -459,11 +459,13 @@ class Model:
 class TileBuffers(NamedTuple):
     """Buffers of forward_tiles_into() for tiles of up to `rows` rows.
 
-    `biases` holds each layer's bias repeated per row (adding a whole
-    array beats a broadcast add); forward_tiles_into() only reads it, so
-    threads may share it. `z` and `a` are flat work buffers, each of
-    `rows` times the widest layer, for a layer's pre-activation and its
-    activation; one thread at a time may use them.
+    `biases` holds each layer's bias for every row: repeated per row by
+    empty_tile_buffers(), since adding a whole array beats a broadcast
+    add over many calls, or broadcast views for a single call.
+    forward_tiles_into() only reads it, so threads may share it. `z` and
+    `a` are flat work buffers, each of `rows` times the widest layer, for
+    a layer's pre-activation and its activation; one thread at a time
+    may use them.
     """
 
     biases: list[np.ndarray]
@@ -530,13 +532,18 @@ def forward_tiles_into(
 def forward_chunked(params: NetworkParameters, config: NetworkConfig, x) -> np.ndarray:
     """Network outputs for encoded rows `x`, bit for bit forward(...).output.
 
-    forward()'s checks, once, then forward_tiles_into() on buffers
-    allocated for this call.
+    forward()'s checks, once, then forward_tiles_into() on work buffers
+    allocated for this call. The biases are broadcast, not tiled: one
+    call does not repay the copies, and each sum has the same bits.
     """
     x = _checked_inputs(params, config, x)
     outputs = np.empty((x.shape[0], config.n_outputs))
-    buffers = empty_tile_buffers(params, config, tile_rows(x.shape[0]))
-    forward_tiles_into(params, config, x, outputs, buffers)
+    rows = tile_rows(x.shape[0])
+    width = rows * max(config.layer_sizes[1:])
+    biases = [np.broadcast_to(b, (rows, b.size)) for b in params.biases]
+    forward_tiles_into(
+        params, config, x, outputs, TileBuffers(biases=biases, z=np.empty(width), a=np.empty(width))
+    )
     return outputs
 
 

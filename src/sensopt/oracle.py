@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import COLUMN_INDEX, SampleTable
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 INPUT5_COUNT = 50
 CATEGORY_COUNT = 4
@@ -261,19 +261,6 @@ class SensorOracle:
         out = self._depth(np.atleast_2d(u))
         return float(out[0]) if u.ndim == 1 else out
 
-    def snr_at(self, settings, signal) -> float | np.ndarray:
-        """Noise-free SNR (dB) of the combination's curve at a signal level."""
-        sig = np.asarray(signal, dtype=np.float64)
-        if np.any(sig <= 0):
-            raise DomainError("signal must be positive")
-        u = np.atleast_2d(_normalize_settings(settings))
-        log_sig = np.log10(sig)
-        dip = self._depth(u)[0] * np.exp(
-            -0.5 * ((log_sig - self._log_center) / self.dip_width) ** 2
-        )
-        snr = (_TREND_SLOPE + self._slope_dev(u)[0]) * log_sig - dip
-        return float(snr) if sig.ndim == 0 else snr
-
     # -- simulation --------------------------------------------------------
 
     def _block_noise(self, settings, gen: np.random.Generator) -> np.ndarray:
@@ -345,22 +332,6 @@ class SensorOracle:
         if self.noise_db > 0:
             snr = snr + self.noise_db * self._block_noise(settings, _noise_generator())
         return signal, snr, out3
-
-    def simulate(self, settings, input5, category) -> tuple[float, float, float]:
-        """Outputs (signal, snr, output3) of one observation row.
-
-        Raises:
-            DomainError: input5 outside 0..49 or category outside 0..3.
-        """
-        i5 = float(input5)
-        cat = float(category)
-        if not (0 <= i5 < INPUT5_COUNT and i5 == int(i5)):
-            raise DomainError(f"input5 must be an integer in 0..{INPUT5_COUNT - 1}")
-        if not (0 <= cat < CATEGORY_COUNT and cat == int(cat)):
-            raise DomainError(f"category must be an integer in 0..{CATEGORY_COUNT - 1}")
-        signal, snr, out3 = self.simulate_block(settings)
-        row = int(i5) * CATEGORY_COUNT + int(cat)
-        return float(signal[row]), float(snr[row]), float(out3[row])
 
     # -- persistence -------------------------------------------------------
 

@@ -6,19 +6,22 @@ predicted into (chunk, 200) blocks of curves by one kernel,
 _ChunkPredictor.predict(): it writes the chunk's settings into an
 encoded input block whose other columns were written once, runs the
 network's tiled forward and decodes and sorts the outputs, all in
-buffers it reuses. curves.criteria_block() scores a whole block with
-array operations; dense_ranks() assigns dense ascending ranks per
-criterion; select_row() finds the smallest K whose per-criterion top-K
-sets intersect, breaking ties by rank sum and then lexicographic
-settings order.
+buffers it reuses. curves.criteria_block_into() scores a whole block
+with array operations, in buffers the predictor also keeps;
+dense_ranks() assigns dense ascending ranks per criterion; select_row()
+finds the smallest K whose per-criterion top-K sets intersect, breaking
+ties by rank sum and then lexicographic settings order.
 
 run_sweep() scores the chunks on one thread per CPU (the calling thread
 and helpers), each with its own buffers, and keeps only the settings and criteria
 of every candidate: peak memory is one block of predicted rows per
 worker plus one row of settings, criteria and ranks per candidate,
-never the full point cloud. predict_blocks() runs the same kernel on a
-streamed grid, one chunk after another; predict_curves() yields its
-curves one at a time. rank_candidates() and select() are the ranking
+never the full point cloud. The calling thread allocates every
+worker's buffers; a worker then allocates only argsort's order array
+and a few small arrays per chunk, so a helper thread's malloc arena
+stays small. predict_blocks() runs the same kernel on a streamed grid,
+one chunk after another; predict_curves() yields its curves one at a
+time. rank_candidates() and select() are the ranking
 steps on per-candidate records. write_report_csv() writes every
 candidate, a block of rows at a time.
 
@@ -40,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .curves import Curve, CriteriaValues, criteria_block
+from .curves import Curve, CriteriaScratch, CriteriaValues, criteria_block_into
 from .data import ENCODED_INPUT_SIZE, N_NUMERIC_INPUTS, _texts, replacing
 from .errors import ConfigurationError, DomainError, RangeError, SelectionError
 from .network import (
@@ -169,9 +172,10 @@ class CurveBlock(NamedTuple):
 
 
 class _ChunkPredictor:
-    """The buffers that predict chunks of up to `combinations` curves.
+    """The buffers that predict and score chunks of up to `combinations` curves.
 
-    Made once per worker and run, and reused for every chunk it predicts.
+    Made once per worker and run, and reused for every chunk it predicts;
+    `scratch` holds the criteria_block_into() buffers of its chunks.
     The encoded input block's input5 and one-hot category columns are
     the same for every chunk, so they are written here, once, and a
     chunk writes only its five settings columns. Every value is computed
@@ -209,7 +213,12 @@ class _ChunkPredictor:
             self.tiles = tiles.for_another_thread()
         self.decoded = np.empty((3, rows))
         self.curves = np.empty((3, combinations, ROWS_PER_COMBINATION))
-        self.row_starts = np.arange(0, rows, ROWS_PER_COMBINATION)[:, None]
+        # Each row's offset into the decoded columns, for every point: a
+        # broadcast (m, 1) operand would make numpy allocate a buffer.
+        self.row_starts = np.repeat(
+            np.arange(0, rows, ROWS_PER_COMBINATION)[:, None], ROWS_PER_COMBINATION, axis=1
+        )
+        self.scratch = CriteriaScratch(combinations, ROWS_PER_COMBINATION)
 
     def predict(self, settings: np.ndarray) -> CurveBlock:
         """The curves of the (m, 5) `settings`, m at most this object's `combinations`.
@@ -252,7 +261,8 @@ class _ChunkPredictor:
         for column, curve in zip(decoded, curves):
             np.take(column, order, out=curve, mode="clip")
         signal, snr, output3 = curves
-        if np.any(signal <= 0):
+        # A row's first signal is its least, NaNs sorting last.
+        if np.any(signal[:, 0] <= 0):
             raise DomainError("curve signal values must be positive")
         return CurveBlock(settings=settings, signal=signal, snr=snr, output3=output3)
 
@@ -496,14 +506,16 @@ def run_sweep(
             stop = start + CHUNK_COMBINATIONS
             try:
                 block = predictor.predict(settings[start:stop])
-                values[start:stop] = criteria_block(block.signal, block.snr, block.output3)
+                criteria_block_into(
+                    block.signal, block.snr, block.output3, values[start:stop], predictor.scratch
+                )
             except Exception as exc:
                 failures[start] = exc
                 failed.set()
 
-    # The calling thread is a worker too: with glibc, every thread that
-    # scores chunks keeps a malloc arena of a few MB for the rest of the
-    # process.
+    # The calling thread is a worker too, and it allocates every worker's
+    # buffers: with glibc, what a helper thread allocates stays in that
+    # thread's malloc arena for the rest of the process.
     first = _ChunkPredictor(model)
     helpers = [
         threading.Thread(target=work, args=(_ChunkPredictor(model, tiles=first.tiles),))

@@ -11,6 +11,11 @@ A step runs network.forward_into and network.backprop_into on buffers
 that train() allocates once per run, one set for full batches and one
 for a shorter last batch; each epoch gathers the shuffled rows once, so
 a batch is a contiguous slice.
+
+Memory: prepare_training_data() encodes each partition straight from
+its rows of the raw table, which is never copied, so a run holds one
+encoded copy of each partition plus train()'s epoch buffers (the
+shuffled training rows) once the caller drops the table.
 """
 
 from __future__ import annotations
@@ -226,8 +231,10 @@ def train(
 
     for epoch in range(cfg.epochs):
         perm = _epoch_permutation(cfg.seed, epoch, n)
-        take(x_train, perm, 0, xs)
-        take(y_train, perm, 0, ys)
+        # mode="clip" writes straight into xs and ys; the default
+        # mode="raise" would gather into a temporary copy first.
+        take(x_train, perm, 0, xs, "clip")
+        take(y_train, perm, 0, ys, "clip")
         state.learning_rate = schedule.rate
         squared_error_sum = 0.0
         for batch_index, start in enumerate(range(0, n, size)):
@@ -318,14 +325,15 @@ def prepare_training_data(
     """Split a raw table, fit normalization on the training rows, encode all.
 
     Returns a dict with x_train/y_train/x_val/y_val/x_test/y_test, the
-    fitted normalization and the split assignment.
+    fitted normalization and the split assignment. Each partition is
+    encoded straight from its rows of `table`, which holds the only raw
+    copy: the caller may drop `table` once this returns.
     """
     assignment = split(len(table), seed)
-    train_rows = table.select(assignment.indices(TRAIN))
-    norm = fit_normalization(train_rows)
+    norm = fit_normalization(table, assignment.indices(TRAIN))
     arrays = {}
     for label, tag in ((TRAIN, "train"), (VALIDATION, "val"), (TEST, "test")):
-        x, y = encode_table(table.select(assignment.indices(label)), norm)
+        x, y = encode_table(table, norm, assignment.indices(label))
         arrays[f"x_{tag}"] = x
         arrays[f"y_{tag}"] = y
     return arrays, norm, assignment

@@ -1,14 +1,17 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sensopt
+import sensopt.cli
 from sensopt.cli import _scaled_count, _write_json, main
 from sensopt.curves import Curve, criteria
 from sensopt.data import read_csv
@@ -100,6 +103,56 @@ def test_desk_dataset_bytes_are_pinned(seed, tmp_path):
     assert main(argv + ["--seed", str(seed)]) == 0
     digest = hashlib.sha256((tmp_path / "dataset.csv").read_bytes()).hexdigest()
     assert digest == DESK_DATASET_SHA256[seed]
+
+
+def test_desk_train_keeps_one_encoded_copy_of_the_data(tmp_path):
+    # 48,600 rows: a 3.9 MB table, 3.9 + 1.2 MB of encoded partitions and
+    # train()'s 4.1 MB of epoch buffers. The table is read and dropped
+    # before training, and no partition is copied as a table.
+    argv = ["generate", "--out", str(tmp_path), "--scale", "0.4", "--noise", "0.5"]
+    assert main(argv + ["--seed", "0"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["train", "--out", str(tmp_path), "--epochs", "1", "--seed", "0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13_000_000
+
+
+# The first output each command writes.
+FIRST_WRITER = {
+    "generate": "write_csv",
+    "train": "save_model",
+    "evaluate": "_write_json",
+    "optimize": "write_report_csv",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_WRITER))
+def test_a_failed_run_leaves_no_manifest_beside_an_earlier_runs_outputs(
+    command, pipeline_dir, tmp_path, monkeypatch, capsys
+):
+    dataset, model = tmp_path / "dataset.csv", tmp_path / "model.bin"
+    shutil.copy(pipeline_dir / "dataset.csv", dataset)
+    shutil.copy(pipeline_dir / "model.bin", model)
+    out = tmp_path / command
+    argv = {
+        "generate": ["generate", "--scale", "0.2"],
+        "train": ["train", "--dataset", str(dataset), "--hidden", "16,16", "--epochs", "1"],
+        "evaluate": ["evaluate", "--model", str(model), "--dataset", str(dataset)],
+        "optimize": ["optimize", "--model", str(model), "--scale", "0.1"],
+    }[command] + ["--out", str(out)]
+    manifest = out / f"{command}_manifest.json"
+    assert main(argv) == 0 and manifest.exists()
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sensopt.cli, FIRST_WRITER[command], fail)
+    assert main(argv + ["--seed", "7"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert not manifest.exists()
 
 
 def test_generate_rejects_bad_scale(tmp_path):

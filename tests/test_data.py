@@ -322,6 +322,49 @@ def test_read_csv_accepts_crlf_line_endings(tmp_path):
     assert np.array_equal(read_csv(crlf).values, table.values)
 
 
+def test_read_csv_accepts_lone_cr_line_endings(tmp_path):
+    # Lines end as in Python's universal newlines mode: lone CRs, alone or
+    # mixed with LFs and CRLFs, and a last line without an ending.
+    table = random_table(np.random.default_rng(13), 40)
+    path = tmp_path / "rows.csv"
+    write_csv(table, path)
+    lines = path.read_bytes().split(b"\n")[:-1]
+    cr = tmp_path / "cr.csv"
+    cr.write_bytes(b"\r".join(lines) + b"\r")
+    assert np.array_equal(read_csv(cr).values, table.values)
+    endings = [b"\r", b"\n", b"\r\n"] * 13 + [b"\r"]
+    cr.write_bytes(b"".join(line + ending for line, ending in zip(lines, endings)) + lines[-1])
+    assert np.array_equal(read_csv(cr).values, table.values)
+    # CR CR LF ends a line, then a blank one, as in the parent's text mode.
+    cr.write_bytes(b"\r\r\n".join(lines) + b"\n")
+    with pytest.raises(CsvParseError) as err:
+        read_csv(cr)
+    assert str(err.value) == "line 2: expected 10 fields, got 0"
+
+
+@pytest.mark.parametrize("scan_bytes", [1, 2, 3, 7, 64])
+def test_read_csv_counts_lines_across_block_boundaries(tmp_path, monkeypatch, scan_bytes):
+    # CRLFs and two-byte characters split between blocks count once and
+    # decode; a trailing blank line and a bad byte are named as before.
+    monkeypatch.setattr(sensopt.data, "_SCAN_BYTES", scan_bytes)
+    lines = [line.encode("ascii") for line in _dataset_lines(30)]
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"\r\n".join(lines))
+    assert read_csv(path).values.shape == (30, 10)
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n\r\n")
+    with pytest.raises(CsvParseError, match="line 32: expected 10 fields, got 0"):
+        read_csv(path)
+    lines[7] += "é".encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CsvParseError, match="line 8: unparseable numeric field"):
+        read_csv(path)
+    lines[7] = lines[7][:-1]  # half of the two-byte character
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CsvParseError) as err:
+        read_csv(path)
+    assert str(err.value) == "line 8: not UTF-8 text"
+
+
 def test_read_csv_header_only_gives_empty_table_without_warning(tmp_path):
     for text in (",".join(COLUMNS) + "\n", ",".join(COLUMNS)):
         path = tmp_path / "empty.csv"

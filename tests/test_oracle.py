@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from sensopt.errors import ConfigurationError, DomainError
+from sensopt.errors import ConfigurationError
 from sensopt.oracle import (
     ROWS_PER_COMBINATION,
     TABLE1,
@@ -63,24 +63,12 @@ def test_subsample_keeps_endpoints():
 
 
 def test_simulate_is_deterministic():
-    a = SensorOracle(seed=42).simulate((441.0, 120.0, 425.0, 3050.0, 3400.0), 17, 2)
-    b = SensorOracle(seed=42).simulate((441.0, 120.0, 425.0, 3050.0, 3400.0), 17, 2)
-    assert a == b
-    c = SensorOracle(seed=43).simulate((441.0, 120.0, 425.0, 3050.0, 3400.0), 17, 2)
-    assert a != c
-
-
-def test_simulate_matches_block():
-    oracle = SensorOracle(seed=5)
-    settings = (478.0, 136.0, 475.0, 3450.0, 3600.0)
-    signal, snr, out3 = oracle.simulate_block(settings)
-    for input5, category in ((0, 0), (7, 3), (49, 1)):
-        row = input5 * 4 + category
-        assert oracle.simulate(settings, input5, category) == (
-            signal[row],
-            snr[row],
-            out3[row],
-        )
+    settings = (441.0, 120.0, 425.0, 3050.0, 3400.0)
+    a = SensorOracle(seed=42).simulate_block(settings)
+    b = SensorOracle(seed=42).simulate_block(settings)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    c = SensorOracle(seed=43).simulate_block(settings)
+    assert not np.array_equal(a[1], c[1])
 
 
 @pytest.mark.parametrize("seed", [0, 6, 11])
@@ -123,19 +111,6 @@ def test_generate_dataset_matches_per_combination_reference():
     assert table.values.tobytes() == np.concatenate(reference).tobytes()
 
 
-def test_simulate_range_errors():
-    oracle = SensorOracle(seed=0)
-    settings = (418.0, 112.0, 400.0, 2850.0, 3200.0)
-    with pytest.raises(DomainError):
-        oracle.simulate(settings, 50, 0)
-    with pytest.raises(DomainError):
-        oracle.simulate(settings, -1, 0)
-    with pytest.raises(DomainError):
-        oracle.simulate(settings, 0, 4)
-    with pytest.raises(DomainError):
-        oracle.simulate(settings, 0.5, 0)
-
-
 def test_signal_monotone_in_input5():
     oracle = SensorOracle(seed=9)
     for settings in enumerate_grid(TABLE1.subsample(2)):
@@ -157,24 +132,17 @@ def test_low_signal_rows_follow_ideal_trend():
 def test_snr_drops_by_depth_at_dip_center():
     oracle = SensorOracle(seed=12, dip_center=6000.0)
     settings = (464.0, 128.0, 450.0, 3250.0, 3400.0)
-    # Recover the trend slope far from the dip, where the gaussian term
-    # is numerically zero, then check the drop at the center exactly.
-    reference = 10.0
-    slope = oracle.snr_at(settings, reference) / np.log10(reference)
-    expected = slope * np.log10(6000.0) - oracle.dip_depth_at(settings)
-    assert oracle.snr_at(settings, 6000.0) == pytest.approx(expected, abs=1e-9)
-
-
-def test_snr_is_zero_at_unit_signal():
-    oracle = SensorOracle(seed=2)
-    for settings in ((418.0, 112.0, 400.0, 2850.0, 3200.0), (510.0, 144.0, 500.0, 3650.0, 4000.0)):
-        assert abs(oracle.snr_at(settings, 1.0)) < 1e-12
-
-
-def test_snr_at_rejects_nonpositive_signal():
-    oracle = SensorOracle(seed=2)
-    with pytest.raises(DomainError):
-        oracle.snr_at((418.0, 112.0, 400.0, 2850.0, 3200.0), 0.0)
+    signal, snr, _ = oracle.simulate_block(settings)
+    log_signal = np.log10(signal)
+    # Recover the trend slope at the lowest signal, far from the dip, where
+    # the gaussian term is numerically zero; then the drop below the trend
+    # is the depth times that gaussian at every point.
+    slope = snr[0] / log_signal[0]
+    depth = oracle.dip_depth_at(settings)
+    dip = depth * np.exp(-0.5 * ((log_signal - np.log10(6000.0)) / oracle.dip_width) ** 2)
+    assert slope * log_signal - snr == pytest.approx(dip, abs=1e-9)
+    # The curve passes close to the centre, where the drop is nearly the depth.
+    assert dip.max() > 0.9 * depth
 
 
 def test_dataset_layout_and_row_order():
@@ -245,7 +213,8 @@ def test_config_round_trip():
     oracle = SensorOracle(seed=8, dip_center=7e3, dip_depth=4.0, dip_width=0.1, noise_db=0.5)
     clone = SensorOracle.from_config(oracle.to_config())
     settings = (478.0, 136.0, 475.0, 3450.0, 4000.0)
-    assert clone.simulate(settings, 30, 1) == oracle.simulate(settings, 30, 1)
+    for a, b in zip(clone.simulate_block(settings), oracle.simulate_block(settings)):
+        assert a.tobytes() == b.tobytes()
     with pytest.raises(ConfigurationError):
         SensorOracle.from_config({"seed": 1, "bogus": 2})
 

@@ -13,7 +13,7 @@ import pytest
 import sensopt.sweep
 from conftest import brute_force_select, spearman
 from sensopt.cli import _scored_curves, main
-from sensopt.curves import CriteriaValues, criteria, criteria_block
+from sensopt.curves import CriteriaValues, criteria, criteria_block, criteria_block_into
 from sensopt.data import NormalizationSpec
 from sensopt.network import Model, NetworkConfig, NetworkParameters, predict, save_model
 from sensopt.oracle import (
@@ -509,6 +509,47 @@ def test_report_write_holds_one_block_of_fields_in_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000
+
+
+def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_model):
+    # 20 chunks scored on one worker's buffers, made by this thread, as
+    # run_sweep() scores them. After the first chunk, predicting a chunk
+    # may raise the traced peak by argsort's (64, 200) order array
+    # (102,400 bytes) and a few small arrays, and scoring it by almost
+    # nothing: no per-chunk (64, 200) temporaries.
+    settings = sensopt.sweep._grid_settings(default_sweep_spec(5))[: 20 * CHUNK_COMBINATIONS]
+    values = np.empty((len(settings), 4))
+    predictor = sensopt.sweep._ChunkPredictor(small_model)
+    growth = {"predict": [], "score": []}
+
+    def traced(step, call):
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        growth[step].append(tracemalloc.get_traced_memory()[1] - baseline)
+        return result
+
+    def score_chunks():
+        for start in range(0, len(settings), CHUNK_COMBINATIONS):
+            stop = start + CHUNK_COMBINATIONS
+            block = traced("predict", lambda: predictor.predict(settings[start:stop]))
+            traced("score", lambda: criteria_block_into(
+                block.signal, block.snr, block.output3, values[start:stop], predictor.scratch
+            ))
+
+    tracemalloc.start()
+    try:
+        helper = threading.Thread(target=score_chunks)
+        helper.start()
+        helper.join(timeout=120)
+    finally:
+        tracemalloc.stop()
+    assert not helper.is_alive() and len(growth["score"]) == 20
+    assert max(growth["predict"][1:]) < 120_000
+    assert max(growth["score"][1:]) < 10_000
+    blocks = predict_blocks(small_model, map(tuple, settings.tolist()))
+    expected = np.concatenate([criteria_block(*block[1:]) for block in blocks])
+    assert np.array_equal(values, expected, equal_nan=True)
 
 
 def test_failed_report_write_leaves_the_old_report_untouched(small_model, tmp_path, monkeypatch):

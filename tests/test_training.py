@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sensopt.training
-from sensopt.data import TRAIN, VALIDATION, fit_normalization
+from sensopt.data import TEST, TRAIN, VALIDATION, encode_table, fit_normalization
 from sensopt.errors import (
     ConfigurationError,
     DomainError,
@@ -240,6 +240,18 @@ def test_prepare_training_data(small_dataset):
     assert arrays["y_train"].max() <= 1.0 + 1e-12
     assert arrays["y_val"].shape[0] == assignment.counts()[1]
     assert assignment.indices(VALIDATION).size == assignment.counts()[1]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_prepare_training_data_is_the_per_partition_table_encoding(small_dataset, seed):
+    # The reference copies each partition as a table, fits and encodes it.
+    arrays, norm, assignment = prepare_training_data(small_dataset, seed)
+    assert norm == fit_normalization(small_dataset.select(assignment.indices(TRAIN)))
+    for label, tag in ((TRAIN, "train"), (VALIDATION, "val"), (TEST, "test")):
+        x, y = encode_table(small_dataset.select(assignment.indices(label)), norm)
+        assert arrays[f"x_{tag}"].tobytes() == x.tobytes()
+        assert arrays[f"y_{tag}"].tobytes() == y.tobytes()
+        assert arrays[f"x_{tag}"].shape == x.shape and arrays[f"y_{tag}"].shape == y.shape
 
 
 def test_evaluate_and_prediction_csvs(small_dataset, small_model, tmp_path):
