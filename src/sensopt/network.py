@@ -156,21 +156,6 @@ def _leaky_relu_derivative_into(z: np.ndarray, alpha: float, out: np.ndarray) ->
     np.maximum(out, alpha, out=out)
 
 
-def leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    _leaky_relu_into(z, alpha, out)
-    return out
-
-
-def leaky_relu_derivative(z: np.ndarray, alpha: float) -> np.ndarray:
-    # The derivative at exactly 0 is defined as alpha.
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    _leaky_relu_derivative_into(z, alpha, out)
-    return out
-
-
 @dataclass
 class ForwardTrace:
     """Everything backprop needs: activations[0] is the input itself.
@@ -523,7 +508,7 @@ def forward_tiles_into(
             np.matmul(a, w.T, out=z)
             np.add(z, b[:rows], out=z)
             if layer != last:
-                # leaky_relu(z), written into the activation buffer.
+                # The leaky ReLU of z, written into the activation buffer.
                 a = buffers.a[: rows * size].reshape(rows, size)
                 np.multiply(z, config.alpha, out=a)
                 np.maximum(z, a, out=a)

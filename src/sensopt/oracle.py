@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import DIP_WINDOW, FIT_SIGNAL_MAX, IDEAL_SLOPE
 from .data import COLUMN_INDEX, SampleTable
 from .errors import ConfigurationError
 
@@ -55,9 +56,6 @@ SETTING_RANGES = (
     (3200.0, 4000.0),
 )
 
-# Analysis window (signal, AU) in which the SNR dip is expected.
-DIP_WINDOW = (3.0e3, 1.0e4)
-
 # Field amplitudes. rate stays strictly positive so the signal is monotone
 # in input5, and level + 49 * rate always carries every curve through the
 # dip window. dev is small enough that the low-signal trend invariant holds.
@@ -70,9 +68,7 @@ _DEPTH_FLOOR, _DEPTH_SPAN = 0.55, 0.45
 _DEPTH_FREQ = 0.7
 _CAT_LEVEL_STEP = 0.05
 _CAT_RATE_SPAN = 0.02
-_TREND_SLOPE = 5.0
 _TREND_TOLERANCE_DB = 0.5
-_FIT_SIGNAL_MAX = 2.0e3
 
 # input5 and category of a combination's 200 rows: input5-major,
 # category-minor.
@@ -198,7 +194,7 @@ class SensorOracle:
             raise ConfigurationError("dip_depth must be nonnegative")
         if noise_db < 0:
             raise ConfigurationError("noise_db must be nonnegative")
-        log_fit_max = np.log10(_FIT_SIGNAL_MAX)
+        log_fit_max = np.log10(FIT_SIGNAL_MAX)
         tail = dip_depth * np.exp(
             -0.5 * ((np.log10(dip_center) - log_fit_max) / dip_width) ** 2
         )
@@ -315,7 +311,7 @@ class SensorOracle:
         log_sig = (level + _CAT_LEVEL) + rate * _CAT_RATE * _INPUT5
         signal = 10.0**log_sig
         dip = depth * np.exp(-0.5 * ((log_sig - self._log_center) / self.dip_width) ** 2)
-        snr = (_TREND_SLOPE + dev) * log_sig - dip
+        snr = (IDEAL_SLOPE + dev) * log_sig - dip
         return signal, snr, np.repeat(out3, ROWS_PER_COMBINATION, axis=1)
 
     def simulate_block(self, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,16 +1,17 @@
 """Interpolated design-space sweep over a trained surrogate.
 
-build_interpolated_grid() streams settings combinations from per-input
-arithmetic progressions. A chunk of CHUNK_COMBINATIONS of them is
-predicted into (chunk, 200) blocks of curves by one kernel,
-_ChunkPredictor.predict(): it writes the chunk's settings into an
-encoded input block whose other columns were written once, runs the
-network's tiled forward and decodes and sorts the outputs, all in
-buffers it reuses. curves.criteria_block_into() scores a whole block
-with array operations, in buffers the predictor also keeps;
-dense_ranks() assigns dense ascending ranks per criterion; select_row()
-finds the smallest K whose per-criterion top-K sets intersect, breaking
-ties by rank sum and then lexicographic settings order.
+grid_settings() builds the (n, 5) settings array of every combination
+of per-input arithmetic progressions, the sweep's only grid form. A
+chunk of CHUNK_COMBINATIONS rows of it is predicted into (chunk, 200)
+blocks of curves by one kernel, _ChunkPredictor.predict(): it writes
+the chunk's settings into an encoded input block whose other columns
+were written once, runs the network's tiled forward and decodes and
+sorts the outputs, all in buffers sized once for the grid.
+curves.criteria_block_into() scores a whole block with array
+operations, in buffers the predictor also keeps; dense_ranks() assigns
+dense ascending ranks per criterion; select_row() finds the smallest K
+whose per-criterion top-K sets intersect, breaking ties by rank sum and
+then lexicographic settings order.
 
 run_sweep() scores the chunks on one thread per CPU (the calling thread
 and helpers), each with its own buffers, and keeps only the settings and criteria
@@ -19,11 +20,11 @@ worker plus one row of settings, criteria and ranks per candidate,
 never the full point cloud. The calling thread allocates every
 worker's buffers; a worker then allocates only argsort's order array
 and a few small arrays per chunk, so a helper thread's malloc arena
-stays small. predict_blocks() runs the same kernel on a streamed grid,
-one chunk after another; predict_curves() yields its curves one at a
-time. rank_candidates() and select() are the ranking
-steps on per-candidate records. write_report_csv() writes every
-candidate, a block of rows at a time.
+stays small. predict_curves() runs the same kernel on a settings array,
+one chunk after another, and yields its curves one at a time.
+rank_candidates() and select() are the ranking steps on per-candidate
+records. write_report_csv() writes every candidate, a block of rows at
+a time.
 
 Export rule: a combination's curve has the same bits in every predicted
 block of network.BIT_STABLE_ROWS rows or more, whichever combinations
@@ -34,12 +35,11 @@ on its own or next to other combinations, without its chunk.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -152,30 +152,22 @@ def default_sweep_spec(
     return InterpolationSpec(axes=axes, row_budget=row_budget)
 
 
-def build_interpolated_grid(spec: InterpolationSpec) -> Iterator[tuple[float, ...]]:
-    """Stream combinations in lexicographic order; never materializes the grid."""
-    value_lists = [tuple(float(v) for v in axis.values()) for axis in spec.axes]
-    return itertools.product(*value_lists)
-
-
-class CurveBlock(NamedTuple):
-    """m predicted curves: settings (m, 5); signal, snr, output3 (m, 200).
-
-    Each row is one combination's curve, sorted by ascending signal with
-    a stable sort.
-    """
-
-    settings: np.ndarray
-    signal: np.ndarray
-    snr: np.ndarray
-    output3: np.ndarray
+def grid_settings(spec: InterpolationSpec) -> np.ndarray:
+    """The (n, 5) settings of every combination of `spec`, in lexicographic order."""
+    columns = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
+    return np.stack(columns, axis=-1).reshape(-1, len(SETTING_NAMES))
 
 
 class _ChunkPredictor:
-    """The buffers that predict and score chunks of up to `combinations` curves.
+    """The buffers that predict and score the chunks of a grid of `n` combinations.
 
-    Made once per worker and run, and reused for every chunk it predicts;
-    `scratch` holds the criteria_block_into() buffers of its chunks.
+    Made once per worker and run, and reused for every chunk it predicts:
+    the grid's chunks of CHUNK_COMBINATIONS combinations and its last,
+    possibly shorter, chunk, which forward_tiles_into() may cut into
+    longer tiles. The tile buffers hold the longer of the two tiles, so
+    predicting never allocates them. `scratch` holds the
+    criteria_block_into() buffers of its chunks.
+
     The encoded input block's input5 and one-hot category columns are
     the same for every chunk, so they are written here, once, and a
     chunk writes only its five settings columns. Every value is computed
@@ -183,13 +175,11 @@ class _ChunkPredictor:
     curves are those of network.predict() on the chunk, bit for bit.
     """
 
-    def __init__(
-        self,
-        model: Model,
-        combinations: int = CHUNK_COMBINATIONS,
-        tiles: TileBuffers | None = None,
-    ):
-        """Buffers for `model`, sharing the tiled biases of `tiles` if given."""
+    def __init__(self, model: Model, n: int, tiles: TileBuffers | None = None):
+        """Buffers for `model`, sharing the tiled biases of `tiles` if given.
+
+        `tiles` must come from a predictor for a grid of the same size.
+        """
         self.model = model
         maxima = np.asarray(model.normalization.input_max)
         input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
@@ -200,7 +190,9 @@ class _ChunkPredictor:
             )
         self.settings_max = maxima[[0, 1, 2, 3, 5]]
         self.output_max = np.asarray(model.normalization.output_max)
+        combinations = min(n, CHUNK_COMBINATIONS)
         rows = combinations * ROWS_PER_COMBINATION
+        last_rows = ((n - 1) % CHUNK_COMBINATIONS + 1) * ROWS_PER_COMBINATION
         self.encoded = np.zeros((rows, ENCODED_INPUT_SIZE))
         block = self.encoded.reshape(combinations, ROWS_PER_COMBINATION, -1)
         block[:, :, 4] = input5 / maxima[4]
@@ -208,7 +200,8 @@ class _ChunkPredictor:
         block[:, np.arange(ROWS_PER_COMBINATION), N_NUMERIC_INPUTS + category] = 1.0
         self.outputs = np.empty((rows, model.config.n_outputs))
         if tiles is None:
-            self.tiles = empty_tile_buffers(model.params, model.config, tile_rows(rows))
+            longest = max(tile_rows(rows), tile_rows(last_rows))
+            self.tiles = empty_tile_buffers(model.params, model.config, longest)
         else:
             self.tiles = tiles.for_another_thread()
         self.decoded = np.empty((3, rows))
@@ -220,11 +213,12 @@ class _ChunkPredictor:
         )
         self.scratch = CriteriaScratch(combinations, ROWS_PER_COMBINATION)
 
-    def predict(self, settings: np.ndarray) -> CurveBlock:
-        """The curves of the (m, 5) `settings`, m at most this object's `combinations`.
+    def predict(self, settings: np.ndarray) -> np.ndarray:
+        """The (3, m, 200) signal, snr and output3 curves of one chunk's (m, 5) `settings`.
 
-        The curve arrays are views into this object's buffers, valid until
-        the next call.
+        Each row is one combination's curve, sorted by ascending signal
+        with a stable sort. The result is a view into this object's
+        buffers, valid until the next call.
 
         Raises:
             RangeError: a setting exceeds the model's normalization maximum.
@@ -243,9 +237,6 @@ class _ChunkPredictor:
         block = self.encoded[:rows].reshape(m, ROWS_PER_COMBINATION, -1)
         block[:, :, 0:4] = scaled[:, None, 0:4]
         block[:, :, 5] = scaled[:, 4, None]
-        if tile_rows(rows) > self.tiles.rows:
-            # A short last chunk may be cut into longer tiles than a full one.
-            self.tiles = empty_tile_buffers(self.model.params, self.model.config, tile_rows(rows))
         outputs = self.outputs[:rows]
         forward_tiles_into(
             self.model.params, self.model.config, self.encoded[:rows], outputs, self.tiles
@@ -260,41 +251,31 @@ class _ChunkPredictor:
         curves = self.curves[:, :m]
         for column, curve in zip(decoded, curves):
             np.take(column, order, out=curve, mode="clip")
-        signal, snr, output3 = curves
         # A row's first signal is its least, NaNs sorting last.
-        if np.any(signal[:, 0] <= 0):
+        if np.any(curves[0, :, 0] <= 0):
             raise DomainError("curve signal values must be positive")
-        return CurveBlock(settings=settings, signal=signal, snr=snr, output3=output3)
+        return curves
 
 
-def predict_blocks(model: Model, grid: Iterable[tuple[float, ...]]) -> Iterator[CurveBlock]:
-    """Predict the curves of `grid` a block of CHUNK_COMBINATIONS at a time.
+def predict_curves(model: Model, settings) -> Iterator[Curve]:
+    """Predict one 200-point curve per row of the (n, 5) `settings`, in row order.
 
-    Blocks come in grid order, each in arrays of its own. Grid values
-    outside the model's normalization range raise a RangeError naming
-    the input; a predicted signal that is not positive raises a
-    DomainError.
+    `settings` is an array or a sequence of rows. They are predicted
+    CHUNK_COMBINATIONS at a time by one _ChunkPredictor, each chunk's
+    curves copied into arrays of their own. Settings outside the model's
+    normalization range raise a RangeError naming the input; a predicted
+    signal that is not positive raises a DomainError.
     """
-    iterator = iter(grid)
-    predictor = None
-    while chunk := list(itertools.islice(iterator, CHUNK_COMBINATIONS)):
-        # No later chunk is longer than the first, so it sizes the buffers.
-        predictor = predictor or _ChunkPredictor(model, len(chunk))
-        settings = np.array(chunk, dtype=np.float64).reshape(len(chunk), len(SETTING_NAMES))
-        block = predictor.predict(settings)
-        yield CurveBlock(settings, *(np.array(curve) for curve in block[1:]))
-
-
-def predict_curves(model: Model, grid: Iterable[tuple[float, ...]]) -> Iterator[Curve]:
-    """Predict one 200-point curve per combination, in grid order.
-
-    The curves of predict_blocks(), yielded one at a time.
-    """
-    for block in predict_blocks(model, grid):
-        for settings, signal, snr, output3 in zip(
-            block.settings.tolist(), block.signal, block.snr, block.output3
-        ):
-            yield Curve(settings=tuple(settings), signal=signal, snr=snr, output3=output3)
+    settings = np.asarray(settings, dtype=np.float64)
+    n = len(settings)
+    if not n:
+        return
+    predictor = _ChunkPredictor(model, n)
+    for start in range(0, n, CHUNK_COMBINATIONS):
+        chunk = settings[start : start + CHUNK_COMBINATIONS]
+        curves = predictor.predict(chunk).copy()
+        for row, signal, snr, output3 in zip(chunk.tolist(), *curves):
+            yield Curve(settings=tuple(row), signal=signal, snr=snr, output3=output3)
 
 
 @dataclass(frozen=True)
@@ -464,15 +445,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _grid_settings(spec: InterpolationSpec) -> np.ndarray:
-    """The (n, 5) settings of build_interpolated_grid(spec), in its order.
-
-    Built from the axis values directly, with no tuple per combination.
-    """
-    columns = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
-    return np.stack(columns, axis=-1).reshape(-1, len(SETTING_NAMES))
-
-
 def run_sweep(
     model: Model,
     spec: InterpolationSpec,
@@ -489,7 +461,7 @@ def run_sweep(
     the error raised is the one the first failing chunk in grid order
     raises, as in a one-chunk-at-a-time loop.
     """
-    settings = _grid_settings(spec)
+    settings = grid_settings(spec)
     n = settings.shape[0]
     values = np.empty((n, len(ALL_CRITERIA)))
     starts = iter(range(0, n, CHUNK_COMBINATIONS))
@@ -505,10 +477,8 @@ def run_sweep(
                 return
             stop = start + CHUNK_COMBINATIONS
             try:
-                block = predictor.predict(settings[start:stop])
-                criteria_block_into(
-                    block.signal, block.snr, block.output3, values[start:stop], predictor.scratch
-                )
+                signal, snr, output3 = predictor.predict(settings[start:stop])
+                criteria_block_into(signal, snr, output3, values[start:stop], predictor.scratch)
             except Exception as exc:
                 failures[start] = exc
                 failed.set()
@@ -516,9 +486,9 @@ def run_sweep(
     # The calling thread is a worker too, and it allocates every worker's
     # buffers: with glibc, what a helper thread allocates stays in that
     # thread's malloc arena for the rest of the process.
-    first = _ChunkPredictor(model)
+    first = _ChunkPredictor(model, n)
     helpers = [
-        threading.Thread(target=work, args=(_ChunkPredictor(model, tiles=first.tiles),))
+        threading.Thread(target=work, args=(_ChunkPredictor(model, n, first.tiles),))
         for _ in range(min(_cpu_count(), -(-n // CHUNK_COMBINATIONS)) - 1)
     ]
     for helper in helpers:

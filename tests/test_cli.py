@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import sensopt
 import sensopt.cli
+import sensopt.data
 from sensopt.cli import _scaled_count, _write_json, main
 from sensopt.curves import Curve, criteria
 from sensopt.data import read_csv
@@ -105,6 +107,42 @@ def test_desk_dataset_bytes_are_pinned(seed, tmp_path):
     assert digest == DESK_DATASET_SHA256[seed]
 
 
+# SHA-256 of the outputs of `train --epochs 1 --seed 0` on the seed-0 desk
+# dataset above and of `optimize` on its model at 3 and at 6 points per
+# axis, pinned before the sweep's tuple-streaming grid and the per-line
+# history writer were replaced. Pinned with numpy 2.4.6 and OpenBLAS
+# 0.3.31 on x86-64, like the dataset.
+DESK_OUTPUT_SHA256 = {
+    "history.csv": "d4e3551440bb18b0c0e3a0621aa659b6241c698bd4352ba2578598f052470bc6",
+    "model.bin": "1b40cda3f38378da6dd8b1a94ab4ab6ed7f04817a7ea69ae50ab129f916c308d",
+    "opt3/selected_curve_c1c2c3.csv": "ecf40630a60d033c883f13536e56d0f7495c37edea1e7409a173b2579264922f",
+    "opt3/selected_curve_c1c2c3c4.csv": "60f63f19cbcb16d4aea3148b6f06749797946aa2209e93059d67a9db6cd858dd",
+    "opt3/selection_summary.json": "bd4a12a08355a46788fb9a4f6884917a78edb95af4a0a8c3ba5f215990457887",
+    "opt3/sweep_report.csv": "b34d49d8b16eb0a12089fe7f6f83f4e346fe7fa8496c553cb8bcadde372367d1",
+    "opt6/selected_curve_c1c2c3.csv": "e645968bf1a9fd8aa6d203d8e3b562c7ff6438bbbd9ac923d5b96f3ad3d869d1",
+    "opt6/selected_curve_c1c2c3c4.csv": "1297bb422bc200395173809f81e708acde38d2e4044f2b6ee5fac8a926950601",
+    "opt6/selection_summary.json": "d52b80fa23c2c9015451a3b474bf24629f57239b949208e70c6486a9a8344cd7",
+    "opt6/sweep_report.csv": "dda61061363e64e4a1a7661b0b218ebe647440db786bf2cfdae9523078362abd",
+}
+
+
+def test_desk_train_and_optimize_bytes_are_pinned(tmp_path):
+    argv = ["generate", "--out", str(tmp_path), "--scale", "0.4", "--noise", "0.5"]
+    assert main(argv + ["--seed", "0"]) == 0
+    assert main(["train", "--out", str(tmp_path), "--epochs", "1", "--seed", "0"]) == 0
+    for points in (3, 6):
+        config = tmp_path / f"optimize_{points}.json"
+        config.write_text(json.dumps({"optimize": {"points_per_axis": points}}))
+        argv = ["optimize", "--out", str(tmp_path / f"opt{points}"),
+                "--model", str(tmp_path / "model.bin"), "--config", str(config)]
+        assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DESK_OUTPUT_SHA256
+    }
+    assert digests == DESK_OUTPUT_SHA256
+
+
 def test_desk_train_keeps_one_encoded_copy_of_the_data(tmp_path):
     # 48,600 rows: a 3.9 MB table, 3.9 + 1.2 MB of encoded partitions and
     # train()'s 4.1 MB of epoch buffers. The table is read and dropped
@@ -129,20 +167,25 @@ FIRST_WRITER = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(FIRST_WRITER))
-def test_a_failed_run_leaves_no_manifest_beside_an_earlier_runs_outputs(
-    command, pipeline_dir, tmp_path, monkeypatch, capsys
-):
+def _small_run_argv(command: str, pipeline_dir, tmp_path) -> list[str]:
+    """A quick run of `command` on copies of the pipeline's inputs, without --out."""
     dataset, model = tmp_path / "dataset.csv", tmp_path / "model.bin"
     shutil.copy(pipeline_dir / "dataset.csv", dataset)
     shutil.copy(pipeline_dir / "model.bin", model)
-    out = tmp_path / command
-    argv = {
+    return {
         "generate": ["generate", "--scale", "0.2"],
         "train": ["train", "--dataset", str(dataset), "--hidden", "16,16", "--epochs", "1"],
         "evaluate": ["evaluate", "--model", str(model), "--dataset", str(dataset)],
         "optimize": ["optimize", "--model", str(model), "--scale", "0.1"],
-    }[command] + ["--out", str(out)]
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_WRITER))
+def test_a_failed_run_leaves_no_manifest_beside_an_earlier_runs_outputs(
+    command, pipeline_dir, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / command
+    argv = _small_run_argv(command, pipeline_dir, tmp_path) + ["--out", str(out)]
     manifest = out / f"{command}_manifest.json"
     assert main(argv) == 0 and manifest.exists()
 
@@ -153,6 +196,47 @@ def test_a_failed_run_leaves_no_manifest_beside_an_earlier_runs_outputs(
     assert main(argv + ["--seed", "7"]) == 2
     assert "disk full" in capsys.readouterr().err
     assert not manifest.exists()
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_WRITER))
+def test_each_failed_output_write_leaves_no_manifest(
+    command, pipeline_dir, tmp_path, monkeypatch, capsys
+):
+    # Over a directory that holds a successful earlier run, the k-th
+    # write through data.replacing raises, for every k up to the
+    # manifest's: each run exits 2 and leaves no manifest.
+    argv = _small_run_argv(command, pipeline_dir, tmp_path) + ["--seed", "7"]
+    earlier = tmp_path / "earlier"
+    assert main(argv + ["--out", str(earlier)]) == 0
+    real_replacing = sensopt.data.replacing
+    writes, failing = [], [0]
+
+    @contextlib.contextmanager
+    def counted_replacing(path, *args, **kwargs):
+        writes.append(os.path.basename(path))
+        with real_replacing(path, *args, **kwargs) as fh:
+            if len(writes) == failing[0]:
+                raise OSError("disk full")
+            yield fh
+
+    for module in vars(sensopt).values():
+        if getattr(module, "replacing", None) is real_replacing:
+            monkeypatch.setattr(module, "replacing", counted_replacing)
+    assert main(argv + ["--out", str(earlier)]) == 0
+    capsys.readouterr()
+    manifest = f"{command}_manifest.json"
+    # Every output is counted, then the manifest.
+    outputs = json.loads((earlier / manifest).read_text())["outputs"]
+    assert sorted(writes[:-1]) == outputs and writes[-1] == manifest
+    for k in range(1, len(writes) + 1):
+        out = tmp_path / f"fail{k}"
+        shutil.copytree(earlier, out)
+        writes.clear()
+        failing[0] = k
+        assert main(argv + ["--out", str(out)]) == 2, k
+        assert len(writes) == k and "disk full" in capsys.readouterr().err
+        assert not (out / manifest).exists(), k
+        assert not list(out.glob("*.tmp")), k
 
 
 def test_generate_rejects_bad_scale(tmp_path):

@@ -24,8 +24,6 @@ from sensopt.network import (
     forward_tiles_into,
     init_optimizer,
     init_parameters,
-    leaky_relu,
-    leaky_relu_derivative,
     load_model,
     numeric_gradients,
     predict,
@@ -82,6 +80,16 @@ def test_init_parameters_seeded_and_bounded():
 
 
 def test_leaky_relu_values():
+    def leaky_relu(z, alpha):
+        out = np.empty_like(z)
+        sensopt.network._leaky_relu_into(z, alpha, out)
+        return out
+
+    def leaky_relu_derivative(z, alpha):
+        out = np.empty_like(z)
+        sensopt.network._leaky_relu_derivative_into(z, alpha, out)
+        return out
+
     z = np.array([-2.0, 0.0, 3.0])
     assert np.array_equal(leaky_relu(z, 0.3), [-0.6, 0.0, 3.0])
     # Slope at exactly zero is the leak, matching the backward pass.

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -31,10 +32,9 @@ from sensopt.sweep import (
     InterpolationSpec,
     SelectionResult,
     SweepResult,
-    build_interpolated_grid,
     default_sweep_spec,
     dense_ranks,
-    predict_blocks,
+    grid_settings,
     predict_curves,
     rank_candidates,
     run_sweep,
@@ -113,12 +113,17 @@ def test_default_sweep_spec():
         default_sweep_spec(points_per_axis=25)  # blows the row budget
 
 
-def test_grid_streams_lexicographically():
-    spec = InterpolationSpec(axes=_axes((2, 2, 2, 2, 2)))
-    grid = build_interpolated_grid(spec)
-    assert iter(grid) is grid  # a true iterator, not a materialized list
-    combos = list(grid)
-    assert len(combos) == 32
+def _grid(spec: InterpolationSpec) -> list[tuple[float, ...]]:
+    """Every combination of `spec` as a tuple, in grid_settings() order."""
+    return [tuple(row) for row in grid_settings(spec).tolist()]
+
+
+def test_grid_settings_are_lexicographic():
+    spec = InterpolationSpec(axes=_axes((2, 3, 2, 2, 2)))
+    settings = grid_settings(spec)
+    assert settings.shape == (48, 5) and settings.dtype == np.float64
+    combos = _grid(spec)
+    assert combos == list(itertools.product(*(axis.values().tolist() for axis in spec.axes)))
     assert combos == sorted(combos)
     assert combos[0] == (418.0, 112.0, 400.0, 2850.0, 3200.0)
     assert combos[-1] == (510.0, 144.0, 500.0, 3650.0, 4000.0)
@@ -134,7 +139,7 @@ def test_endpoint_grid_matches_enumerated_corners():
         input4=(2850.0, 3650.0),
         input6=(3200.0, 4000.0),
     )
-    assert list(build_interpolated_grid(spec)) == enumerate_grid(corners)
+    assert _grid(spec) == enumerate_grid(corners)
 
 
 def test_predict_curves_shapes_and_chunking(small_model, monkeypatch):
@@ -143,28 +148,28 @@ def test_predict_curves_shapes_and_chunking(small_model, monkeypatch):
         (464.0, 128.0, 450.0, 3250.0, 3600.0),
         (510.0, 144.0, 500.0, 3650.0, 4000.0),
     ]
-    curves = list(predict_curves(small_model, iter(combos)))
+    curves = list(predict_curves(small_model, combos))
     assert [c.settings for c in curves] == combos
     for curve in curves:
         assert curve.signal.shape == (200,)
         assert np.all(np.diff(curve.signal) >= 0)
 
     monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 2)
-    rechunked = list(predict_curves(small_model, iter(combos)))
+    rechunked = list(predict_curves(small_model, combos))
     for a, b in zip(curves, rechunked):
         assert np.allclose(a.snr, b.snr, rtol=1e-12)
 
     with pytest.raises(RangeError, match="input1"):
-        list(predict_curves(small_model, iter([(600.0, 112.0, 400.0, 2850.0, 3200.0)])))
+        list(predict_curves(small_model, [(600.0, 112.0, 400.0, 2850.0, 3200.0)]))
 
 
 def test_predict_curves_single_combination_and_determinism(small_model):
     combo = (441.0, 120.0, 425.0, 3050.0, 3400.0)
-    only = list(predict_curves(small_model, iter([combo])))
+    only = list(predict_curves(small_model, [combo]))
     assert len(only) == 1
     assert only[0].signal.shape == (200,)
 
-    again = list(predict_curves(small_model, iter([combo])))
+    again = list(predict_curves(small_model, [combo]))
     assert np.array_equal(only[0].signal, again[0].signal)
     assert np.array_equal(only[0].snr, again[0].snr)
     assert np.array_equal(only[0].output3, again[0].output3)
@@ -176,7 +181,7 @@ def test_converged_curves_track_true_dip_depth(converged_setup):
     grid = enumerate_grid(TABLE1)
     c1 = [
         criteria(curve).c1
-        for curve in predict_curves(converged_setup.model, iter(grid))
+        for curve in predict_curves(converged_setup.model, grid)
     ]
     true_depth = converged_setup.oracle.dip_depth_at(np.asarray(grid))
     assert spearman(c1, true_depth) > 0.9
@@ -405,20 +410,41 @@ def test_dense_ranks_share_ties_and_skip_nan():
     assert dense_ranks(np.full((3, 1), np.nan)).tolist() == [[-1], [-1], [-1]]
 
 
-def test_predict_blocks_are_the_curves_of_predict_curves(small_model, monkeypatch):
+def _chunk_curves(model: Model, settings: np.ndarray) -> list[np.ndarray]:
+    """The (3, m, 200) curves of each chunk of `settings`, as run_sweep() predicts them."""
+    predictor = sensopt.sweep._ChunkPredictor(model, len(settings))
+    return [
+        predictor.predict(settings[start : start + sensopt.sweep.CHUNK_COMBINATIONS]).copy()
+        for start in range(0, len(settings), sensopt.sweep.CHUNK_COMBINATIONS)
+    ]
+
+
+def test_predict_curves_are_the_chunk_predictors_curves(small_model, monkeypatch):
     monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 5)
-    spec = InterpolationSpec(axes=_axes((3, 2, 2, 1, 1)))
-    blocks = list(predict_blocks(small_model, build_interpolated_grid(spec)))
-    assert [b.settings.shape for b in blocks] == [(5, 5), (5, 5), (2, 5)]
-    curves = list(predict_curves(small_model, build_interpolated_grid(spec)))
-    assert [c.settings for c in curves] == list(build_interpolated_grid(spec))
+    settings = grid_settings(InterpolationSpec(axes=_axes((3, 2, 2, 1, 1))))
+    blocks = _chunk_curves(small_model, settings)
+    assert [block.shape for block in blocks] == [(3, 5, 200), (3, 5, 200), (3, 2, 200)]
+    curves = list(predict_curves(small_model, settings))
+    assert [c.settings for c in curves] == [tuple(row) for row in settings.tolist()]
     for j, curve in enumerate(curves):
         block = blocks[j // 5]
-        assert tuple(block.settings[j % 5].tolist()) == curve.settings
-        for name in ("signal", "snr", "output3"):
-            assert getattr(block, name).shape[1] == 200
-            assert np.array_equal(getattr(block, name)[j % 5], getattr(curve, name))
-        assert np.all(np.diff(block.signal, axis=1) >= 0)
+        for got, want in zip((curve.signal, curve.snr, curve.output3), block[:, j % 5]):
+            assert got.tobytes() == want.tobytes()
+        assert np.all(np.diff(block[0], axis=1) >= 0)
+    assert list(predict_curves(small_model, np.empty((0, 5)))) == []
+
+
+def test_a_chunk_predictor_sizes_its_tiles_once_for_the_grid(small_model, monkeypatch):
+    # 243 combinations: the short last chunk of 51 is cut into tiles of
+    # 1,134 rows, a full chunk of 64 into tiles of 1,067.
+    settings = grid_settings(InterpolationSpec(axes=_axes((3, 3, 3, 3, 3))))
+    predictor = sensopt.sweep._ChunkPredictor(small_model, len(settings))
+    calls = []
+    monkeypatch.setattr(sensopt.sweep, "empty_tile_buffers", lambda *args: calls.append(args))
+    for start in range(0, len(settings), CHUNK_COMBINATIONS):
+        predictor.predict(settings[start : start + CHUNK_COMBINATIONS])
+    assert calls == []
+    assert predictor.tiles.rows == 1134
 
 
 def test_exported_curves_are_the_scored_curves_bit_for_bit(small_model):
@@ -427,13 +453,14 @@ def test_exported_curves_are_the_scored_curves_bit_for_bit(small_model):
     # every offset in a chunk and straddle every tile boundary. Each is
     # exported beside another, as optimize exports its two selections,
     # and on its own.
-    grid = list(build_interpolated_grid(InterpolationSpec(axes=_axes((3, 3, 3, 3, 3)))))
-    blocks = list(predict_blocks(small_model, grid))
-    assert [len(block.settings) for block in blocks] == [64, 64, 64, 51]
+    settings = grid_settings(InterpolationSpec(axes=_axes((3, 3, 3, 3, 3))))
+    grid = [tuple(row) for row in settings.tolist()]
+    blocks = _chunk_curves(small_model, settings)
+    assert [block.shape[1] for block in blocks] == [64, 64, 64, 51]
 
     def scored(index):
         chunk, offset = divmod(index, CHUNK_COMBINATIONS)
-        return [curves[offset] for curves in blocks[chunk][1:]]
+        return blocks[chunk][:, offset]
 
     for index, combination in enumerate(grid):
         partner = len(grid) - 1 - index
@@ -517,9 +544,9 @@ def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_mod
     # may raise the traced peak by argsort's (64, 200) order array
     # (102,400 bytes) and a few small arrays, and scoring it by almost
     # nothing: no per-chunk (64, 200) temporaries.
-    settings = sensopt.sweep._grid_settings(default_sweep_spec(5))[: 20 * CHUNK_COMBINATIONS]
+    settings = grid_settings(default_sweep_spec(5))[: 20 * CHUNK_COMBINATIONS]
     values = np.empty((len(settings), 4))
-    predictor = sensopt.sweep._ChunkPredictor(small_model)
+    predictor = sensopt.sweep._ChunkPredictor(small_model, len(settings))
     growth = {"predict": [], "score": []}
 
     def traced(step, call):
@@ -534,7 +561,7 @@ def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_mod
             stop = start + CHUNK_COMBINATIONS
             block = traced("predict", lambda: predictor.predict(settings[start:stop]))
             traced("score", lambda: criteria_block_into(
-                block.signal, block.snr, block.output3, values[start:stop], predictor.scratch
+                *block, values[start:stop], predictor.scratch
             ))
 
     tracemalloc.start()
@@ -547,8 +574,10 @@ def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_mod
     assert not helper.is_alive() and len(growth["score"]) == 20
     assert max(growth["predict"][1:]) < 120_000
     assert max(growth["score"][1:]) < 10_000
-    blocks = predict_blocks(small_model, map(tuple, settings.tolist()))
-    expected = np.concatenate([criteria_block(*block[1:]) for block in blocks])
+    curves = list(predict_curves(small_model, settings))
+    expected = criteria_block(
+        *([getattr(curve, name) for curve in curves] for name in ("signal", "snr", "output3"))
+    )
     assert np.array_equal(values, expected, equal_nan=True)
 
 
@@ -594,7 +623,7 @@ def _predicted_criteria(model: Model, spec: InterpolationSpec) -> np.ndarray:
     predicted whole, then sorted by signal: the sweep's result, computed
     through the public prediction path.
     """
-    grid = np.array(list(build_interpolated_grid(spec)))
+    grid = grid_settings(spec)
     input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
     category = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
     values = []
@@ -621,7 +650,7 @@ def test_run_sweep_does_not_depend_on_the_worker_count(chunk, small_model, tmp_p
     for workers in (1, 3):
         monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: workers)
         result = run_sweep(small_model, spec)
-        assert np.array_equal(result.settings, np.array(list(build_interpolated_grid(spec))))
+        assert np.array_equal(result.settings, grid_settings(spec))
         assert np.array_equal(
             result.criteria, _predicted_criteria(small_model, spec), equal_nan=True
         )
@@ -666,7 +695,7 @@ def test_the_first_failing_chunk_raises_its_own_error(workers, small_model, monk
         small_model, normalization=NormalizationSpec(maxima, norm.output_max)
     )
     spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
-    grid = list(build_interpolated_grid(spec))
+    grid = _grid(spec)
     real_predict = sensopt.sweep._ChunkPredictor.predict
     chunk_2_failed = threading.Event()
 
@@ -714,11 +743,11 @@ def test_a_domain_error_mid_grid_writes_no_report(workers, tmp_path, monkeypatch
     monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: workers)
     model = _dead_signal_model()
     spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
-    grid = list(build_interpolated_grid(spec))
+    grid = _grid(spec)
     healthy = [combo for i, combo in enumerate(grid) if i not in (31, 47)]
-    assert len(list(predict_curves(model, iter(healthy)))) == 46
+    assert len(list(predict_curves(model, healthy))) == 46
     with pytest.raises(DomainError, match="signal values must be positive"):
-        list(predict_curves(model, iter(grid[30:35])))
+        list(predict_curves(model, grid[30:35]))
 
     model_path = tmp_path / "model.bin"
     save_model(model, model_path)
