@@ -1,12 +1,17 @@
 """Command-line pipeline: generate, train, evaluate, optimize.
 
 Every subcommand reads an optional JSON config file (one section per
-subcommand, each value of its default's type), lets explicit flags
-override it, writes its outputs under --out only, and records a manifest
-with the fully resolved configuration and SHA-256 digests of its file
-inputs, so any run can be reproduced. The manifest is the run's last
-write, and the command deletes any earlier one before its first output
-write: a run that fails midway leaves no manifest.
+subcommand, each value of its default's type) and lets explicit flags
+override it; each flag overrides the key it names (--noise sets
+noise_db). It writes its outputs under --out only, and records a
+manifest with the fully resolved configuration and SHA-256 digests of
+its file inputs, so any run can be reproduced. The manifest is the
+run's last write, and the command deletes any earlier one before its
+first output write: a run that fails midway leaves no manifest.
+
+This module only parses and wires: the defaults come from TrainConfig,
+NetworkConfig and SensorOracle, and the export of the selected curves
+from sensopt.sweep.scored_curves().
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,24 +28,25 @@ import os
 import sys
 
 from . import __version__
-from .curves import Curve, write_curve_csv
+from .curves import write_curve_csv
 from .data import TEST, TRAIN, VALIDATION, read_csv, replacing, split, write_csv
 from .errors import ConfigurationError, SensoptError
 from .network import Model, NetworkConfig, load_model, save_model
 from .oracle import TABLE1, SensorOracle, generate_dataset
 from .sweep import (
-    ALL_CRITERIA,
     AxisSpec,
     InterpolationSpec,
     DEFAULT_POINTS_PER_AXIS,
     DEFAULT_ROW_BUDGET,
-    EXPORT_COPIES,
     default_sweep_spec,
-    predict_curves,
     run_sweep,
+    scored_curves,
     subset_label,
     write_report_csv,
 )
+# Not called here, but perfbench/spans.py wraps the binding
+# sensopt.cli.predict_curves, so it stays importable from this module.
+from .sweep import predict_curves  # noqa: F401
 from .training import (
     TrainConfig,
     evaluate,
@@ -95,8 +102,11 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, flags: dict) -> dict:
-    """`defaults`, overridden by the config file's section for the command, then by `flags`.
+def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+    """`defaults`, overridden by the config file's section for the command, then by its flags.
+
+    A key's flag is the option whose argparse dest is the key; a flag
+    left out (None) keeps the config file's value or the default.
 
     Raises:
         ConfigurationError: the section is not an object, or holds an
@@ -115,7 +125,8 @@ def _resolve(args: argparse.Namespace, defaults: dict, flags: dict) -> dict:
             raise ConfigurationError(f"{args.command}.{key} must be {expected}, got {value!r}")
     resolved = dict(defaults)
     resolved.update(section)
-    resolved.update({k: v for k, v in flags.items() if v is not None})
+    flags = {key: getattr(args, key, None) for key in defaults}
+    resolved.update({key: value for key, value in flags.items() if value is not None})
     if resolved["seed"] < 0:
         raise ConfigurationError(
             f"{args.command}.seed must be a non-negative integer, got {resolved['seed']!r}"
@@ -161,25 +172,10 @@ def _write_manifest(
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    defaults = {
-        "seed": 0,
-        "scale": 1.0,
-        "noise_db": 0.0,
-        "dip_center": 5.5e3,
-        "dip_depth": 5.0,
-        "dip_width": 0.12,
-    }
-    resolved = _resolve(
-        args, defaults, {"seed": args.seed, "scale": args.scale, "noise_db": args.noise}
-    )
+    oracle_defaults = SensorOracle().to_config()
+    resolved = _resolve(args, {**oracle_defaults, "scale": 1.0})
     grid = TABLE1.subsample(_scaled_count(5, resolved["scale"]))
-    oracle = SensorOracle(
-        seed=resolved["seed"],
-        dip_center=resolved["dip_center"],
-        dip_depth=resolved["dip_depth"],
-        dip_width=resolved["dip_width"],
-        noise_db=resolved["noise_db"],
-    )
+    oracle = SensorOracle.from_config({key: resolved[key] for key in oracle_defaults})
     table = generate_dataset(oracle, grid)
     _start_outputs(args.out, "generate")
     dataset_path = os.path.join(args.out, "dataset.csv")
@@ -210,40 +206,14 @@ def _parse_hidden(value) -> tuple[int, ...]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    defaults = {
-        "seed": 0,
-        "epochs": 100,
-        "batch_size": 20,
-        "learning_rate": 5e-4,
-        "plateau_patience": 5,
-        "plateau_factor": 2.0,
-        "optimizer": "adam",
-        "hidden": [64, 64, 64],
-        "alpha": 0.3,
-    }
+    train_defaults = dataclasses.asdict(TrainConfig())
+    net_defaults = NetworkConfig()
     resolved = _resolve(
-        args,
-        defaults,
-        {
-            "seed": args.seed,
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "learning_rate": args.learning_rate,
-            "optimizer": args.optimizer,
-            "hidden": args.hidden,
-        },
+        args, {**train_defaults, "hidden": list(net_defaults.hidden), "alpha": net_defaults.alpha}
     )
     resolved["hidden"] = list(_parse_hidden(resolved["hidden"]))
     net_config = NetworkConfig(hidden=tuple(resolved["hidden"]), alpha=resolved["alpha"])
-    train_cfg = TrainConfig(
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch_size"],
-        learning_rate=resolved["learning_rate"],
-        plateau_patience=resolved["plateau_patience"],
-        plateau_factor=resolved["plateau_factor"],
-        optimizer=resolved["optimizer"],
-        seed=resolved["seed"],
-    )
+    train_cfg = TrainConfig(**{key: resolved[key] for key in train_defaults})
     dataset_path = args.dataset or os.path.join(args.out, "dataset.csv")
     # No name holds the raw table, so it is freed before training starts.
     arrays, norm, _ = prepare_training_data(read_csv(dataset_path), resolved["seed"])
@@ -271,8 +241,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    defaults = {"seed": 0, "partition": "test"}
-    resolved = _resolve(args, defaults, {"seed": args.seed, "partition": args.partition})
+    resolved = _resolve(args, {"seed": 0, "partition": "test"})
     if resolved["partition"] not in _PARTITIONS:
         raise ConfigurationError(
             f"partition must be one of {sorted(_PARTITIONS)}, got {resolved['partition']!r}"
@@ -330,18 +299,6 @@ def _axes_from_config(axes_config) -> list[AxisSpec] | None:
     return axes
 
 
-def _scored_curves(model: Model, settings: list[tuple[float, ...]]) -> list[Curve]:
-    """The curves the sweep scored for `settings`, bit for bit.
-
-    By the export rule of sensopt.sweep: all of them are predicted in one
-    block, each EXPORT_COPIES times in a row, so the block has
-    EXPORT_COPIES * 200 rows or more. That holds for up to
-    CHUNK_COMBINATIONS // EXPORT_COPIES combinations.
-    """
-    repeated = [combination for combination in settings for _ in range(EXPORT_COPIES)]
-    return list(predict_curves(model, repeated))[::EXPORT_COPIES]
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     defaults = {
         "seed": 0,
@@ -350,7 +307,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "row_budget": DEFAULT_ROW_BUDGET,
         "axes": None,
     }
-    resolved = _resolve(args, defaults, {"seed": args.seed, "scale": args.scale})
+    resolved = _resolve(args, defaults)
     axes = _axes_from_config(resolved["axes"])
     if axes is not None:
         spec = InterpolationSpec(axes=tuple(axes), row_budget=resolved["row_budget"])
@@ -358,14 +315,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         points = _scaled_count(resolved["points_per_axis"], resolved["scale"])
         spec = default_sweep_spec(max(points, 2), row_budget=resolved["row_budget"])
     model = load_model(args.model)
-    result = run_sweep(model, spec, subsets=(ALL_CRITERIA, (1, 2, 3)))
+    result = run_sweep(model, spec)
     _start_outputs(args.out, "optimize")
     report_path = os.path.join(args.out, "sweep_report.csv")
     write_report_csv(result, report_path)
     summary_path = os.path.join(args.out, "selection_summary.json")
     _write_json(summary_path, result.summary())
     outputs = [report_path, summary_path]
-    curves = _scored_curves(model, [s.settings for s in result.selections.values()])
+    curves = scored_curves(model, [s.settings for s in result.selections.values()])
     for (subset, selection), curve in zip(result.selections.items(), curves):
         curve_path = os.path.join(args.out, f"selected_curve_{subset_label(subset)}.csv")
         write_curve_csv(curve, curve_path)
@@ -401,15 +358,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="simulate a factorial dataset from the oracle")
     common(p, scale=True)
-    p.add_argument("--noise", type=float, help="Gaussian SNR noise sigma in dB (default 0)")
+    p.add_argument(
+        "--noise",
+        type=float,
+        dest="noise_db",
+        metavar="NOISE",
+        help="Gaussian SNR noise sigma in dB (default 0)",
+    )
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("train", help="train a surrogate on a generated dataset")
     common(p, scale=False)
     p.add_argument("--dataset", help="dataset CSV (default <out>/dataset.csv)")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--learning-rate", type=float)
     p.add_argument("--optimizer", choices=("adam", "sgd"))
     p.add_argument("--hidden", help="comma-separated hidden layer sizes, e.g. 64,64,64")
     p.set_defaults(handler=cmd_train)

@@ -263,7 +263,6 @@ def encode_table(
 class SplitAssignment:
     """Row-to-partition assignment, a pure function of (seed, row count)."""
 
-    seed: int
     labels: np.ndarray  # (n,) int8 of TRAIN / VALIDATION / TEST
 
     def indices(self, label: int) -> np.ndarray:
@@ -295,7 +294,7 @@ def split(n_rows: int, seed: int) -> SplitAssignment:
     labels[perm[:n_train]] = TRAIN
     labels[perm[n_train : n_train + n_val]] = VALIDATION
     labels[perm[n_train + n_val :]] = TEST
-    return SplitAssignment(seed=seed, labels=labels)
+    return SplitAssignment(labels=labels)
 
 
 def _repeats(column: np.ndarray) -> bool:

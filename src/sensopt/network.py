@@ -444,7 +444,8 @@ class Model:
 class TileBuffers(NamedTuple):
     """Buffers of forward_tiles_into() for tiles of up to `rows` rows.
 
-    `biases` holds each layer's bias for every row: repeated per row by
+    `rows` is the length of each array in `biases`, which holds each
+    layer's bias for every row: repeated per row by
     empty_tile_buffers(), since adding a whole array beats a broadcast
     add over many calls, or broadcast views for a single call.
     forward_tiles_into() only reads it, so threads may share it. `z` and
@@ -456,10 +457,6 @@ class TileBuffers(NamedTuple):
     biases: list[np.ndarray]
     z: np.ndarray
     a: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.biases[0].shape[0]
 
     def for_another_thread(self) -> "TileBuffers":
         """The same tiled biases, with work buffers of its own."""

@@ -8,10 +8,10 @@ the chunk's settings into an encoded input block whose other columns
 were written once, runs the network's tiled forward and decodes and
 sorts the outputs, all in buffers sized once for the grid.
 curves.criteria_block_into() scores a whole block with array
-operations, in buffers the predictor also keeps; dense_ranks() assigns
-dense ascending ranks per criterion; select_row() finds the smallest K
-whose per-criterion top-K sets intersect, breaking ties by rank sum and
-then lexicographic settings order.
+operations, in a CriteriaScratch that each run_sweep() worker keeps;
+dense_ranks() assigns dense ascending ranks per criterion; select_row()
+finds the smallest K whose per-criterion top-K sets intersect, breaking
+ties by rank sum and then lexicographic settings order.
 
 run_sweep() scores the chunks on one thread per CPU (the calling thread
 and helpers), each with its own buffers, and keeps only the settings and criteria
@@ -20,8 +20,9 @@ worker plus one row of settings, criteria and ranks per candidate,
 never the full point cloud. The calling thread allocates every
 worker's buffers; a worker then allocates only argsort's order array
 and a few small arrays per chunk, so a helper thread's malloc arena
-stays small. predict_curves() runs the same kernel on a settings array,
-one chunk after another, and yields its curves one at a time.
+stays small. One candidate is selected under each subset of
+SELECTION_SUBSETS. predict_curves() runs the same kernel on a settings
+array, one chunk after another, and yields its curves one at a time.
 rank_candidates() and select() are the ranking steps on per-candidate
 records. write_report_csv() writes every candidate, a block of rows at
 a time.
@@ -31,6 +32,7 @@ block of network.BIT_STABLE_ROWS rows or more, whichever combinations
 share that block. So the curve run_sweep() scored for a combination is
 reproduced by predicting the combination EXPORT_COPIES times in a row,
 on its own or next to other combinations, without its chunk.
+scored_curves() applies the rule to export the selected curves.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ from .network import predict  # noqa: F401
 from .oracle import CATEGORY_COUNT, INPUT5_COUNT, ROWS_PER_COMBINATION, SETTING_NAMES, SETTING_RANGES
 
 ALL_CRITERIA = (1, 2, 3, 4)
+# The criteria subsets run_sweep() selects a candidate under.
+SELECTION_SUBSETS = (ALL_CRITERIA, (1, 2, 3))
 DEFAULT_ROW_BUDGET = 24_000_000
 DEFAULT_POINTS_PER_AXIS = 9
 # Combinations per predicted block: 64 * 200 = 12,800 rows share the
@@ -165,8 +169,7 @@ class _ChunkPredictor:
     the grid's chunks of CHUNK_COMBINATIONS combinations and its last,
     possibly shorter, chunk, which forward_tiles_into() may cut into
     longer tiles. The tile buffers hold the longer of the two tiles, so
-    predicting never allocates them. `scratch` holds the
-    criteria_block_into() buffers of its chunks.
+    predicting never allocates them.
 
     The encoded input block's input5 and one-hot category columns are
     the same for every chunk, so they are written here, once, and a
@@ -211,7 +214,6 @@ class _ChunkPredictor:
         self.row_starts = np.repeat(
             np.arange(0, rows, ROWS_PER_COMBINATION)[:, None], ROWS_PER_COMBINATION, axis=1
         )
-        self.scratch = CriteriaScratch(combinations, ROWS_PER_COMBINATION)
 
     def predict(self, settings: np.ndarray) -> np.ndarray:
         """The (3, m, 200) signal, snr and output3 curves of one chunk's (m, 5) `settings`.
@@ -276,6 +278,18 @@ def predict_curves(model: Model, settings) -> Iterator[Curve]:
         curves = predictor.predict(chunk).copy()
         for row, signal, snr, output3 in zip(chunk.tolist(), *curves):
             yield Curve(settings=tuple(row), signal=signal, snr=snr, output3=output3)
+
+
+def scored_curves(model: Model, settings: Sequence[tuple[float, ...]]) -> list[Curve]:
+    """The curves run_sweep() scored for `settings`, bit for bit.
+
+    By the export rule above: all of them are predicted in one block,
+    each EXPORT_COPIES times in a row, so the block has
+    EXPORT_COPIES * 200 rows or more. That holds for up to
+    CHUNK_COMBINATIONS // EXPORT_COPIES combinations.
+    """
+    repeated = [combination for combination in settings for _ in range(EXPORT_COPIES)]
+    return list(predict_curves(model, repeated))[::EXPORT_COPIES]
 
 
 @dataclass(frozen=True)
@@ -445,21 +459,18 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_sweep(
-    model: Model,
-    spec: InterpolationSpec,
-    subsets: Sequence[Sequence[int]] = (ALL_CRITERIA, (1, 2, 3)),
-) -> SweepResult:
-    """Score every combination of `spec` and select under each subset.
+def run_sweep(model: Model, spec: InterpolationSpec) -> SweepResult:
+    """Score every combination of `spec` and select under each of SELECTION_SUBSETS.
 
     The chunks of CHUNK_COMBINATIONS combinations are scored by one
     worker per CPU, at most one per chunk: the calling thread and
-    helper threads, each with a _ChunkPredictor of its own. A chunk's
-    criteria depend on its rows alone, so the result does not depend on
-    the number of workers. Workers take chunks in grid order and stop
-    taking them once one has failed; every earlier chunk still runs, so
-    the error raised is the one the first failing chunk in grid order
-    raises, as in a one-chunk-at-a-time loop.
+    helper threads, each with a _ChunkPredictor and a CriteriaScratch
+    of its own. A chunk's criteria depend on its rows alone, so the
+    result does not depend on the number of workers. Workers take
+    chunks in grid order and stop taking them once one has failed;
+    every earlier chunk still runs, so the error raised is the one the
+    first failing chunk in grid order raises, as in a
+    one-chunk-at-a-time loop.
     """
     settings = grid_settings(spec)
     n = settings.shape[0]
@@ -469,7 +480,7 @@ def run_sweep(
     failed = threading.Event()
     failures: dict[int, Exception] = {}
 
-    def work(predictor: _ChunkPredictor) -> None:
+    def work(predictor: _ChunkPredictor, scratch: CriteriaScratch) -> None:
         while not failed.is_set():
             with taking:
                 start = next(starts, None)
@@ -478,7 +489,7 @@ def run_sweep(
             stop = start + CHUNK_COMBINATIONS
             try:
                 signal, snr, output3 = predictor.predict(settings[start:stop])
-                criteria_block_into(signal, snr, output3, values[start:stop], predictor.scratch)
+                criteria_block_into(signal, snr, output3, values[start:stop], scratch)
             except Exception as exc:
                 failures[start] = exc
                 failed.set()
@@ -486,15 +497,17 @@ def run_sweep(
     # The calling thread is a worker too, and it allocates every worker's
     # buffers: with glibc, what a helper thread allocates stays in that
     # thread's malloc arena for the rest of the process.
+    chunk = min(n, CHUNK_COMBINATIONS)
     first = _ChunkPredictor(model, n)
-    helpers = [
-        threading.Thread(target=work, args=(_ChunkPredictor(model, n, first.tiles),))
+    workers = [(first, CriteriaScratch(chunk, ROWS_PER_COMBINATION))] + [
+        (_ChunkPredictor(model, n, first.tiles), CriteriaScratch(chunk, ROWS_PER_COMBINATION))
         for _ in range(min(_cpu_count(), -(-n // CHUNK_COMBINATIONS)) - 1)
     ]
+    helpers = [threading.Thread(target=work, args=buffers) for buffers in workers[1:]]
     for helper in helpers:
         helper.start()
     try:
-        work(first)
+        work(*workers[0])
     finally:
         failed.set()
         for helper in helpers:
@@ -503,7 +516,7 @@ def run_sweep(
         raise failures[min(failures)]
     ranks = dense_ranks(values)
     selections = {}
-    for subset in subsets:
+    for subset in SELECTION_SUBSETS:
         checked = _check_subset(subset)
         row, k = select_row(settings, ranks, checked)
         selections[checked] = SelectionResult(

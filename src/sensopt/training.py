@@ -12,10 +12,10 @@ that train() allocates once per run, one set for full batches and one
 for a shorter last batch; each epoch gathers the shuffled rows once, so
 a batch is a contiguous slice.
 
-Memory: prepare_training_data() encodes each partition straight from
-its rows of the raw table, which is never copied, so a run holds one
-encoded copy of each partition plus train()'s epoch buffers (the
-shuffled training rows) once the caller drops the table.
+Memory: prepare_training_data() encodes the training and validation
+partitions straight from their rows of the raw table, which is never
+copied, so a run holds one encoded copy of each plus train()'s epoch
+buffers (the shuffled training rows) once the caller drops the table.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    TEST,
     TRAIN,
     VALIDATION,
     NormalizationSpec,
@@ -318,17 +317,18 @@ def write_prediction_csvs(report: EvaluationReport, directory) -> list[str]:
 def prepare_training_data(
     table: SampleTable, seed: int
 ) -> tuple[dict[str, np.ndarray], NormalizationSpec, SplitAssignment]:
-    """Split a raw table, fit normalization on the training rows, encode all.
+    """Split a raw table, fit normalization on the training rows, encode what training uses.
 
-    Returns a dict with x_train/y_train/x_val/y_val/x_test/y_test, the
-    fitted normalization and the split assignment. Each partition is
-    encoded straight from its rows of `table`, which holds the only raw
-    copy: the caller may drop `table` once this returns.
+    Returns a dict with x_train/y_train/x_val/y_val, the fitted
+    normalization and the split assignment; the test rows are left
+    unencoded (evaluate() encodes the rows it scores). Each partition
+    is encoded straight from its rows of `table`, which holds the only
+    raw copy: the caller may drop `table` once this returns.
     """
     assignment = split(len(table), seed)
     norm = fit_normalization(table, assignment.indices(TRAIN))
     arrays = {}
-    for label, tag in ((TRAIN, "train"), (VALIDATION, "val"), (TEST, "test")):
+    for label, tag in ((TRAIN, "train"), (VALIDATION, "val")):
         x, y = encode_table(table, norm, assignment.indices(label))
         arrays[f"x_{tag}"] = x
         arrays[f"y_{tag}"] = y

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import json
@@ -158,13 +159,7 @@ def test_desk_train_keeps_one_encoded_copy_of_the_data(tmp_path):
     assert peak < 13_000_000
 
 
-# The first output each command writes.
-FIRST_WRITER = {
-    "generate": "write_csv",
-    "train": "save_model",
-    "evaluate": "_write_json",
-    "optimize": "write_report_csv",
-}
+COMMANDS = ("evaluate", "generate", "optimize", "train")
 
 
 def _small_run_argv(command: str, pipeline_dir, tmp_path) -> list[str]:
@@ -180,25 +175,7 @@ def _small_run_argv(command: str, pipeline_dir, tmp_path) -> list[str]:
     }[command]
 
 
-@pytest.mark.parametrize("command", sorted(FIRST_WRITER))
-def test_a_failed_run_leaves_no_manifest_beside_an_earlier_runs_outputs(
-    command, pipeline_dir, tmp_path, monkeypatch, capsys
-):
-    out = tmp_path / command
-    argv = _small_run_argv(command, pipeline_dir, tmp_path) + ["--out", str(out)]
-    manifest = out / f"{command}_manifest.json"
-    assert main(argv) == 0 and manifest.exists()
-
-    def fail(*args, **kwargs):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(sensopt.cli, FIRST_WRITER[command], fail)
-    assert main(argv + ["--seed", "7"]) == 2
-    assert "disk full" in capsys.readouterr().err
-    assert not manifest.exists()
-
-
-@pytest.mark.parametrize("command", sorted(FIRST_WRITER))
+@pytest.mark.parametrize("command", COMMANDS)
 def test_each_failed_output_write_leaves_no_manifest(
     command, pipeline_dir, tmp_path, monkeypatch, capsys
 ):
@@ -237,6 +214,22 @@ def test_each_failed_output_write_leaves_no_manifest(
         assert len(writes) == k and "disk full" in capsys.readouterr().err
         assert not (out / manifest).exists(), k
         assert not list(out.glob("*.tmp")), k
+
+
+def test_every_flag_names_a_key_of_its_commands_resolved_config(pipeline_dir, tmp_path):
+    # _resolve() reads a key's flag by the key's name: an option whose
+    # dest names no key would be parsed and then ignored.
+    subparsers = next(
+        action for action in sensopt.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert main(_small_run_argv(command, pipeline_dir, tmp_path) + ["--out", str(out)]) == 0
+        resolved = json.loads((out / f"{command}_manifest.json").read_text())["resolved_config"]
+        options = [a for a in subparsers.choices[command]._actions if a.option_strings]
+        dests = {a.dest for a in options} - {"help", "config", "out", "model", "dataset"}
+        assert dests and dests <= set(resolved), (command, sorted(dests - set(resolved)))
 
 
 def test_generate_rejects_bad_scale(tmp_path):

@@ -13,8 +13,14 @@ import pytest
 
 import sensopt.sweep
 from conftest import brute_force_select, spearman
-from sensopt.cli import _scored_curves, main
-from sensopt.curves import CriteriaValues, criteria, criteria_block, criteria_block_into
+from sensopt.cli import main
+from sensopt.curves import (
+    CriteriaScratch,
+    CriteriaValues,
+    criteria,
+    criteria_block,
+    criteria_block_into,
+)
 from sensopt.data import NormalizationSpec
 from sensopt.network import Model, NetworkConfig, NetworkParameters, predict, save_model
 from sensopt.oracle import (
@@ -38,6 +44,7 @@ from sensopt.sweep import (
     predict_curves,
     rank_candidates,
     run_sweep,
+    scored_curves,
     select,
     select_row,
     subset_label,
@@ -444,7 +451,24 @@ def test_a_chunk_predictor_sizes_its_tiles_once_for_the_grid(small_model, monkey
     for start in range(0, len(settings), CHUNK_COMBINATIONS):
         predictor.predict(settings[start : start + CHUNK_COMBINATIONS])
     assert calls == []
-    assert predictor.tiles.rows == 1134
+    assert predictor.tiles.biases[0].shape[0] == 1134
+
+
+def test_predicting_curves_allocates_no_criteria_scratch(small_model, monkeypatch):
+    # Only run_sweep() scores chunks, so only its workers hold a scratch.
+    made = []
+
+    class CountedScratch(sensopt.sweep.CriteriaScratch):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sensopt.sweep, "CriteriaScratch", CountedScratch)
+    spec = InterpolationSpec(axes=_axes((3, 3, 3, 3, 3)))
+    assert len(list(predict_curves(small_model, grid_settings(spec)))) == 243
+    assert made == []
+    run_sweep(small_model, spec)
+    assert made and all(args == (CHUNK_COMBINATIONS, 200) for args in made)
 
 
 def test_exported_curves_are_the_scored_curves_bit_for_bit(small_model):
@@ -464,8 +488,8 @@ def test_exported_curves_are_the_scored_curves_bit_for_bit(small_model):
 
     for index, combination in enumerate(grid):
         partner = len(grid) - 1 - index
-        exports = [(index, curve) for curve in _scored_curves(small_model, [combination])]
-        exports += zip((index, partner), _scored_curves(small_model, [combination, grid[partner]]))
+        exports = [(index, curve) for curve in scored_curves(small_model, [combination])]
+        exports += zip((index, partner), scored_curves(small_model, [combination, grid[partner]]))
         for row, curve in exports:
             assert curve.settings == grid[row]
             for got, want in zip((curve.signal, curve.snr, curve.output3), scored(row)):
@@ -547,6 +571,7 @@ def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_mod
     settings = grid_settings(default_sweep_spec(5))[: 20 * CHUNK_COMBINATIONS]
     values = np.empty((len(settings), 4))
     predictor = sensopt.sweep._ChunkPredictor(small_model, len(settings))
+    scratch = CriteriaScratch(CHUNK_COMBINATIONS, 200)
     growth = {"predict": [], "score": []}
 
     def traced(step, call):
@@ -560,9 +585,7 @@ def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_mod
         for start in range(0, len(settings), CHUNK_COMBINATIONS):
             stop = start + CHUNK_COMBINATIONS
             block = traced("predict", lambda: predictor.predict(settings[start:stop]))
-            traced("score", lambda: criteria_block_into(
-                *block, values[start:stop], predictor.scratch
-            ))
+            traced("score", lambda: criteria_block_into(*block, values[start:stop], scratch))
 
     tracemalloc.start()
     try:

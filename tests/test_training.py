@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sensopt.training
-from sensopt.data import TEST, TRAIN, VALIDATION, encode_table, fit_normalization
+from sensopt.data import TRAIN, VALIDATION, encode_table, fit_normalization
 from sensopt.errors import (
     ConfigurationError,
     DomainError,
@@ -232,7 +232,8 @@ def test_prepare_training_data(small_dataset):
     n = len(small_dataset)
     assert assignment.counts() == (int(0.81 * n), int(0.09 * n), n - int(0.81 * n) - int(0.09 * n))
     assert arrays["x_train"].shape == (assignment.counts()[0], 10)
-    assert arrays["y_test"].shape == (assignment.counts()[2], 3)
+    # The test rows are left for evaluate() to encode.
+    assert sorted(arrays) == ["x_train", "x_val", "y_train", "y_val"]
     # Normalization must come from the training rows alone.
     expected = fit_normalization(small_dataset.select(assignment.indices(TRAIN)))
     assert norm == expected
@@ -247,7 +248,7 @@ def test_prepare_training_data_is_the_per_partition_table_encoding(small_dataset
     # The reference copies each partition as a table, fits and encodes it.
     arrays, norm, assignment = prepare_training_data(small_dataset, seed)
     assert norm == fit_normalization(small_dataset.select(assignment.indices(TRAIN)))
-    for label, tag in ((TRAIN, "train"), (VALIDATION, "val"), (TEST, "test")):
+    for label, tag in ((TRAIN, "train"), (VALIDATION, "val")):
         x, y = encode_table(small_dataset.select(assignment.indices(label)), norm)
         assert arrays[f"x_{tag}"].tobytes() == x.tobytes()
         assert arrays[f"y_{tag}"].tobytes() == y.tobytes()
