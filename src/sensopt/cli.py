@@ -35,9 +35,8 @@ from .network import Model, NetworkConfig, load_model, save_model
 from .oracle import TABLE1, SensorOracle, generate_dataset
 from .sweep import (
     AxisSpec,
-    InterpolationSpec,
     DEFAULT_POINTS_PER_AXIS,
-    DEFAULT_ROW_BUDGET,
+    axis_grid,
     default_sweep_spec,
     run_sweep,
     scored_curves,
@@ -102,11 +101,11 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """`defaults`, overridden by the config file's section for the command, then by its flags.
+def _given(args: argparse.Namespace, defaults: dict) -> dict:
+    """The keys of `defaults` set by the config file's section for the command or by its flags.
 
-    A key's flag is the option whose argparse dest is the key; a flag
-    left out (None) keeps the config file's value or the default.
+    A key's flag, the option whose argparse dest is the key, overrides
+    the file; a flag left out (None) sets nothing.
 
     Raises:
         ConfigurationError: the section is not an object, or holds an
@@ -123,15 +122,19 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         types, expected = _CONFIG_TYPES[type(defaults[key])]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigurationError(f"{args.command}.{key} must be {expected}, got {value!r}")
-    resolved = dict(defaults)
-    resolved.update(section)
+    given = dict(section)
     flags = {key: getattr(args, key, None) for key in defaults}
-    resolved.update({key: value for key, value in flags.items() if value is not None})
-    if resolved["seed"] < 0:
+    given.update({key: value for key, value in flags.items() if value is not None})
+    if given.get("seed", 0) < 0:
         raise ConfigurationError(
-            f"{args.command}.seed must be a non-negative integer, got {resolved['seed']!r}"
+            f"{args.command}.seed must be a non-negative integer, got {given['seed']!r}"
         )
-    return resolved
+    return given
+
+
+def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+    """`defaults`, overridden by what the config file and the flags set; see _given()."""
+    return {**defaults, **_given(args, defaults)}
 
 
 def _write_json(path: str, document, sort_keys: bool = True) -> None:
@@ -216,7 +219,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_cfg = TrainConfig(**{key: resolved[key] for key in train_defaults})
     dataset_path = args.dataset or os.path.join(args.out, "dataset.csv")
     # No name holds the raw table, so it is freed before training starts.
-    arrays, norm, _ = prepare_training_data(read_csv(dataset_path), resolved["seed"])
+    arrays, norm, assignment = prepare_training_data(read_csv(dataset_path), resolved["seed"])
+    split_record = {"seed": resolved["seed"], "rows": len(assignment.labels)}
     params, history = train(
         net_config,
         arrays["x_train"],
@@ -227,7 +231,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     _start_outputs(args.out, "train")
     model_path = os.path.join(args.out, "model.bin")
-    save_model(Model(config=net_config, params=params, normalization=norm), model_path)
+    save_model(Model(net_config, params, norm, split_record), model_path)
     history_path = os.path.join(args.out, "history.csv")
     history.write_csv(history_path)
     _write_manifest(
@@ -241,13 +245,23 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, {"seed": 0, "partition": "test"})
+    defaults = {"seed": 0, "partition": "test"}
+    given = _given(args, defaults)
+    resolved = {**defaults, **given}
     if resolved["partition"] not in _PARTITIONS:
         raise ConfigurationError(
             f"partition must be one of {sorted(_PARTITIONS)}, got {resolved['partition']!r}"
         )
     model = load_model(args.model)
     table = read_csv(args.dataset)
+    # With no seed given, the dataset is split as the model's training split it.
+    if "seed" not in given and model.split is not None:
+        if len(table) != model.split["rows"]:
+            raise ConfigurationError(
+                f"the model was trained on a split of {model.split['rows']} rows, the dataset "
+                f"has {len(table)}; give a seed to split it anyway"
+            )
+        resolved["seed"] = model.split["seed"]
     assignment = split(len(table), resolved["seed"])
     rows = table.select(assignment.indices(_PARTITIONS[resolved["partition"]]))
     report = evaluate(model, rows)
@@ -276,9 +290,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _axes_from_config(axes_config) -> list[AxisSpec] | None:
-    if axes_config is None:
-        return None
+def _axes_from_config(axes_config) -> list[AxisSpec]:
     if not isinstance(axes_config, list) or len(axes_config) != 5:
         raise ConfigurationError("optimize.axes must list exactly 5 axis objects")
     axes = []
@@ -300,20 +312,15 @@ def _axes_from_config(axes_config) -> list[AxisSpec] | None:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    defaults = {
-        "seed": 0,
-        "scale": 1.0,
-        "points_per_axis": DEFAULT_POINTS_PER_AXIS,
-        "row_budget": DEFAULT_ROW_BUDGET,
-        "axes": None,
-    }
+    defaults = {"scale": 1.0, "points_per_axis": DEFAULT_POINTS_PER_AXIS, "axes": None}
     resolved = _resolve(args, defaults)
-    axes = _axes_from_config(resolved["axes"])
-    if axes is not None:
-        spec = InterpolationSpec(axes=tuple(axes), row_budget=resolved["row_budget"])
+    if resolved["axes"] is not None:
+        axes = _axes_from_config(resolved["axes"])
+        spec = axis_grid(axes)
+        resolved["axes"] = [dataclasses.asdict(axis) for axis in axes]
     else:
         points = _scaled_count(resolved["points_per_axis"], resolved["scale"])
-        spec = default_sweep_spec(max(points, 2), row_budget=resolved["row_budget"])
+        spec = default_sweep_spec(max(points, 2))
     model = load_model(args.model)
     result = run_sweep(model, spec)
     _start_outputs(args.out, "optimize")
@@ -332,12 +339,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"criteria {subset_label(subset)}: K={selection.k}, settings ({values}), "
             f"c4={selection.criteria.c4:.4g}"
         )
-    resolved["axes"] = None if axes is None else [
-        {"minimum": a.minimum, "maximum": a.maximum, "step": a.step} for a in axes
-    ]
-    _write_manifest(
-        args.out, "optimize", resolved, {"model": args.model}, outputs
-    )
+    _write_manifest(args.out, "optimize", resolved, {"model": args.model}, outputs)
     print(f"scored {spec.combination_count} combinations -> {report_path}")
     return 0
 
@@ -347,9 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sensopt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scale: bool):
+    def common(p, seed: str | None, scale: bool):
+        # `seed` is the --seed option's help; None leaves the option out.
         p.add_argument("--config", help="JSON config file with per-command sections")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
+        if seed is not None:
+            p.add_argument("--seed", type=int, help=seed)
         p.add_argument("--out", default="sensopt_out", help="output directory")
         if scale:
             p.add_argument(
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("generate", help="simulate a factorial dataset from the oracle")
-    common(p, scale=True)
+    common(p, seed="random seed (default 0)", scale=True)
     p.add_argument(
         "--noise",
         type=float,
@@ -368,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("train", help="train a surrogate on a generated dataset")
-    common(p, scale=False)
+    common(p, seed="random seed (default 0)", scale=False)
     p.add_argument("--dataset", help="dataset CSV (default <out>/dataset.csv)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
@@ -378,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained model on a dataset partition")
-    common(p, scale=False)
+    common(p, seed="split seed (default: the model's training split's, else 0)", scale=False)
     p.add_argument("--model", required=True, help="model file from `sensopt train`")
     p.add_argument("--dataset", required=True, help="dataset CSV")
     p.add_argument("--partition", choices=sorted(_PARTITIONS))
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("optimize", help="sweep interpolated settings through a model")
-    common(p, scale=True)
+    common(p, seed=None, scale=True)
     p.add_argument("--model", required=True, help="model file from `sensopt train`")
     p.set_defaults(handler=cmd_optimize)
     return parser

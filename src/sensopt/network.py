@@ -439,6 +439,8 @@ class Model:
     config: NetworkConfig
     params: NetworkParameters
     normalization: NormalizationSpec
+    # The data.split() it was trained on, {"seed": s, "rows": n}, if recorded.
+    split: dict | None = None
 
 
 class TileBuffers(NamedTuple):
@@ -543,8 +545,10 @@ def predict(model: Model, numeric, category) -> np.ndarray:
 #   bytes 0..7    magic b"SNSOPT01" (version is part of the magic)
 #   bytes 8..11   uint32 header length H
 #   bytes 12..    UTF-8 JSON header of H bytes with keys
-#                 config, layers, normalization, param_sha256; the
-#                 keys config.output_activation and
+#                 config, layers, normalization, param_sha256, and
+#                 split when the model records one ({"seed": s,
+#                 "rows": n}, non-negative integers); the keys
+#                 config.output_activation and
 #                 normalization.signal_log_base hold the only values
 #                 the format allows, "identity" and 10.0
 #   then the parameter payload: NetworkParameters.flat as float64, that
@@ -580,6 +584,8 @@ def save_model(model: Model, path) -> None:
         },
         "param_sha256": hashlib.sha256(payload).hexdigest(),
     }
+    if model.split is not None:
+        header["split"] = model.split
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with replacing(path, binary=True) as fh:
         fh.write(MODEL_MAGIC)
@@ -624,8 +630,14 @@ def load_model(path) -> Model:
         fixed = (header["config"]["output_activation"], header["normalization"]["signal_log_base"])
         layers = [(layer["fan_in"], layer["fan_out"]) for layer in header["layers"]]
         expected_digest = header["param_sha256"]
+        split = header.get("split")
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ModelFormatError(f"malformed model header: {exc}") from exc
+    if split is not None and not (
+        isinstance(split, dict) and sorted(split) == ["rows", "seed"]
+        and all(type(v) is int and v >= 0 for v in split.values())
+    ):
+        raise ModelFormatError(f"malformed model header: split {split!r}")
     if fixed != ("identity", 10.0):
         raise ModelFormatError(
             f"model header output_activation and signal_log_base are {fixed}; "
@@ -645,4 +657,4 @@ def load_model(path) -> Model:
         raise ModelFormatError("parameter checksum mismatch; file is corrupt")
 
     params = NetworkParameters(*_layer_views(np.frombuffer(payload, dtype="<f8"), sizes))
-    return Model(config=config, params=params, normalization=normalization)
+    return Model(config=config, params=params, normalization=normalization, split=split)

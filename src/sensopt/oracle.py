@@ -21,6 +21,10 @@ dB around the dip center, which must sit inside the 3e3-1e4 AU analysis
 window; the constructor rejects parameter sets that would violate either
 property.
 
+GridSpec, five sorted value tuples checked when built, is the one grid
+type: of the recorded grid TABLE1 and of the sweep's interpolated grids.
+Its settings() is the (n, 5) array of every combination.
+
 SensorOracle.simulate_blocks() computes the noise-free curves of many
 combinations at once; generate_dataset() runs it on blocks of 64
 combinations and adds each combination's own seeded noise stream, so a
@@ -30,7 +34,6 @@ dataset has the same bytes as one simulated combination by combination.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -55,6 +58,8 @@ SETTING_RANGES = (
     (2850.0, 3650.0),
     (3200.0, 4000.0),
 )
+# Most expanded rows (combinations x 200) a grid may imply.
+ROW_BUDGET = 24_000_000
 
 # Field amplitudes. rate stays strictly positive so the signal is monotone
 # in input5, and level + 49 * rate always carries every curve through the
@@ -72,12 +77,12 @@ _TREND_TOLERANCE_DB = 0.5
 
 # input5 and category of a combination's 200 rows: input5-major,
 # category-minor.
-_INPUT5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
-_CATEGORY = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
+INPUT5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
+CATEGORY = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
 # The category's terms of log10(signal) on those rows: an offset added to
 # level and a factor on rate.
-_CAT_LEVEL = _CAT_LEVEL_STEP * (_CATEGORY / (CATEGORY_COUNT - 1))
-_CAT_RATE = 1.0 + _CAT_RATE_SPAN * (_CATEGORY / (CATEGORY_COUNT - 1) - 0.5)
+_CAT_LEVEL = _CAT_LEVEL_STEP * (CATEGORY / (CATEGORY_COUNT - 1))
+_CAT_RATE = 1.0 + _CAT_RATE_SPAN * (CATEGORY / (CATEGORY_COUNT - 1) - 0.5)
 # Combinations per simulate_blocks call in generate_dataset: bounds the
 # (m, 200) temporaries whatever the grid size.
 _GENERATE_COMBINATIONS = 64
@@ -85,10 +90,13 @@ _GENERATE_COMBINATIONS = 64
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Recorded values per settings input; input5 and category are implied.
+    """Values per settings input; input5 and category are implied.
 
-    Lists must be sorted ascending. Repeated entries are kept verbatim, so
-    the combination count is the raw product of list lengths.
+    Each tuple must be nonempty, sorted ascending and inside the input's
+    SETTING_RANGES, and the grid may imply at most ROW_BUDGET rows; all
+    of it is checked here, once, before any work starts. Repeated
+    entries are kept verbatim, so the combination count is the raw
+    product of tuple lengths.
     """
 
     input1: tuple[float, ...]
@@ -98,21 +106,32 @@ class GridSpec:
     input6: tuple[float, ...]
 
     def __post_init__(self):
-        for name, vals in zip(SETTING_NAMES, self.values()):
+        for name, vals, (lo, hi) in zip(SETTING_NAMES, self.values(), SETTING_RANGES):
             if len(vals) == 0:
                 raise ConfigurationError(f"{name} must list at least one value")
             if any(a > b for a, b in zip(vals, vals[1:])):
                 raise ConfigurationError(f"{name} values must be sorted ascending")
+            if not all(lo <= v <= hi for v in vals):
+                raise ConfigurationError(
+                    f"{name} values [{vals[0]}, {vals[-1]}] outside recorded range [{lo}, {hi}]"
+                )
+        rows = self.combination_count * ROWS_PER_COMBINATION
+        if rows > ROW_BUDGET:
+            raise ConfigurationError(f"grid of {rows} rows is over the budget of {ROW_BUDGET}")
 
     def values(self) -> tuple[tuple[float, ...], ...]:
         return (self.input1, self.input2, self.input3, self.input4, self.input6)
 
     @property
     def combination_count(self) -> int:
-        n = 1
-        for vals in self.values():
-            n *= len(vals)
-        return n
+        return math.prod(len(vals) for vals in self.values())
+
+    def settings(self) -> np.ndarray:
+        """The (n, 5) float64 settings of every combination, in lexicographic order."""
+        columns = np.meshgrid(
+            *(np.asarray(vals, dtype=np.float64) for vals in self.values()), indexing="ij"
+        )
+        return np.stack(columns, axis=-1).reshape(-1, len(SETTING_NAMES))
 
     def subsample(self, values_per_input: int) -> "GridSpec":
         """Keep `values_per_input` entries per input, endpoints included."""
@@ -136,11 +155,6 @@ TABLE1 = GridSpec(
     # The repeated 3600 is part of the recorded grid and is kept verbatim.
     input6=(3200.0, 3400.0, 3600.0, 3600.0, 4000.0),
 )
-
-
-def enumerate_grid(spec: GridSpec) -> list[tuple[float, ...]]:
-    """All settings combinations of `spec` in lexicographic order."""
-    return list(itertools.product(*spec.values()))
 
 
 def _normalize_settings(settings) -> np.ndarray:
@@ -308,7 +322,7 @@ class SensorOracle:
         depth = self._depth(u)[:, None]
         out3 = self._output3(u)[:, None]
 
-        log_sig = (level + _CAT_LEVEL) + rate * _CAT_RATE * _INPUT5
+        log_sig = (level + _CAT_LEVEL) + rate * _CAT_RATE * INPUT5
         signal = 10.0**log_sig
         dip = depth * np.exp(-0.5 * ((log_sig - self._log_center) / self.dip_width) ** 2)
         snr = (IDEAL_SLOPE + dev) * log_sig - dip
@@ -359,12 +373,12 @@ def generate_dataset(oracle: SensorOracle, spec: GridSpec) -> SampleTable:
     curves from simulate_blocks(), a block of combinations at a time,
     plus each combination's own noise stream.
     """
-    combos = np.asarray(enumerate_grid(spec), dtype=np.float64)
+    combos = spec.settings()
     values = np.empty((len(combos), ROWS_PER_COMBINATION, len(COLUMN_INDEX)))
     values[:, :, 0:4] = combos[:, None, 0:4]
-    values[:, :, 4] = _INPUT5
+    values[:, :, 4] = INPUT5
     values[:, :, 5] = combos[:, None, 4]
-    values[:, :, 6] = _CATEGORY
+    values[:, :, 6] = CATEGORY
     noise = _noise_generator()
     for start in range(0, len(combos), _GENERATE_COMBINATIONS):
         block = combos[start : start + _GENERATE_COMBINATIONS]

@@ -1,12 +1,13 @@
 """Interpolated design-space sweep over a trained surrogate.
 
-grid_settings() builds the (n, 5) settings array of every combination
-of per-input arithmetic progressions, the sweep's only grid form. A
-chunk of CHUNK_COMBINATIONS rows of it is predicted into (chunk, 200)
-blocks of curves by one kernel, _ChunkPredictor.predict(): it writes
-the chunk's settings into an encoded input block whose other columns
-were written once, runs the network's tiled forward and decodes and
-sorts the outputs, all in buffers sized once for the grid.
+A sweep's grid is an oracle.GridSpec, built by axis_grid() from one
+AxisSpec per input; run_sweep() and predict_curves() check its
+settings() array against the model's maxima once. A chunk of
+CHUNK_COMBINATIONS rows of it is predicted into (chunk, 200) blocks of
+curves by one kernel, _ChunkPredictor.predict(), which checks nothing:
+it writes the chunk's settings into an encoded input block whose other
+columns were written once, runs the network's tiled forward and
+decodes and sorts the outputs, all in buffers sized once for the grid.
 curves.criteria_block_into() scores a whole block with array
 operations, in a CriteriaScratch that each run_sweep() worker keeps;
 dense_ranks() assigns dense ascending ranks per criterion; select_row()
@@ -14,15 +15,16 @@ finds the smallest K whose per-criterion top-K sets intersect, breaking
 ties by rank sum and then lexicographic settings order.
 
 run_sweep() scores the chunks on one thread per CPU (the calling thread
-and helpers), each with its own buffers, and keeps only the settings and criteria
-of every candidate: peak memory is one block of predicted rows per
-worker plus one row of settings, criteria and ranks per candidate,
-never the full point cloud. The calling thread allocates every
-worker's buffers; a worker then allocates only argsort's order array
-and a few small arrays per chunk, so a helper thread's malloc arena
-stays small. One candidate is selected under each subset of
-SELECTION_SUBSETS. predict_curves() runs the same kernel on a settings
-array, one chunk after another, and yields its curves one at a time.
+and helpers), each with its own buffers, and keeps only the settings
+and criteria of every candidate, NaN where a predicted signal is not
+positive: peak memory is one block of predicted rows per worker plus
+one row of settings, criteria and ranks per candidate, never the full
+point cloud. The calling thread allocates every worker's buffers; a
+worker then allocates only argsort's order array and a few small arrays
+per chunk, so a helper thread's malloc arena stays small. One candidate
+is selected under each subset of SELECTION_SUBSETS. predict_curves()
+runs the same kernel on a settings array, one chunk after another, and
+yields its curves one at a time.
 rank_candidates() and select() are the ranking steps on per-candidate
 records. write_report_csv() writes every candidate, a block of rows at
 a time.
@@ -37,6 +39,7 @@ scored_curves() applies the rule to export the selected curves.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import threading
@@ -46,8 +49,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .curves import Curve, CriteriaScratch, CriteriaValues, criteria_block_into
-from .data import ENCODED_INPUT_SIZE, N_NUMERIC_INPUTS, _texts, replacing
-from .errors import ConfigurationError, DomainError, RangeError, SelectionError
+from .data import COLUMN_INDEX, ENCODED_INPUT_SIZE, N_NUMERIC_INPUTS, _texts, replacing
+from .errors import ConfigurationError, RangeError, SelectionError
 from .network import (
     BIT_STABLE_ROWS,
     Model,
@@ -61,12 +64,19 @@ from .network import (
 # importable from this module.
 from .curves import criteria  # noqa: F401
 from .network import predict  # noqa: F401
-from .oracle import CATEGORY_COUNT, INPUT5_COUNT, ROWS_PER_COMBINATION, SETTING_NAMES, SETTING_RANGES
+from .oracle import (
+    CATEGORY,
+    INPUT5,
+    ROW_BUDGET,
+    ROWS_PER_COMBINATION,
+    SETTING_NAMES,
+    SETTING_RANGES,
+    GridSpec,
+)
 
 ALL_CRITERIA = (1, 2, 3, 4)
 # The criteria subsets run_sweep() selects a candidate under.
 SELECTION_SUBSETS = (ALL_CRITERIA, (1, 2, 3))
-DEFAULT_ROW_BUDGET = 24_000_000
 DEFAULT_POINTS_PER_AXIS = 9
 # Combinations per predicted block: 64 * 200 = 12,800 rows share the
 # network's forward tiles.
@@ -76,6 +86,8 @@ CHUNK_COMBINATIONS = 64
 EXPORT_COPIES = -(-BIT_STABLE_ROWS // ROWS_PER_COMBINATION)
 # Report rows formatted per % operation: bounds the text held in memory.
 _REPORT_BLOCK_ROWS = 4096
+# Each settings input's column in a sample row and in the model's input maxima.
+_SETTING_COLUMNS = [COLUMN_INDEX[name] for name in SETTING_NAMES]
 
 
 @dataclass(frozen=True)
@@ -95,9 +107,10 @@ class AxisSpec:
         if self.step <= 0:
             raise ConfigurationError(f"step must be positive, got {self.step!r}")
         if self.maximum < self.minimum:
-            raise ConfigurationError(
-                f"maximum {self.maximum!r} below minimum {self.minimum!r}"
-            )
+            raise ConfigurationError(f"maximum {self.maximum!r} below minimum {self.minimum!r}")
+        # values() then holds no more values than a grid under the budget.
+        if (self.maximum - self.minimum) / self.step >= ROW_BUDGET // ROWS_PER_COMBINATION:
+            raise ConfigurationError(f"step {self.step!r} makes an axis over the row budget")
 
     @property
     def count(self) -> int:
@@ -109,57 +122,36 @@ class AxisSpec:
         return np.minimum(vals, self.maximum)
 
 
-@dataclass(frozen=True)
-class InterpolationSpec:
-    """One axis per settings input, in (input1, input2, input3, input4, input6) order.
-
-    Axes must stay inside the recorded grid ranges, and the implied row
-    count (combinations x 200) must fit the budget; both are checked here,
-    before any work starts.
-    """
-
-    axes: tuple[AxisSpec, ...]
-    row_budget: int = DEFAULT_ROW_BUDGET
-
-    def __post_init__(self):
-        if len(self.axes) != len(SETTING_NAMES):
-            raise ConfigurationError(f"expected {len(SETTING_NAMES)} axes, got {len(self.axes)}")
-        for name, axis, (lo, hi) in zip(SETTING_NAMES, self.axes, SETTING_RANGES):
-            if axis.minimum < lo or axis.maximum > hi:
-                raise ConfigurationError(
-                    f"{name} axis [{axis.minimum}, {axis.maximum}] outside recorded range [{lo}, {hi}]"
-                )
-        rows = self.combination_count * ROWS_PER_COMBINATION
-        if rows > self.row_budget:
-            raise ConfigurationError(
-                f"sweep would simulate {rows} rows, over the budget of {self.row_budget}"
-            )
-
-    @property
-    def combination_count(self) -> int:
-        n = 1
-        for axis in self.axes:
-            n *= axis.count
-        return n
+def axis_grid(axes: Sequence[AxisSpec]) -> GridSpec:
+    """The GridSpec, checked as such, of one axis per input of SETTING_NAMES, in order."""
+    if len(axes) != len(SETTING_NAMES):
+        raise ConfigurationError(f"expected {len(SETTING_NAMES)} axes, got {len(axes)}")
+    return GridSpec(*(tuple(axis.values().tolist()) for axis in axes))
 
 
-def default_sweep_spec(
-    points_per_axis: int = DEFAULT_POINTS_PER_AXIS, row_budget: int = DEFAULT_ROW_BUDGET
-) -> InterpolationSpec:
-    """Uniform spec spanning each input's full recorded range."""
+def default_sweep_spec(points_per_axis: int = DEFAULT_POINTS_PER_AXIS) -> GridSpec:
+    """Uniform grid spanning each input's full recorded range."""
     if points_per_axis < 2:
         raise ConfigurationError("points_per_axis must be at least 2")
-    axes = tuple(
-        AxisSpec(minimum=lo, maximum=hi, step=(hi - lo) / (points_per_axis - 1))
-        for lo, hi in SETTING_RANGES
-    )
-    return InterpolationSpec(axes=axes, row_budget=row_budget)
+    steps = points_per_axis - 1
+    return axis_grid([AxisSpec(lo, hi, (hi - lo) / steps) for lo, hi in SETTING_RANGES])
 
 
-def grid_settings(spec: InterpolationSpec) -> np.ndarray:
-    """The (n, 5) settings of every combination of `spec`, in lexicographic order."""
-    columns = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
-    return np.stack(columns, axis=-1).reshape(-1, len(SETTING_NAMES))
+def _check_inside_model(model: Model, settings: np.ndarray) -> None:
+    """Raise a RangeError naming the first value over the model's normalization maximum.
+
+    input5's sweep comes first, then the (n, 5) `settings` in row-major order.
+    """
+    maxima = np.asarray(model.normalization.input_max)
+    over = np.argwhere(settings > maxima[_SETTING_COLUMNS])
+    if INPUT5[-1] > maxima[4]:
+        name, value, maximum = "input5", INPUT5[-1], maxima[4]
+    elif len(over):
+        r, c = over[0]
+        name, value, maximum = SETTING_NAMES[c], settings[r, c], maxima[_SETTING_COLUMNS[c]]
+    else:
+        return
+    raise RangeError(f"{name} value {float(value)!r} exceeds recorded maximum {float(maximum)!r}")
 
 
 class _ChunkPredictor:
@@ -172,10 +164,11 @@ class _ChunkPredictor:
     predicting never allocates them.
 
     The encoded input block's input5 and one-hot category columns are
-    the same for every chunk, so they are written here, once, and a
-    chunk writes only its five settings columns. Every value is computed
-    as data.encode_inputs() and data.decode_outputs() compute it, so the
-    curves are those of network.predict() on the chunk, bit for bit.
+    the same for every chunk, so they are written here, once, from the
+    oracle's row layout, and a chunk writes only its five settings
+    columns. Every value is computed as data.encode_inputs() and
+    data.decode_outputs() compute it, so the curves are those of
+    network.predict() on the chunk, bit for bit. Nothing is checked.
     """
 
     def __init__(self, model: Model, n: int, tiles: TileBuffers | None = None):
@@ -185,22 +178,16 @@ class _ChunkPredictor:
         """
         self.model = model
         maxima = np.asarray(model.normalization.input_max)
-        input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
-        if input5[-1] > maxima[4]:
-            raise RangeError(
-                f"input5 value {float(input5[-1])!r} exceeds recorded maximum "
-                f"{float(maxima[4])!r}"
-            )
-        self.settings_max = maxima[[0, 1, 2, 3, 5]]
+        self.settings_max = maxima[_SETTING_COLUMNS]
         self.output_max = np.asarray(model.normalization.output_max)
         combinations = min(n, CHUNK_COMBINATIONS)
         rows = combinations * ROWS_PER_COMBINATION
         last_rows = ((n - 1) % CHUNK_COMBINATIONS + 1) * ROWS_PER_COMBINATION
         self.encoded = np.zeros((rows, ENCODED_INPUT_SIZE))
         block = self.encoded.reshape(combinations, ROWS_PER_COMBINATION, -1)
-        block[:, :, 4] = input5 / maxima[4]
-        category = np.tile(np.arange(CATEGORY_COUNT), INPUT5_COUNT)
-        block[:, np.arange(ROWS_PER_COMBINATION), N_NUMERIC_INPUTS + category] = 1.0
+        block[:, :, 4] = INPUT5 / maxima[4]
+        category = N_NUMERIC_INPUTS + CATEGORY.astype(np.intp)
+        block[:, np.arange(ROWS_PER_COMBINATION), category] = 1.0
         self.outputs = np.empty((rows, model.config.n_outputs))
         if tiles is None:
             longest = max(tile_rows(rows), tile_rows(last_rows))
@@ -221,18 +208,7 @@ class _ChunkPredictor:
         Each row is one combination's curve, sorted by ascending signal
         with a stable sort. The result is a view into this object's
         buffers, valid until the next call.
-
-        Raises:
-            RangeError: a setting exceeds the model's normalization maximum.
-            DomainError: a predicted signal is not positive.
         """
-        over = settings > self.settings_max
-        if np.any(over):
-            r, c = np.argwhere(over)[0]
-            raise RangeError(
-                f"{SETTING_NAMES[c]} value {float(settings[r, c])!r} exceeds recorded "
-                f"maximum {float(self.settings_max[c])!r}"
-            )
         m = settings.shape[0]
         rows = m * ROWS_PER_COMBINATION
         scaled = settings / self.settings_max
@@ -253,9 +229,6 @@ class _ChunkPredictor:
         curves = self.curves[:, :m]
         for column, curve in zip(decoded, curves):
             np.take(column, order, out=curve, mode="clip")
-        # A row's first signal is its least, NaNs sorting last.
-        if np.any(curves[0, :, 0] <= 0):
-            raise DomainError("curve signal values must be positive")
         return curves
 
 
@@ -265,13 +238,15 @@ def predict_curves(model: Model, settings) -> Iterator[Curve]:
     `settings` is an array or a sequence of rows. They are predicted
     CHUNK_COMBINATIONS at a time by one _ChunkPredictor, each chunk's
     curves copied into arrays of their own. Settings outside the model's
-    normalization range raise a RangeError naming the input; a predicted
-    signal that is not positive raises a DomainError.
+    normalization range raise a RangeError naming the input, before any
+    chunk is predicted; a predicted signal that is not positive raises
+    a DomainError, from Curve.
     """
     settings = np.asarray(settings, dtype=np.float64)
     n = len(settings)
     if not n:
         return
+    _check_inside_model(model, settings)
     predictor = _ChunkPredictor(model, n)
     for start in range(0, n, CHUNK_COMBINATIONS):
         chunk = settings[start : start + CHUNK_COMBINATIONS]
@@ -396,10 +371,7 @@ def select(ranked: Sequence[CandidateScore], subset: Sequence[int]) -> Selection
         [[-1 if r is None else r for r in c.ranks] for c in ranked], dtype=np.int64
     ).reshape(len(ranked), len(ALL_CRITERIA))
     row, k = select_row(np.array([c.settings for c in ranked]), ranks, subset)
-    winner = ranked[row]
-    return SelectionResult(
-        settings=winner.settings, criteria=winner.criteria, k=k, subset=subset
-    )
+    return SelectionResult(ranked[row].settings, ranked[row].criteria, k, subset)
 
 
 @dataclass
@@ -419,13 +391,10 @@ class SweepResult:
     @property
     def candidates(self) -> list[CandidateScore]:
         """The candidates as CandidateScore records, in row order."""
+        rows = zip(self.settings.tolist(), self.criteria.tolist(), self.ranks.tolist())
         return [
-            CandidateScore(
-                settings=tuple(settings), criteria=CriteriaValues(*crit), ranks=_rank_tuple(row)
-            )
-            for settings, crit, row in zip(
-                self.settings.tolist(), self.criteria.tolist(), self.ranks.tolist()
-            )
+            CandidateScore(tuple(settings), CriteriaValues(*crit), _rank_tuple(ranks))
+            for settings, crit, ranks in rows
         ]
 
     def summary(self) -> dict:
@@ -434,12 +403,7 @@ class SweepResult:
             "selections": {
                 subset_label(subset): {
                     "settings": dict(zip(SETTING_NAMES, sel.settings)),
-                    "criteria": {
-                        "c1": sel.criteria.c1,
-                        "c2": sel.criteria.c2,
-                        "c3": sel.criteria.c3,
-                        "c4": sel.criteria.c4,
-                    },
+                    "criteria": dataclasses.asdict(sel.criteria),
                     "k": sel.k,
                     "criteria_subset": list(sel.subset),
                 }
@@ -459,11 +423,14 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_sweep(model: Model, spec: InterpolationSpec) -> SweepResult:
+def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
     """Score every combination of `spec` and select under each of SELECTION_SUBSETS.
 
-    The chunks of CHUNK_COMBINATIONS combinations are scored by one
-    worker per CPU, at most one per chunk: the calling thread and
+    The settings are checked against the model's maxima before any
+    worker starts. A combination whose least predicted signal is not
+    positive gets NaN criteria, so it is unranked on all four. The
+    chunks of CHUNK_COMBINATIONS combinations are scored by one worker
+    per CPU, at most one per chunk: the calling thread and
     helper threads, each with a _ChunkPredictor and a CriteriaScratch
     of its own. A chunk's criteria depend on its rows alone, so the
     result does not depend on the number of workers. Workers take
@@ -472,7 +439,8 @@ def run_sweep(model: Model, spec: InterpolationSpec) -> SweepResult:
     first failing chunk in grid order raises, as in a
     one-chunk-at-a-time loop.
     """
-    settings = grid_settings(spec)
+    settings = spec.settings()
+    _check_inside_model(model, settings)
     n = settings.shape[0]
     values = np.empty((n, len(ALL_CRITERIA)))
     starts = iter(range(0, n, CHUNK_COMBINATIONS))
@@ -489,7 +457,11 @@ def run_sweep(model: Model, spec: InterpolationSpec) -> SweepResult:
             stop = start + CHUNK_COMBINATIONS
             try:
                 signal, snr, output3 = predictor.predict(settings[start:stop])
-                criteria_block_into(signal, snr, output3, values[start:stop], scratch)
+                scores = values[start:stop]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    criteria_block_into(signal, snr, output3, scores, scratch)
+                # A row's first signal is its least, NaNs sorting last.
+                scores[signal[:, 0] <= 0] = np.nan
             except Exception as exc:
                 failures[start] = exc
                 failed.set()
@@ -517,13 +489,9 @@ def run_sweep(model: Model, spec: InterpolationSpec) -> SweepResult:
     ranks = dense_ranks(values)
     selections = {}
     for subset in SELECTION_SUBSETS:
-        checked = _check_subset(subset)
-        row, k = select_row(settings, ranks, checked)
-        selections[checked] = SelectionResult(
-            settings=tuple(settings[row].tolist()),
-            criteria=CriteriaValues(*values[row].tolist()),
-            k=k,
-            subset=checked,
+        row, k = select_row(settings, ranks, subset)
+        selections[subset] = SelectionResult(
+            tuple(settings[row].tolist()), CriteriaValues(*values[row].tolist()), k, subset
         )
     return SweepResult(settings=settings, criteria=values, ranks=ranks, selections=selections)
 

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,11 +18,12 @@ import sensopt.cli
 import sensopt.data
 from sensopt.cli import _scaled_count, _write_json, main
 from sensopt.curves import Curve, criteria
-from sensopt.data import read_csv
+from sensopt.data import TEST, read_csv, split
 from sensopt.errors import ConfigurationError
-from sensopt.network import save_model
+from sensopt.network import load_model, save_model
 from sensopt.oracle import SETTING_RANGES
 from sensopt.sweep import CHUNK_COMBINATIONS
+from sensopt.training import evaluate, write_prediction_csvs
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,7 @@ def test_version_and_usage_exit_codes(capsys):
     assert main(["bogus"]) == 1
     assert main(["train", "--epochs", "frog"]) == 1
     assert main(["evaluate"]) == 1  # --model and --dataset are required
+    assert main(["optimize", "--model", "model.bin", "--seed", "0"]) == 1  # optimize has no seed
 
 
 def test_scaled_count_mapping():
@@ -111,11 +114,12 @@ def test_desk_dataset_bytes_are_pinned(seed, tmp_path):
 # SHA-256 of the outputs of `train --epochs 1 --seed 0` on the seed-0 desk
 # dataset above and of `optimize` on its model at 3 and at 6 points per
 # axis, pinned before the sweep's tuple-streaming grid and the per-line
-# history writer were replaced. Pinned with numpy 2.4.6 and OpenBLAS
-# 0.3.31 on x86-64, like the dataset.
+# history writer were replaced. model.bin was re-pinned when its header
+# gained the training split's record; its payload did not change. Pinned
+# with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, like the dataset.
 DESK_OUTPUT_SHA256 = {
     "history.csv": "d4e3551440bb18b0c0e3a0621aa659b6241c698bd4352ba2578598f052470bc6",
-    "model.bin": "1b40cda3f38378da6dd8b1a94ab4ab6ed7f04817a7ea69ae50ab129f916c308d",
+    "model.bin": "9b136d4f6cca8dc46e5f817ca03f4b14564147ebb081c2a72424a2ed0e69e772",
     "opt3/selected_curve_c1c2c3.csv": "ecf40630a60d033c883f13536e56d0f7495c37edea1e7409a173b2579264922f",
     "opt3/selected_curve_c1c2c3c4.csv": "60f63f19cbcb16d4aea3148b6f06749797946aa2209e93059d67a9db6cd858dd",
     "opt3/selection_summary.json": "bd4a12a08355a46788fb9a4f6884917a78edb95af4a0a8c3ba5f215990457887",
@@ -182,7 +186,9 @@ def test_each_failed_output_write_leaves_no_manifest(
     # Over a directory that holds a successful earlier run, the k-th
     # write through data.replacing raises, for every k up to the
     # manifest's: each run exits 2 and leaves no manifest.
-    argv = _small_run_argv(command, pipeline_dir, tmp_path) + ["--seed", "7"]
+    argv = _small_run_argv(command, pipeline_dir, tmp_path)
+    if command != "optimize":
+        argv += ["--seed", "7"]
     earlier = tmp_path / "earlier"
     assert main(argv + ["--out", str(earlier)]) == 0
     real_replacing = sensopt.data.replacing
@@ -216,9 +222,23 @@ def test_each_failed_output_write_leaves_no_manifest(
         assert not list(out.glob("*.tmp")), k
 
 
+def _readme_config_keys() -> dict[str, set[str]]:
+    """The keys README.md lists for each config section, by command."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = text.split("The keys each section accepts, with their defaults:", 1)[1]
+    keys = {}
+    for item in listing.strip().split("\n\n", 1)[0].split("\n- "):
+        command, listed = item.removeprefix("- ").split(":", 1)
+        keys[command.strip("`")] = set(re.findall(r"`(\w+)` \(", listed))
+    return keys
+
+
 def test_every_flag_names_a_key_of_its_commands_resolved_config(pipeline_dir, tmp_path):
     # _resolve() reads a key's flag by the key's name: an option whose
-    # dest names no key would be parsed and then ignored.
+    # dest names no key would be parsed and then ignored. The README
+    # lists each command's keys, exactly.
+    readme_keys = _readme_config_keys()
+    assert sorted(readme_keys) == sorted(COMMANDS)
     subparsers = next(
         action for action in sensopt.cli.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
@@ -230,6 +250,7 @@ def test_every_flag_names_a_key_of_its_commands_resolved_config(pipeline_dir, tm
         options = [a for a in subparsers.choices[command]._actions if a.option_strings]
         dests = {a.dest for a in options} - {"help", "config", "out", "model", "dataset"}
         assert dests and dests <= set(resolved), (command, sorted(dests - set(resolved)))
+        assert readme_keys[command] == set(resolved), command
 
 
 def test_generate_rejects_bad_scale(tmp_path):
@@ -333,6 +354,34 @@ def test_evaluate_outputs(pipeline_dir, tmp_path, capsys):
 
     manifest = json.loads((out / "evaluate_manifest.json").read_text())
     assert len(manifest["inputs"]) == 2
+
+
+def test_a_plain_evaluate_scores_the_models_held_out_rows(pipeline_dir, tmp_path, capsys):
+    dataset = pipeline_dir / "dataset.csv"
+    argv = ["train", "--out", str(tmp_path), "--dataset", str(dataset), "--hidden", "16,16"]
+    assert main([*argv, "--epochs", "1", "--seed", "4"]) == 0
+    model = str(tmp_path / "model.bin")
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--out", str(out), "--model", model, "--dataset", str(dataset)]) == 0
+    table = read_csv(dataset)
+    held_out = table.select(split(len(table), 4).indices(TEST))
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for path in write_prediction_csvs(evaluate(load_model(model), held_out), expected):
+        name = os.path.basename(path)
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+    manifest = json.loads((out / "evaluate_manifest.json").read_text())
+    assert manifest["resolved_config"]["seed"] == 4
+
+    # The model's split does not fit another dataset; a given seed splits it anyway.
+    other = tmp_path / "other"
+    assert main(["generate", "--out", str(other), "--scale", "0.1"]) == 0
+    argv = ["evaluate", "--out", str(out), "--model", model]
+    argv += ["--dataset", str(other / "dataset.csv")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "trained on a split of 6400 rows, the dataset has 200" in capsys.readouterr().err
+    assert main([*argv, "--seed", "0"]) == 0
 
 
 def test_evaluate_partition_flag(pipeline_dir, tmp_path):
@@ -453,23 +502,19 @@ def test_optimize_axes_from_config(pipeline_dir, tmp_path):
     assert manifest["resolved_config"]["axes"][4]["maximum"] == 3200.0
 
 
-def test_optimize_row_budget_enforced(pipeline_dir, tmp_path):
+def test_optimize_row_budget_enforced(tmp_path, capsys):
+    # 12 values per axis, from explicit axes or from points_per_axis:
+    # 248,832 combinations, 49,766,400 rows. The grid is checked before
+    # any work, so the model file is never read.
+    axes = [{"minimum": lo, "maximum": hi, "step": (hi - lo) / 11} for lo, hi in SETTING_RANGES]
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"optimize": {"row_budget": 1000}}))
-    code = main(
-        [
-            "optimize",
-            "--out",
-            str(tmp_path / "opt"),
-            "--model",
-            str(pipeline_dir / "model.bin"),
-            "--config",
-            str(config_path),
-            "--scale",
-            "0.2",
-        ]
-    )
-    assert code == 1
+    out = tmp_path / "opt"
+    argv = ["optimize", "--out", str(out), "--model", str(tmp_path / "no_model.bin")]
+    for section in ({"axes": axes}, {"points_per_axis": 12}):
+        config_path.write_text(json.dumps({"optimize": section}))
+        assert main([*argv, "--config", str(config_path)]) == 1, section
+        assert "grid of 49766400 rows is over the budget of 24000000" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_sections_and_flag_precedence(tmp_path):
@@ -550,6 +595,10 @@ def test_json_outputs_are_replaced_only_when_complete(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["selection_summary.json"]
 
 
+# Keys a command no longer has: any value of theirs is an unknown key.
+REMOVED_KEYS = {("optimize", "seed"), ("optimize", "row_budget")}
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [
@@ -564,6 +613,7 @@ def test_json_outputs_are_replaced_only_when_complete(tmp_path):
         ("train", "seed", -1),
         ("evaluate", "seed", -1),
         ("optimize", "seed", -1),
+        ("optimize", "row_budget", 1000),
     ],
 )
 def test_config_values_must_have_their_defaults_type(command, key, value, tmp_path, capsys):
@@ -576,7 +626,10 @@ def test_config_values_must_have_their_defaults_type(command, key, value, tmp_pa
         argv += ["--dataset", str(tmp_path / "dataset.csv")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"configuration error: {command}.{key}" in err
+    if (command, key) in REMOVED_KEYS:
+        assert f"configuration error: unknown {command} config keys: ['{key}']" in err
+    else:
+        assert f"configuration error: {command}.{key}" in err
     assert "Traceback" not in err
 
 

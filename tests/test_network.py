@@ -478,3 +478,32 @@ def test_load_model_rejects_header_values_the_format_does_not_allow(tmp_path, se
     rewrite(value)
     with pytest.raises(ModelFormatError, match="header"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "split",
+    [
+        [4, 6400],
+        {"seed": 4},
+        {"seed": -1, "rows": 6400},
+        {"seed": 4, "rows": 6400.0},
+        {"seed": True, "rows": 6400},
+        {"seed": 4, "rows": 6400, "epoch": 1},
+    ],
+)
+def test_a_models_split_round_trips_and_a_malformed_one_is_rejected(tmp_path, split):
+    path = tmp_path / "model.bin"
+    model = _toy_model()
+    save_model(model, path)
+    assert b'"split"' not in path.read_bytes() and load_model(path).split is None
+    model.split = {"seed": 4, "rows": 6400}
+    save_model(model, path)
+    raw = path.read_bytes()
+    assert load_model(path).split == {"seed": 4, "rows": 6400}
+    header_len = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + header_len])
+    header["split"] = split
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + header_len :])
+    with pytest.raises(ModelFormatError, match="malformed model header: split"):
+        load_model(path)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -7,18 +8,25 @@ import pytest
 from sensopt.errors import ConfigurationError
 from sensopt.oracle import (
     ROWS_PER_COMBINATION,
+    SETTING_RANGES,
     TABLE1,
     GridSpec,
     SensorOracle,
     _noise_generator,
-    enumerate_grid,
     generate_dataset,
 )
 
 
+def _combos(spec: GridSpec) -> list[tuple[float, ...]]:
+    """Every combination of `spec` as a tuple, in GridSpec.settings() order."""
+    return [tuple(row) for row in spec.settings().tolist()]
+
+
 def test_table1_grid_enumeration():
-    combos = enumerate_grid(TABLE1)
-    assert len(combos) == 3125
+    settings = TABLE1.settings()
+    assert settings.shape == (3125, 5) and settings.dtype == np.float64
+    combos = _combos(TABLE1)
+    assert combos == list(itertools.product(*TABLE1.values()))
     assert combos[0] == (418.0, 112.0, 400.0, 2850.0, 3200.0)
     assert combos[-1] == (510.0, 144.0, 500.0, 3650.0, 4000.0)
     assert combos == sorted(combos)
@@ -27,7 +35,7 @@ def test_table1_grid_enumeration():
 def test_repeated_grid_value_kept_verbatim():
     # input6 records 3600 twice, so those combinations appear twice.
     assert TABLE1.input6.count(3600.0) == 2
-    combos = enumerate_grid(TABLE1)
+    combos = _combos(TABLE1)
     assert combos.count((418.0, 112.0, 400.0, 2850.0, 3600.0)) == 2
 
 
@@ -35,7 +43,7 @@ def test_degenerate_single_value_grid():
     spec = GridSpec(
         input1=(418.0,), input2=(112.0,), input3=(400.0,), input4=(2850.0,), input6=(3200.0,)
     )
-    assert enumerate_grid(spec) == [(418.0, 112.0, 400.0, 2850.0, 3200.0)]
+    assert _combos(spec) == [(418.0, 112.0, 400.0, 2850.0, 3200.0)]
     table = generate_dataset(SensorOracle(seed=1), spec)
     assert len(table) == ROWS_PER_COMBINATION
 
@@ -51,6 +59,31 @@ def test_grid_validation():
             input4=(2850.0,),
             input6=(3200.0,),
         )
+    with pytest.raises(ConfigurationError, match="input4"):
+        GridSpec(
+            input1=(418.0,),
+            input2=(112.0,),
+            input3=(400.0,),
+            input4=(2850.0, 3700.0),
+            input6=(3200.0,),
+        )
+    with pytest.raises(ConfigurationError, match="input1"):
+        GridSpec(
+            input1=(float("nan"),),
+            input2=(112.0,),
+            input3=(400.0,),
+            input4=(2850.0,),
+            input6=(3200.0,),
+        )
+    # 120,000 combinations are 24,000,000 rows, the budget; one more is over it.
+    values = [
+        tuple(np.linspace(lo, hi, count).tolist())
+        for (lo, hi), count in zip(SETTING_RANGES, (120, 10, 10, 10, 1))
+    ]
+    assert GridSpec(*values).combination_count == 120_000
+    values[4] = (3200.0, 3200.0)
+    with pytest.raises(ConfigurationError, match="budget"):
+        GridSpec(*values)
 
 
 def test_subsample_keeps_endpoints():
@@ -74,7 +107,7 @@ def test_simulate_is_deterministic():
 @pytest.mark.parametrize("seed", [0, 6, 11])
 def test_simulate_blocks_rows_equal_simulate_block(seed):
     oracle = SensorOracle(seed=seed)
-    settings = np.asarray(enumerate_grid(TABLE1.subsample(3)))
+    settings = TABLE1.subsample(3).settings()
     blocks = oracle.simulate_blocks(settings)
     assert all(b.shape == (len(settings), ROWS_PER_COMBINATION) for b in blocks)
     for i, combo in enumerate(settings):
@@ -101,7 +134,7 @@ def test_generate_dataset_matches_per_combination_reference():
     input5 = np.repeat(np.arange(50.0), 4)
     category = np.tile(np.arange(4.0), 50)
     reference = []
-    for combo in enumerate_grid(spec):
+    for combo in _combos(spec):
         signal, snr, out3 = oracle.simulate_block(combo)
         settings = np.tile(combo, (ROWS_PER_COMBINATION, 1))
         reference.append(np.column_stack(
@@ -113,7 +146,7 @@ def test_generate_dataset_matches_per_combination_reference():
 
 def test_signal_monotone_in_input5():
     oracle = SensorOracle(seed=9)
-    for settings in enumerate_grid(TABLE1.subsample(2)):
+    for settings in _combos(TABLE1.subsample(2)):
         signal, _, _ = oracle.simulate_block(settings)
         per_category = signal.reshape(50, 4)
         assert np.all(np.diff(per_category, axis=0) > 0)
@@ -149,7 +182,7 @@ def test_dataset_layout_and_row_order():
     spec = TABLE1.subsample(2)
     table = generate_dataset(SensorOracle(seed=7), spec)
     assert len(table) == 32 * ROWS_PER_COMBINATION == 6400
-    combos = enumerate_grid(spec)
+    combos = _combos(spec)
     first = table.values[:ROWS_PER_COMBINATION]
     assert np.all(first[:, [0, 1, 2, 3, 5]] == np.asarray(combos[0]))
     assert np.array_equal(first[:, 4], np.repeat(np.arange(50.0), 4))
@@ -221,7 +254,7 @@ def test_config_round_trip():
 
 def test_depth_field_is_smooth_and_nonconstant():
     oracle = SensorOracle(seed=0)
-    depths = oracle.dip_depth_at(np.asarray(enumerate_grid(TABLE1)))
+    depths = oracle.dip_depth_at(TABLE1.settings())
     assert depths.max() - depths.min() > 1.0
     assert depths.min() > 0
 

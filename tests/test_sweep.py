@@ -29,18 +29,17 @@ from sensopt.oracle import (
     SETTING_RANGES,
     TABLE1,
     GridSpec,
-    enumerate_grid,
 )
 from sensopt.errors import ConfigurationError, DomainError, RangeError, SelectionError
 from sensopt.sweep import (
     CHUNK_COMBINATIONS,
+    SELECTION_SUBSETS,
     AxisSpec,
-    InterpolationSpec,
     SelectionResult,
     SweepResult,
+    axis_grid,
     default_sweep_spec,
     dense_ranks,
-    grid_settings,
     predict_curves,
     rank_candidates,
     run_sweep,
@@ -89,28 +88,35 @@ def _axes(counts):
     )
 
 
-def test_interpolation_spec_validation():
-    spec = InterpolationSpec(axes=_axes((2, 2, 2, 2, 2)))
+def _spec(counts) -> GridSpec:
+    return axis_grid(_axes(counts))
+
+
+def test_axis_grid_validation():
+    spec = _spec((2, 2, 2, 2, 2))
     assert spec.combination_count == 32
 
+    # 12 values per axis: 248,832 combinations, 49,766,400 rows.
     with pytest.raises(ConfigurationError, match="budget"):
-        InterpolationSpec(axes=_axes((2, 2, 2, 2, 2)), row_budget=6_000)
+        _spec((12, 12, 12, 12, 12))
+    # An axis over the budget on its own is rejected before it is built.
+    with pytest.raises(ConfigurationError, match="budget"):
+        AxisSpec(minimum=418.0, maximum=510.0, step=1e-300)
 
     bad = list(_axes((2, 2, 2, 2, 2)))
     bad[0] = AxisSpec(minimum=400.0, maximum=510.0, step=110.0)
     with pytest.raises(ConfigurationError, match="input1"):
-        InterpolationSpec(axes=tuple(bad))
+        axis_grid(bad)
 
     with pytest.raises(ConfigurationError):
-        InterpolationSpec(axes=_axes((2, 2, 2, 2, 2))[:4])
+        axis_grid(_axes((2, 2, 2, 2, 2))[:4])
 
 
 def test_default_sweep_spec():
     spec = default_sweep_spec()
     assert spec.combination_count == 59_049
-    for axis, (lo, hi) in zip(spec.axes, SETTING_RANGES):
-        vals = axis.values()
-        assert axis.count == 9
+    for vals, (lo, hi) in zip(spec.values(), SETTING_RANGES):
+        assert len(vals) == 9
         assert vals[0] == lo
         assert vals[-1] == pytest.approx(hi)
     assert default_sweep_spec(points_per_axis=2).combination_count == 32
@@ -120,17 +126,18 @@ def test_default_sweep_spec():
         default_sweep_spec(points_per_axis=25)  # blows the row budget
 
 
-def _grid(spec: InterpolationSpec) -> list[tuple[float, ...]]:
-    """Every combination of `spec` as a tuple, in grid_settings() order."""
-    return [tuple(row) for row in grid_settings(spec).tolist()]
+def _grid(spec: GridSpec) -> list[tuple[float, ...]]:
+    """Every combination of `spec` as a tuple, in GridSpec.settings() order."""
+    return [tuple(row) for row in spec.settings().tolist()]
 
 
 def test_grid_settings_are_lexicographic():
-    spec = InterpolationSpec(axes=_axes((2, 3, 2, 2, 2)))
-    settings = grid_settings(spec)
+    axes = _axes((2, 3, 2, 2, 2))
+    spec = axis_grid(axes)
+    settings = spec.settings()
     assert settings.shape == (48, 5) and settings.dtype == np.float64
     combos = _grid(spec)
-    assert combos == list(itertools.product(*(axis.values().tolist() for axis in spec.axes)))
+    assert combos == list(itertools.product(*(axis.values().tolist() for axis in axes)))
     assert combos == sorted(combos)
     assert combos[0] == (418.0, 112.0, 400.0, 2850.0, 3200.0)
     assert combos[-1] == (510.0, 144.0, 500.0, 3650.0, 4000.0)
@@ -138,7 +145,7 @@ def test_grid_settings_are_lexicographic():
 
 def test_endpoint_grid_matches_enumerated_corners():
     # A two-point axis sweep must visit exactly the recorded corner grid.
-    spec = InterpolationSpec(axes=_axes((2, 2, 2, 2, 2)))
+    spec = _spec((2, 2, 2, 2, 2))
     corners = GridSpec(
         input1=(418.0, 510.0),
         input2=(112.0, 144.0),
@@ -146,7 +153,8 @@ def test_endpoint_grid_matches_enumerated_corners():
         input4=(2850.0, 3650.0),
         input6=(3200.0, 4000.0),
     )
-    assert _grid(spec) == enumerate_grid(corners)
+    assert spec == corners
+    assert _grid(spec) == _grid(corners)
 
 
 def test_predict_curves_shapes_and_chunking(small_model, monkeypatch):
@@ -185,12 +193,12 @@ def test_predict_curves_single_combination_and_determinism(small_model):
 def test_converged_curves_track_true_dip_depth(converged_setup):
     # Criterion 1 scores from predicted curves over the whole recorded
     # grid must rank combinations essentially as the true dip depth does.
-    grid = enumerate_grid(TABLE1)
+    grid = TABLE1.settings()
     c1 = [
         criteria(curve).c1
         for curve in predict_curves(converged_setup.model, grid)
     ]
-    true_depth = converged_setup.oracle.dip_depth_at(np.asarray(grid))
+    true_depth = converged_setup.oracle.dip_depth_at(grid)
     assert spearman(c1, true_depth) > 0.9
 
 
@@ -300,7 +308,7 @@ def test_subset_label():
 
 
 def test_run_sweep_and_report(small_model, tmp_path):
-    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
+    spec = _spec((3, 2, 2, 2, 2))
     result = run_sweep(small_model, spec)
     assert len(result.candidates) == 48
     assert set(result.selections) == {(1, 2, 3, 4), (1, 2, 3)}
@@ -357,7 +365,7 @@ def _one_unfittable_corner_model() -> Model:
 
 
 def test_unfittable_curve_is_unranked_not_fatal(tmp_path):
-    spec = InterpolationSpec(axes=_axes((2, 2, 2, 2, 2)))
+    spec = _spec((2, 2, 2, 2, 2))
     result = run_sweep(_one_unfittable_corner_model(), spec)
     corner = (510.0, 144.0, 500.0, 3650.0, 4000.0)
     by_settings = {c.settings: c for c in result.candidates}
@@ -428,7 +436,7 @@ def _chunk_curves(model: Model, settings: np.ndarray) -> list[np.ndarray]:
 
 def test_predict_curves_are_the_chunk_predictors_curves(small_model, monkeypatch):
     monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 5)
-    settings = grid_settings(InterpolationSpec(axes=_axes((3, 2, 2, 1, 1))))
+    settings = _spec((3, 2, 2, 1, 1)).settings()
     blocks = _chunk_curves(small_model, settings)
     assert [block.shape for block in blocks] == [(3, 5, 200), (3, 5, 200), (3, 2, 200)]
     curves = list(predict_curves(small_model, settings))
@@ -444,7 +452,7 @@ def test_predict_curves_are_the_chunk_predictors_curves(small_model, monkeypatch
 def test_a_chunk_predictor_sizes_its_tiles_once_for_the_grid(small_model, monkeypatch):
     # 243 combinations: the short last chunk of 51 is cut into tiles of
     # 1,134 rows, a full chunk of 64 into tiles of 1,067.
-    settings = grid_settings(InterpolationSpec(axes=_axes((3, 3, 3, 3, 3))))
+    settings = _spec((3, 3, 3, 3, 3)).settings()
     predictor = sensopt.sweep._ChunkPredictor(small_model, len(settings))
     calls = []
     monkeypatch.setattr(sensopt.sweep, "empty_tile_buffers", lambda *args: calls.append(args))
@@ -464,8 +472,8 @@ def test_predicting_curves_allocates_no_criteria_scratch(small_model, monkeypatc
             super().__init__(*args)
 
     monkeypatch.setattr(sensopt.sweep, "CriteriaScratch", CountedScratch)
-    spec = InterpolationSpec(axes=_axes((3, 3, 3, 3, 3)))
-    assert len(list(predict_curves(small_model, grid_settings(spec)))) == 243
+    spec = _spec((3, 3, 3, 3, 3))
+    assert len(list(predict_curves(small_model, spec.settings()))) == 243
     assert made == []
     run_sweep(small_model, spec)
     assert made and all(args == (CHUNK_COMBINATIONS, 200) for args in made)
@@ -477,7 +485,7 @@ def test_exported_curves_are_the_scored_curves_bit_for_bit(small_model):
     # every offset in a chunk and straddle every tile boundary. Each is
     # exported beside another, as optimize exports its two selections,
     # and on its own.
-    settings = grid_settings(InterpolationSpec(axes=_axes((3, 3, 3, 3, 3))))
+    settings = _spec((3, 3, 3, 3, 3)).settings()
     grid = [tuple(row) for row in settings.tolist()]
     blocks = _chunk_curves(small_model, settings)
     assert [block.shape[1] for block in blocks] == [64, 64, 64, 51]
@@ -568,7 +576,7 @@ def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_mod
     # may raise the traced peak by argsort's (64, 200) order array
     # (102,400 bytes) and a few small arrays, and scoring it by almost
     # nothing: no per-chunk (64, 200) temporaries.
-    settings = grid_settings(default_sweep_spec(5))[: 20 * CHUNK_COMBINATIONS]
+    settings = default_sweep_spec(5).settings()[: 20 * CHUNK_COMBINATIONS]
     values = np.empty((len(settings), 4))
     predictor = sensopt.sweep._ChunkPredictor(small_model, len(settings))
     scratch = CriteriaScratch(CHUNK_COMBINATIONS, 200)
@@ -605,7 +613,7 @@ def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_mod
 
 
 def test_failed_report_write_leaves_the_old_report_untouched(small_model, tmp_path, monkeypatch):
-    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
+    spec = _spec((3, 2, 2, 2, 2))
     result = run_sweep(small_model, spec)
     path = tmp_path / "sweep_report.csv"
     write_report_csv(result, path)
@@ -639,14 +647,14 @@ def test_axis_spec_rejects_non_finite_values(field, value):
         AxisSpec(**bounds)
 
 
-def _predicted_criteria(model: Model, spec: InterpolationSpec) -> np.ndarray:
+def _predicted_criteria(model: Model, spec: GridSpec) -> np.ndarray:
     """The criteria of `spec`'s grid from network.predict(), chunk by chunk.
 
     Each chunk is expanded into its raw (m * 200, 6) input rows and
     predicted whole, then sorted by signal: the sweep's result, computed
     through the public prediction path.
     """
-    grid = grid_settings(spec)
+    grid = spec.settings()
     input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
     category = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
     values = []
@@ -668,12 +676,12 @@ def _predicted_criteria(model: Model, spec: InterpolationSpec) -> np.ndarray:
 def test_run_sweep_does_not_depend_on_the_worker_count(chunk, small_model, tmp_path, monkeypatch):
     # 72 combinations: neither 64 nor 5 divides them, so the last chunk is short.
     monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", chunk)
-    spec = InterpolationSpec(axes=_axes((3, 3, 2, 2, 2)))
+    spec = _spec((3, 3, 2, 2, 2))
     reports = []
     for workers in (1, 3):
         monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: workers)
         result = run_sweep(small_model, spec)
-        assert np.array_equal(result.settings, grid_settings(spec))
+        assert np.array_equal(result.settings, spec.settings())
         assert np.array_equal(
             result.criteria, _predicted_criteria(small_model, spec), equal_nan=True
         )
@@ -689,7 +697,7 @@ def test_run_sweep_with_more_workers_than_cpus_under_switch_stress(small_model, 
     # would change the criteria.
     monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 1)
     monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: 8)
-    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
+    spec = _spec((3, 2, 2, 2, 2))
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -706,38 +714,53 @@ def test_run_sweep_with_more_workers_than_cpus_under_switch_stress(small_model, 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_the_first_failing_chunk_raises_its_own_error(workers, small_model, monkeypatch):
-    # One combination per chunk. Combination 1 exceeds only its input6
-    # maximum, combination 2 its input4 maximum first. With more than one
-    # worker, chunk 1 is held until chunk 2 has failed: the error raised
-    # must still be chunk 1's.
+    # One combination per chunk; chunks 1 and 2 fail, each with an error
+    # of its own. With more than one worker, chunk 1 is held until chunk
+    # 2 has failed: the error raised must still be chunk 1's.
     monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 1)
     monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: workers)
-    norm = small_model.normalization
-    maxima = (*norm.input_max[:3], 3600.0, norm.input_max[4], 3900.0)
-    narrow = dataclasses.replace(
-        small_model, normalization=NormalizationSpec(maxima, norm.output_max)
-    )
-    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
+    spec = _spec((3, 2, 2, 2, 2))
     grid = _grid(spec)
     real_predict = sensopt.sweep._ChunkPredictor.predict
     chunk_2_failed = threading.Event()
 
     def predict(self, settings):
         combination = tuple(settings[0].tolist())
-        if combination == grid[1] and workers > 1:
-            assert chunk_2_failed.wait(timeout=60)
-        try:
-            return real_predict(self, settings)
-        except RangeError:
-            if combination == grid[2]:
-                chunk_2_failed.set()
-            raise
+        if combination == grid[1]:
+            if workers > 1:
+                assert chunk_2_failed.wait(timeout=60)
+            raise RuntimeError("chunk 1 failed")
+        if combination == grid[2]:
+            chunk_2_failed.set()
+            raise RuntimeError("chunk 2 failed")
+        return real_predict(self, settings)
 
     monkeypatch.setattr(sensopt.sweep._ChunkPredictor, "predict", predict)
+    with pytest.raises(RuntimeError, match="^chunk 1 failed$"):
+        run_sweep(small_model, spec)
+    assert chunk_2_failed.is_set() == (workers > 1)
+
+
+def test_an_out_of_range_grid_raises_before_any_chunk_is_predicted(small_model, monkeypatch):
+    # Combination 1 exceeds only its input6 maximum, combination 2 its
+    # input4 maximum: the error names the first value over its maximum
+    # in grid order, as the first failing chunk's check named it.
+    norm = small_model.normalization
+    maxima = (*norm.input_max[:3], 3600.0, norm.input_max[4], 3900.0)
+    narrow = dataclasses.replace(
+        small_model, normalization=NormalizationSpec(maxima, norm.output_max)
+    )
+    predicted = []
+    monkeypatch.setattr(
+        sensopt.sweep._ChunkPredictor, "predict", lambda self, settings: predicted.append(settings)
+    )
+    spec = _spec((3, 2, 2, 2, 2))
     message = r"^input6 value 4000\.0 exceeds recorded maximum 3900\.0$"
     with pytest.raises(RangeError, match=message):
         run_sweep(narrow, spec)
-    assert chunk_2_failed.is_set() == (workers > 1)
+    with pytest.raises(RangeError, match=message):
+        list(predict_curves(narrow, spec.settings()))
+    assert predicted == []
 
 
 def _dead_signal_model() -> Model:
@@ -759,26 +782,47 @@ def _dead_signal_model() -> Model:
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_a_domain_error_mid_grid_writes_no_report(workers, tmp_path, monkeypatch, capsys):
-    # 48 combinations in ten chunks of 5; combination 31, in chunk 6, is
-    # the first with a zero signal.
+def test_a_dead_signal_mid_grid_is_unranked_not_fatal(workers, tmp_path, monkeypatch):
+    # 48 combinations in ten chunks of 5; combinations 31, in chunk 6,
+    # and 47, in the short last chunk, predict a zero signal. The other
+    # 46 rows of the report are those of a sweep of them alone.
+    model = _dead_signal_model()
+    settings = _spec((3, 2, 2, 2, 2)).settings()
+    dead = [31, 47]
+    healthy = np.delete(settings, dead, axis=0)
+    curves = list(predict_curves(model, healthy))
+    expected = criteria_block(
+        *([getattr(curve, name) for curve in curves] for name in ("signal", "snr", "output3"))
+    )
+    ranks = dense_ranks(expected)
+    selections = {}
+    for subset in SELECTION_SUBSETS:
+        row, k = select_row(healthy, ranks, subset)
+        selections[subset] = SelectionResult(
+            tuple(healthy[row].tolist()), CriteriaValues(*expected[row].tolist()), k, subset
+        )
+    alone = SweepResult(settings=healthy, criteria=expected, ranks=ranks, selections=selections)
+    write_report_csv(alone, tmp_path / "alone.csv")
+    alone_rows = (tmp_path / "alone.csv").read_text().splitlines()
+    with pytest.raises(DomainError, match="signal values must be positive"):
+        list(predict_curves(model, settings[30:35]))
+
     monkeypatch.setattr(sensopt.sweep, "CHUNK_COMBINATIONS", 5)
     monkeypatch.setattr(sensopt.sweep, "_cpu_count", lambda: workers)
-    model = _dead_signal_model()
-    spec = InterpolationSpec(axes=_axes((3, 2, 2, 2, 2)))
-    grid = _grid(spec)
-    healthy = [combo for i, combo in enumerate(grid) if i not in (31, 47)]
-    assert len(list(predict_curves(model, healthy))) == 46
-    with pytest.raises(DomainError, match="signal values must be positive"):
-        list(predict_curves(model, grid[30:35]))
-
     model_path = tmp_path / "model.bin"
     save_model(model, model_path)
-    axes = [{"minimum": a.minimum, "maximum": a.maximum, "step": a.step} for a in spec.axes]
+    axes = [dataclasses.asdict(axis) for axis in _axes((3, 2, 2, 2, 2))]
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"optimize": {"axes": axes}}))
     out = tmp_path / "opt"
     argv = ["optimize", "--out", str(out), "--model", str(model_path), "--config", str(config_path)]
-    assert main(argv) == 2
-    assert "error: curve signal values must be positive" in capsys.readouterr().err
-    assert not (out / "sweep_report.csv").exists()
+    assert main(argv) == 0
+    header, *body = (out / "sweep_report.csv").read_text().splitlines()
+    assert header == alone_rows[0]
+    for row in dead:
+        fields = body[row].split(",")
+        assert fields[5:9] == ["nan"] * 4 and fields[9:13] == [""] * 4
+    assert [line for i, line in enumerate(body) if i not in dead] == alone_rows[1:]
+    assert json.loads((out / "selection_summary.json").read_text()) == {
+        **alone.summary(), "candidate_count": 48
+    }
