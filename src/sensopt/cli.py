@@ -319,8 +319,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         spec = axis_grid(axes)
         resolved["axes"] = [dataclasses.asdict(axis) for axis in axes]
     else:
-        points = _scaled_count(resolved["points_per_axis"], resolved["scale"])
-        spec = default_sweep_spec(max(points, 2))
+        points = resolved["points_per_axis"]
+        if points < 2:
+            raise ConfigurationError(f"optimize.points_per_axis must be at least 2, got {points!r}")
+        # --scale shrinks the grid to no fewer than 2 points per axis.
+        spec = default_sweep_spec(max(_scaled_count(points, resolved["scale"]), 2))
     model = load_model(args.model)
     result = run_sweep(model, spec)
     _start_outputs(args.out, "optimize")

@@ -8,8 +8,7 @@ curves by one kernel, _ChunkPredictor.predict(), which checks nothing:
 it writes the chunk's settings into an encoded input block whose other
 columns were written once, runs the network's tiled forward and
 decodes and sorts the outputs, all in buffers sized once for the grid.
-curves.criteria_block_into() scores a whole block with array
-operations, in a CriteriaScratch that each run_sweep() worker keeps;
+curves.criteria_block() scores a whole block with array operations;
 dense_ranks() assigns dense ascending ranks per criterion; select_row()
 finds the smallest K whose per-criterion top-K sets intersect, breaking
 ties by rank sum and then lexicographic settings order.
@@ -19,10 +18,10 @@ and helpers), each with its own buffers, and keeps only the settings
 and criteria of every candidate, NaN where a predicted signal is not
 positive: peak memory is one block of predicted rows per worker plus
 one row of settings, criteria and ranks per candidate, never the full
-point cloud. The calling thread allocates every worker's buffers; a
-worker then allocates only argsort's order array and a few small arrays
-per chunk, so a helper thread's malloc arena stays small. One candidate
-is selected under each subset of SELECTION_SUBSETS. predict_curves()
+point cloud. The calling thread allocates every worker's
+_ChunkPredictor; per chunk, a worker then allocates only argsort's order
+array and criteria_block()'s temporaries. One candidate is selected
+under each subset of SELECTION_SUBSETS. predict_curves()
 runs the same kernel on a settings array, one chunk after another, and
 yields its curves one at a time.
 rank_candidates() and select() are the ranking steps on per-candidate
@@ -48,7 +47,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .curves import Curve, CriteriaScratch, CriteriaValues, criteria_block_into
+from .curves import Curve, CriteriaValues, criteria_block
 from .data import COLUMN_INDEX, ENCODED_INPUT_SIZE, N_NUMERIC_INPUTS, _texts, replacing
 from .errors import ConfigurationError, RangeError, SelectionError
 from .network import (
@@ -430,14 +429,13 @@ def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
     worker starts. A combination whose least predicted signal is not
     positive gets NaN criteria, so it is unranked on all four. The
     chunks of CHUNK_COMBINATIONS combinations are scored by one worker
-    per CPU, at most one per chunk: the calling thread and
-    helper threads, each with a _ChunkPredictor and a CriteriaScratch
-    of its own. A chunk's criteria depend on its rows alone, so the
-    result does not depend on the number of workers. Workers take
-    chunks in grid order and stop taking them once one has failed;
-    every earlier chunk still runs, so the error raised is the one the
-    first failing chunk in grid order raises, as in a
-    one-chunk-at-a-time loop.
+    per CPU, at most one per chunk: the calling thread and helper
+    threads, each with a _ChunkPredictor of its own. A chunk's criteria
+    depend on its rows alone, so the result does not depend on the
+    number of workers. Workers take chunks in grid order and stop taking
+    them once one has failed; every earlier chunk still runs, so the
+    error raised is the one the first failing chunk in grid order
+    raises, as in a one-chunk-at-a-time loop.
     """
     settings = spec.settings()
     _check_inside_model(model, settings)
@@ -448,7 +446,7 @@ def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
     failed = threading.Event()
     failures: dict[int, Exception] = {}
 
-    def work(predictor: _ChunkPredictor, scratch: CriteriaScratch) -> None:
+    def work(predictor: _ChunkPredictor) -> None:
         while not failed.is_set():
             with taking:
                 start = next(starts, None)
@@ -459,7 +457,7 @@ def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
                 signal, snr, output3 = predictor.predict(settings[start:stop])
                 scores = values[start:stop]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    criteria_block_into(signal, snr, output3, scores, scratch)
+                    scores[...] = criteria_block(signal, snr, output3)
                 # A row's first signal is its least, NaNs sorting last.
                 scores[signal[:, 0] <= 0] = np.nan
             except Exception as exc:
@@ -467,19 +465,18 @@ def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
                 failed.set()
 
     # The calling thread is a worker too, and it allocates every worker's
-    # buffers: with glibc, what a helper thread allocates stays in that
+    # predictor: with glibc, what a helper thread allocates stays in that
     # thread's malloc arena for the rest of the process.
-    chunk = min(n, CHUNK_COMBINATIONS)
     first = _ChunkPredictor(model, n)
-    workers = [(first, CriteriaScratch(chunk, ROWS_PER_COMBINATION))] + [
-        (_ChunkPredictor(model, n, first.tiles), CriteriaScratch(chunk, ROWS_PER_COMBINATION))
+    predictors = [first] + [
+        _ChunkPredictor(model, n, first.tiles)
         for _ in range(min(_cpu_count(), -(-n // CHUNK_COMBINATIONS)) - 1)
     ]
-    helpers = [threading.Thread(target=work, args=buffers) for buffers in workers[1:]]
+    helpers = [threading.Thread(target=work, args=(p,)) for p in predictors[1:]]
     for helper in helpers:
         helper.start()
     try:
-        work(*workers[0])
+        work(first)
     finally:
         failed.set()
         for helper in helpers:

@@ -29,6 +29,7 @@ import numpy as np
 from .data import (
     TRAIN,
     VALIDATION,
+    N_NUMERIC_INPUTS,
     NormalizationSpec,
     SampleTable,
     SplitAssignment,
@@ -281,8 +282,9 @@ class EvaluationReport:
 def evaluate(model: Model, table: SampleTable) -> EvaluationReport:
     """Score `model` on the rows of `table`.
 
-    MSE and R-squared are computed in normalized units per output; the
-    returned pairs are decoded back to physical units for export.
+    MSE and R-squared are computed in normalized units per output. The
+    returned pairs hold the table's own outputs and the predictions
+    decoded back to physical units.
     """
     if len(table) == 0:
         raise ConfigurationError("cannot evaluate on an empty table")
@@ -298,7 +300,7 @@ def evaluate(model: Model, table: SampleTable) -> EvaluationReport:
     )
     return EvaluationReport(
         metrics=metrics,
-        actual=decode_outputs(y, model.normalization),
+        actual=table.values[:, N_NUMERIC_INPUTS + 1 :],
         predicted=decode_outputs(predictions, model.normalization),
     )
 

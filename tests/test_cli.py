@@ -115,9 +115,15 @@ def test_desk_dataset_bytes_are_pinned(seed, tmp_path):
 # dataset above and of `optimize` on its model at 3 and at 6 points per
 # axis, pinned before the sweep's tuple-streaming grid and the per-line
 # history writer were replaced. model.bin was re-pinned when its header
-# gained the training split's record; its payload did not change. Pinned
+# gained the training split's record; its payload did not change. The
+# outputs of a plain `evaluate` of that model on that dataset were pinned
+# once their `actual` column became the dataset's own values. Pinned
 # with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, like the dataset.
 DESK_OUTPUT_SHA256 = {
+    "eval/metrics.json": "8d1be08285f6843a91f9a6f55daf9732ec1999ab8eccb78ecd8ff6da86888968",
+    "eval/pred_vs_actual_output3.csv": "caeaa11b91c0fbd5ed415d0fdfb3b7100fb05c7da44aee37882cacf09051db20",
+    "eval/pred_vs_actual_signal.csv": "8558faacf6a0d94fbdb1755c34e9939029e28915163554bcf1c9eb5534733abb",
+    "eval/pred_vs_actual_snr.csv": "318c5ce6b09244db47a5951ca13f6e65cde4b4e31046ee66b78b16dca05c1045",
     "history.csv": "d4e3551440bb18b0c0e3a0621aa659b6241c698bd4352ba2578598f052470bc6",
     "model.bin": "9b136d4f6cca8dc46e5f817ca03f4b14564147ebb081c2a72424a2ed0e69e772",
     "opt3/selected_curve_c1c2c3.csv": "ecf40630a60d033c883f13536e56d0f7495c37edea1e7409a173b2579264922f",
@@ -135,6 +141,8 @@ def test_desk_train_and_optimize_bytes_are_pinned(tmp_path):
     argv = ["generate", "--out", str(tmp_path), "--scale", "0.4", "--noise", "0.5"]
     assert main(argv + ["--seed", "0"]) == 0
     assert main(["train", "--out", str(tmp_path), "--epochs", "1", "--seed", "0"]) == 0
+    argv = ["evaluate", "--out", str(tmp_path / "eval"), "--model", str(tmp_path / "model.bin")]
+    assert main([*argv, "--dataset", str(tmp_path / "dataset.csv")]) == 0
     for points in (3, 6):
         config = tmp_path / f"optimize_{points}.json"
         config.write_text(json.dumps({"optimize": {"points_per_axis": points}}))
@@ -288,21 +296,37 @@ def test_train_rejects_single_hidden_layer(pipeline_dir, tmp_path):
 
 
 def test_train_is_identical_across_blas_thread_counts(pipeline_dir, tmp_path):
-    # One process per BLAS thread count, since OpenBLAS reads it at load.
+    # train, evaluate and a 6-per-axis optimize in one process per BLAS
+    # thread count, since OpenBLAS reads it at load. Every output must
+    # match byte for byte; the manifests name their run's own paths.
     src = str(Path(sensopt.__file__).resolve().parents[1])
+    dataset = str(pipeline_dir / "dataset.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"optimize": {"points_per_axis": 6}}))
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
+        model = str(out / "model.bin")
+        runs = [
+            ["train", "--out", str(out), "--dataset", dataset, "--epochs", "2", "--seed", "3"],
+            ["evaluate", "--out", str(out / "eval"), "--model", model, "--dataset", dataset],
+            ["optimize", "--out", str(out / "opt"), "--model", model, "--config", str(config)],
+        ]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads, PYTHONPATH=src)
         command = [
-            sys.executable, "-c", "import sys; from sensopt.cli import main; sys.exit(main(sys.argv[1:]))",
-            "train", "--out", str(out), "--dataset", str(pipeline_dir / "dataset.csv"),
-            "--epochs", "2", "--seed", "3",
+            sys.executable, "-c",
+            "import json, sys; from sensopt.cli import main; "
+            "sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))",
+            json.dumps(runs),
         ]
         done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        outputs[threads] = [(out / name).read_bytes() for name in ("model.bin", "history.csv")]
+        outputs[threads] = {
+            path.relative_to(out): path.read_bytes().replace(str(out).encode(), b"OUT")
+            for path in sorted(out.rglob("*")) if path.is_file()
+        }
+    assert len(outputs["1"]) == 13
     assert outputs["1"] == outputs["2"]
 
 
@@ -382,6 +406,20 @@ def test_a_plain_evaluate_scores_the_models_held_out_rows(pipeline_dir, tmp_path
     assert main(argv) == 1
     assert "trained on a split of 6400 rows, the dataset has 200" in capsys.readouterr().err
     assert main([*argv, "--seed", "0"]) == 0
+
+
+def test_evaluate_actual_is_the_datasets_own_text(pipeline_dir, tmp_path):
+    dataset = pipeline_dir / "dataset.csv"
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--out", str(out), "--model", str(pipeline_dir / "model.bin")]
+    assert main([*argv, "--dataset", str(dataset), "--seed", "0"]) == 0
+    lines = dataset.read_text().splitlines()
+    header = lines[0].split(",")
+    held_out = [lines[1 + i].split(",") for i in split(len(lines) - 1, 0).indices(TEST)]
+    for name in ("signal", "snr", "output3"):
+        pairs = (out / f"pred_vs_actual_{name}.csv").read_text().splitlines()[1:]
+        column = header.index(name)
+        assert [pair.split(",")[0] for pair in pairs] == [row[column] for row in held_out], name
 
 
 def test_evaluate_partition_flag(pipeline_dir, tmp_path):
@@ -614,6 +652,9 @@ REMOVED_KEYS = {("optimize", "seed"), ("optimize", "row_budget")}
         ("evaluate", "seed", -1),
         ("optimize", "seed", -1),
         ("optimize", "row_budget", 1000),
+        ("optimize", "points_per_axis", 1),
+        ("optimize", "points_per_axis", 0),
+        ("optimize", "points_per_axis", -4),
     ],
 )
 def test_config_values_must_have_their_defaults_type(command, key, value, tmp_path, capsys):

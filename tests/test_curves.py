@@ -6,12 +6,10 @@ from sensopt.curves import (
     DIP_WINDOW,
     FIT_SIGNAL_MAX,
     IDEAL_SLOPE,
-    CriteriaScratch,
     Curve,
     FittedLine,
     criteria,
     criteria_block,
-    criteria_block_into,
     fit_line,
     ideal_snr,
     prominence,
@@ -256,8 +254,8 @@ def test_one_row_block_is_criteria_and_fit_line():
 def _where_criteria_block(signal, snr, output3):
     """criteria_block() as it was written with np.where, np.mean and broadcasts.
 
-    The reference for criteria_block_into(): the same arithmetic in the
-    same order, so the two agree bit for bit.
+    The reference for criteria_block(): the same arithmetic in the same
+    order, so the two agree bit for bit.
     """
     log_signal = np.log10(signal)
     below = signal < FIT_SIGNAL_MAX
@@ -280,27 +278,17 @@ def _where_criteria_block(signal, snr, output3):
     return out
 
 
-def test_criteria_block_into_is_the_where_reference_bit_for_bit():
+def test_criteria_block_is_the_where_reference_bit_for_bit():
     rng = np.random.default_rng(35)
-    # One scratch, larger than every block and reused by all of them,
-    # starts out holding garbage.
-    scratch = CriteriaScratch(64, 200)
-    for buffer in (scratch.planes, scratch.vectors):
-        buffer[...] = np.nan
-    scratch.masks[...] = True
     for m in (64, 1, 37, 64, 5):
         signal, snr, output3 = _random_curves(rng, m)
         # Rows with one point below FIT_SIGNAL_MAX, where no line is fitted.
         signal[: m // 3] = np.maximum(signal[: m // 3], 2.5e3)
         signal[: m // 3, 0] = 1.5e3
         want = _where_criteria_block(signal, snr, output3)
-        out = np.full((m, 4), 7.0)
-        criteria_block_into(signal, snr, output3, out, scratch)
-        assert out.tobytes() == want.tobytes(), m
         assert criteria_block(signal, snr, output3).tobytes() == want.tobytes(), m
     # The edge rows: no line, an empty window, no dip, tied signals.
     signal, snr, output3 = _edge_rows()
-    out = np.empty((4, 4))
-    criteria_block_into(signal, snr, output3, out, CriteriaScratch(6, 50))
+    out = criteria_block(signal, snr, output3)
     assert out.tobytes() == _where_criteria_block(signal, snr, output3).tobytes()
     assert np.isnan(out[0, 1:3]).all() and np.isnan(out[1, 1]) and out[2, 1] == 0.0

@@ -14,13 +14,7 @@ import pytest
 import sensopt.sweep
 from conftest import brute_force_select, spearman
 from sensopt.cli import main
-from sensopt.curves import (
-    CriteriaScratch,
-    CriteriaValues,
-    criteria,
-    criteria_block,
-    criteria_block_into,
-)
+from sensopt.curves import CriteriaValues, criteria, criteria_block
 from sensopt.data import NormalizationSpec
 from sensopt.network import Model, NetworkConfig, NetworkParameters, predict, save_model
 from sensopt.oracle import (
@@ -462,23 +456,6 @@ def test_a_chunk_predictor_sizes_its_tiles_once_for_the_grid(small_model, monkey
     assert predictor.tiles.biases[0].shape[0] == 1134
 
 
-def test_predicting_curves_allocates_no_criteria_scratch(small_model, monkeypatch):
-    # Only run_sweep() scores chunks, so only its workers hold a scratch.
-    made = []
-
-    class CountedScratch(sensopt.sweep.CriteriaScratch):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(sensopt.sweep, "CriteriaScratch", CountedScratch)
-    spec = _spec((3, 3, 3, 3, 3))
-    assert len(list(predict_curves(small_model, spec.settings()))) == 243
-    assert made == []
-    run_sweep(small_model, spec)
-    assert made and all(args == (CHUNK_COMBINATIONS, 200) for args in made)
-
-
 def test_exported_curves_are_the_scored_curves_bit_for_bit(small_model):
     # 243 combinations: three chunks of 64 and a short one of 51, each
     # forward cut into tiles of ~1,066 rows, so the combinations cover
@@ -571,29 +548,24 @@ def test_report_write_holds_one_block_of_fields_in_memory(tmp_path):
 
 
 def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_model):
-    # 20 chunks scored on one worker's buffers, made by this thread, as
-    # run_sweep() scores them. After the first chunk, predicting a chunk
-    # may raise the traced peak by argsort's (64, 200) order array
-    # (102,400 bytes) and a few small arrays, and scoring it by almost
-    # nothing: no per-chunk (64, 200) temporaries.
+    # 20 chunks predicted on one worker's buffers, made by this thread,
+    # and scored as run_sweep() scores them. After the first chunk,
+    # predicting a chunk may raise the traced peak by argsort's (64, 200)
+    # order array (102,400 bytes) and a few small arrays: no per-chunk
+    # (64, 200) temporaries.
     settings = default_sweep_spec(5).settings()[: 20 * CHUNK_COMBINATIONS]
     values = np.empty((len(settings), 4))
     predictor = sensopt.sweep._ChunkPredictor(small_model, len(settings))
-    scratch = CriteriaScratch(CHUNK_COMBINATIONS, 200)
-    growth = {"predict": [], "score": []}
-
-    def traced(step, call):
-        baseline = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = call()
-        growth[step].append(tracemalloc.get_traced_memory()[1] - baseline)
-        return result
+    growth = []
 
     def score_chunks():
         for start in range(0, len(settings), CHUNK_COMBINATIONS):
             stop = start + CHUNK_COMBINATIONS
-            block = traced("predict", lambda: predictor.predict(settings[start:stop]))
-            traced("score", lambda: criteria_block_into(*block, values[start:stop], scratch))
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            block = predictor.predict(settings[start:stop])
+            growth.append(tracemalloc.get_traced_memory()[1] - baseline)
+            values[start:stop] = criteria_block(*block)
 
     tracemalloc.start()
     try:
@@ -602,9 +574,8 @@ def test_a_helper_thread_allocates_only_argsorts_order_array_per_chunk(small_mod
         helper.join(timeout=120)
     finally:
         tracemalloc.stop()
-    assert not helper.is_alive() and len(growth["score"]) == 20
-    assert max(growth["predict"][1:]) < 120_000
-    assert max(growth["score"][1:]) < 10_000
+    assert not helper.is_alive() and len(growth) == 20
+    assert max(growth[1:]) < 120_000
     curves = list(predict_curves(small_model, settings))
     expected = criteria_block(
         *([getattr(curve, name) for curve in curves] for name in ("signal", "snr", "output3"))
