@@ -5,9 +5,9 @@ subcommand, each value of its default's type) and lets explicit flags
 override it; each flag overrides the key it names (--noise sets
 noise_db). It writes its outputs under --out only, and records a
 manifest with the fully resolved configuration and SHA-256 digests of
-its file inputs, so any run can be reproduced. The manifest is the
-run's last write, and the command deletes any earlier one before its
-first output write: a run that fails midway leaves no manifest.
+its file inputs and outputs, so any run can be reproduced and checked.
+The manifest is the run's last write, and the command deletes any earlier
+one before its first output write: a run that fails midway leaves none.
 
 This module only parses and wires: the defaults come from TrainConfig,
 NetworkConfig and SensorOracle, and the export of the selected curves
@@ -170,6 +170,7 @@ def _write_manifest(
         "resolved_config": resolved,
         "inputs": {path: _sha256(path) for path in inputs.values()},
         "outputs": sorted(os.path.basename(p) for p in outputs),
+        "output_sha256": {os.path.basename(p): _sha256(p) for p in outputs},
     }
     _write_json(_manifest_path(out_dir, command), manifest)
 

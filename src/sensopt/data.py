@@ -67,7 +67,7 @@ DEFAULT_FRACTIONS = (0.81, 0.09, 0.10)
 
 # 17 significant digits round-trip any float64 exactly.
 _FLOAT_FMT = "%.17g"
-# Rows formatted per % operation: bounds the text held in memory at once.
+# Rows per block of write_rows() and encode_table(): bounds the memory they hold at once.
 _BLOCK_ROWS = 4096
 # Leading rows of a block's column that decide whether its values repeat
 # enough to format each distinct value once (see write_rows).
@@ -250,12 +250,18 @@ def encode_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode the rows of `table` at `rows` (all by default) into (inputs, targets) arrays.
 
-    The inputs, the category and the outputs are gathered apart, each
-    just before it is encoded, so the rows are never copied as a table.
+    The rows are encoded _BLOCK_ROWS at a time, in order, into the two
+    arrays; an error names the first offending value of the first block
+    holding one, as encode_inputs() and then encode_outputs() check it.
     """
     values = table.values
-    x = encode_inputs(values[rows, :N_NUMERIC_INPUTS], values[rows, N_NUMERIC_INPUTS], norm)
-    y = encode_outputs(values[rows, N_NUMERIC_INPUTS + 1 :], norm)
+    picked = np.arange(len(table))[rows] if isinstance(rows, slice) else rows
+    x, y = np.empty((len(picked), ENCODED_INPUT_SIZE)), np.empty((len(picked), N_OUTPUTS))
+    for start in range(0, len(picked), _BLOCK_ROWS):
+        part = slice(start, start + _BLOCK_ROWS)
+        block = values[picked[part]]
+        x[part] = encode_inputs(block[:, :N_NUMERIC_INPUTS], block[:, N_NUMERIC_INPUTS], norm)
+        y[part] = encode_outputs(block[:, N_NUMERIC_INPUTS + 1 :], norm)
     return x, y
 
 

@@ -7,22 +7,22 @@ sgd_step()           plain gradient-descent update, in place
 adam_step()          adaptive-moment update, in place
 numeric_gradients()  central finite-difference gradient check
 save_model()/load_model()  versioned binary model container
-forward_tiles_into() inference outputs for many encoded rows, tile by tile,
-                     in caller-owned TileBuffers; forward_chunked() is its
-                     checked form
+forward_tiles_into() inference outputs for many encoded rows: forward_into()
+                     tile by tile, on caller-owned TileBuffers;
+                     forward_chunked() is its checked form
 predict()            raw inputs -> physical outputs via a Model bundle
 
 All arithmetic is float64. Weight matrices are (fan_out, fan_in), so a
 layer computes z = a_prev @ W.T + b; hidden layers use a leaky
 rectifier, the output layer is the identity.
 
-The training math has one implementation, the in-place kernels
-forward_into() and backprop_into(). They write into buffers the caller
-owns and check nothing: training.train() allocates the buffers once per
-run and validates its arrays once, while forward() and backprop()
-validate their arguments and allocate fresh buffers on every call. The
-optimizers likewise update in place through two scratch vectors that
-init_optimizer() allocates.
+The math of training and inference has one implementation, the in-place
+kernels forward_into() and backprop_into(). They write into buffers the
+caller owns and check nothing: training.train() allocates its buffers
+once per run and forward_tiles_into() views TileBuffers, while forward()
+and backprop() validate their arguments and allocate fresh buffers on
+every call. The optimizers likewise update in place through two scratch
+vectors that init_optimizer() allocates.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class NetworkConfig:
     @property
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.n_inputs, *self.hidden, self.n_outputs)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.hidden) + 1
 
 
 def _flatten(weights, biases) -> tuple[tuple[int, ...], np.ndarray]:
@@ -179,16 +175,20 @@ def empty_trace(config: NetworkConfig, inputs: np.ndarray) -> ForwardTrace:
     return ForwardTrace(pre_activations=pre_activations, activations=activations)
 
 
-def forward_into(params: NetworkParameters, config: NetworkConfig, trace: ForwardTrace) -> None:
+def forward_into(
+    params: NetworkParameters, config: NetworkConfig, trace: ForwardTrace, biases: list[np.ndarray]
+) -> None:
     """Run the net on trace.activations[0], writing every z and activation of `trace`.
 
-    The buffers come from empty_trace(); nothing is checked.
+    Layer l adds biases[l]: params.biases[l], or TileBuffers' copy of it
+    for every row, with the same bits. The buffers come from
+    empty_trace() or forward_tiles_into(); nothing is checked.
     """
     alpha = config.alpha
     last = len(params.weights) - 1
     a = trace.activations[0]
     for layer, (w, b, z, out) in enumerate(
-        zip(params.weights, params.biases, trace.pre_activations, trace.activations[1:])
+        zip(params.weights, biases, trace.pre_activations, trace.activations[1:])
     ):
         np.matmul(a, w.T, z)
         np.add(z, b, z)
@@ -224,7 +224,7 @@ def forward(params: NetworkParameters, config: NetworkConfig, inputs) -> Forward
     """
     x = _checked_inputs(params, config, inputs)
     trace = empty_trace(config, x)
-    forward_into(params, config, trace)
+    forward_into(params, config, trace, params.biases)
     return trace
 
 
@@ -451,9 +451,9 @@ class TileBuffers(NamedTuple):
     empty_tile_buffers(), since adding a whole array beats a broadcast
     add over many calls, or broadcast views for a single call.
     forward_tiles_into() only reads it, so threads may share it. `z` and
-    `a` are flat work buffers, each of `rows` times the widest layer, for
-    a layer's pre-activation and its activation; one thread at a time
-    may use them.
+    `a` are flat work buffers of `rows` times the widest layer, viewed
+    as every hidden z and every hidden activation of a tile's
+    ForwardTrace; one thread at a time may use them.
     """
 
     biases: list[np.ndarray]
@@ -487,30 +487,22 @@ def forward_tiles_into(
 ) -> None:
     """Network outputs for the encoded rows `x`, written into `out`.
 
-    Inference only, so nothing is kept for backprop: the rows go through
-    in near-equal tiles of FORWARD_TILE_ROWS to 2 * FORWARD_TILE_ROWS rows
-    (one tile when `x` is shorter), and every layer is computed in
-    `buffers`, which must hold tile_rows(len(x)) rows and the biases of
-    `params`. The tiles depend on len(x) alone, so a row's bits do not
-    depend on the buffers. Nothing is checked.
+    forward_into() runs once per near-equal tile of FORWARD_TILE_ROWS to
+    2 * FORWARD_TILE_ROWS rows (one tile when `x` is shorter) on a trace
+    of the tile's rows of `x` and `out` and of `buffers`, which must hold
+    tile_rows(len(x)) rows and the biases of `params`; each hidden layer
+    overwrites the one before it. The tiles depend on len(x) alone, so a
+    row's bits do not depend on the buffers. Nothing is checked.
     """
     n = x.shape[0]
     tiles = max(1, n // FORWARD_TILE_ROWS)
-    last = config.n_layers - 1
     for tile in range(tiles):
         start, stop = tile * n // tiles, (tile + 1) * n // tiles
         rows = stop - start
-        a = x[start:stop]
-        for layer, (w, b) in enumerate(zip(params.weights, buffers.biases)):
-            size = w.shape[0]
-            z = out[start:stop] if layer == last else buffers.z[: rows * size].reshape(rows, size)
-            np.matmul(a, w.T, out=z)
-            np.add(z, b[:rows], out=z)
-            if layer != last:
-                # The leaky ReLU of z, written into the activation buffer.
-                a = buffers.a[: rows * size].reshape(rows, size)
-                np.multiply(z, config.alpha, out=a)
-                np.maximum(z, a, out=a)
+        z = [buffers.z[: rows * size].reshape(rows, size) for size in config.hidden]
+        a = [buffers.a[: rows * size].reshape(rows, size) for size in config.hidden]
+        trace = ForwardTrace([*z, out[start:stop]], [x[start:stop], *a, out[start:stop]])
+        forward_into(params, config, trace, [b[:rows] for b in buffers.biases])
 
 
 def forward_chunked(params: NetworkParameters, config: NetworkConfig, x) -> np.ndarray:

@@ -237,7 +237,7 @@ def train(
             stop = min(start + size, n)
             trace, grads, scratch, squares = buffers[stop - start]
             trace.activations[0] = xs[start:stop]
-            forward_into(params, net_config, trace)
+            forward_into(params, net_config, trace, params.biases)
             # The output error a - y is backprop's starting delta; the
             # batch MSE is taken from it before any output derivative.
             error = grads.deltas[-1]

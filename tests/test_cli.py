@@ -230,6 +230,27 @@ def test_each_failed_output_write_leaves_no_manifest(
         assert not list(out.glob("*.tmp")), k
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_vouches_for_each_output_by_digest(command, pipeline_dir, tmp_path):
+    # The manifest records each output's SHA-256, so an output edited
+    # after the run no longer matches it, and the others still do.
+    out = tmp_path / "out"
+    assert main(_small_run_argv(command, pipeline_dir, tmp_path) + ["--out", str(out)]) == 0
+    manifest = json.loads((out / f"{command}_manifest.json").read_text())
+
+    def mismatched() -> list[str]:
+        return [
+            name for name, digest in manifest["output_sha256"].items()
+            if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
+        ]
+
+    assert sorted(manifest["output_sha256"]) == manifest["outputs"]
+    assert mismatched() == []
+    edited = out / manifest["outputs"][-1]
+    edited.write_bytes(edited.read_bytes() + b"\n")
+    assert mismatched() == [edited.name]
+
+
 def _readme_config_keys() -> dict[str, set[str]]:
     """The keys README.md lists for each config section, by command."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,4 +1,6 @@
 import io
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,6 +127,30 @@ def test_encode_table_pairs_inputs_and_outputs():
     assert x.shape == (16, 10)
     assert y.shape == (16, 3)
     assert np.allclose(y[:, 2], table.column("output3") / norm.output_max[2])
+
+
+def test_encode_table_is_one_unblocked_encode_bit_for_bit():
+    # Ten blocks and a short one of shuffled rows: the bits, and the first
+    # offending value, of encoding them all at once, while beside the
+    # result only about a block's copies and temporaries are held.
+    block = sensopt.data._BLOCK_ROWS
+    values = random_table(np.random.default_rng(4), 12 * block).values
+    rows = np.random.default_rng(5).permutation(len(values))[: 10 * block + 17]
+    tracemalloc.start()
+    try:
+        x, y = encode_table(SampleTable(values), NORM, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.tobytes() == encode_inputs(values[rows, :6], values[rows, 6], NORM).tobytes()
+    assert y.tobytes() == encode_outputs(values[rows, 7:], NORM).tobytes()
+    assert peak < x.nbytes + y.nbytes + 4 * block * values[0].nbytes
+    values[rows[block + 3], 2] = 501.0
+    values[rows[-1], 1] = 145.0
+    with pytest.raises(RangeError) as unblocked:
+        encode_inputs(values[rows, :6], values[rows, 6], NORM)
+    with pytest.raises(RangeError, match=re.escape(str(unblocked.value))):
+        encode_table(SampleTable(values), NORM, rows)
 
 
 def test_split_sizes_and_partitioning():

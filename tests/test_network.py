@@ -60,7 +60,6 @@ def test_config_validation():
         NetworkConfig(alpha=0.0)
     cfg = NetworkConfig()
     assert cfg.layer_sizes == (10, 64, 64, 64, 3)
-    assert cfg.n_layers == 4
 
 
 def test_init_parameters_seeded_and_bounded():
@@ -148,7 +147,7 @@ def test_batch_gradient_is_mean_of_sample_gradients():
     x = rng.normal(size=(8, 4))
     y = rng.normal(size=(8, 2))
     batch = backprop(params, cfg, forward(params, cfg, x), y)
-    for layer in range(cfg.n_layers):
+    for layer in range(len(params.weights)):
         acc_w = np.zeros_like(batch.d_weights[layer])
         acc_b = np.zeros_like(batch.d_biases[layer])
         for i in range(8):
@@ -413,7 +412,9 @@ def test_model_file_digests_are_pinned(tmp_path):
     assert digest(params) == ADAM3_MODEL_SHA256
 
 
-@pytest.mark.parametrize("n_rows", [1, 40, 3 * FORWARD_TILE_ROWS + 5, 511, 12_800, 12_801])
+@pytest.mark.parametrize(
+    "n_rows", [1, 40, 3 * FORWARD_TILE_ROWS + 5, 511, 12_800, 12_801, 2047, 2048]
+)
 @pytest.mark.parametrize("config", [NetworkConfig(), NetworkConfig(hidden=(16, 8))])
 def test_forward_chunked_is_forward_bit_for_bit(n_rows, config):
     params = init_parameters(config, seed=5)
@@ -435,6 +436,49 @@ def test_forward_tiles_into_reuses_one_buffer_set():
         forward_tiles_into(params, config, x, out, buffers)
         assert np.array_equal(out, forward_chunked(params, config, x))
     assert tile_rows(12_800) == 1067 and tile_rows(511) == 511 and tile_rows(2047) == 2047
+
+
+@pytest.mark.parametrize("tiled", [True, False])
+def test_forward_tiles_into_runs_forward_into_once_per_tile(monkeypatch, tiled):
+    # The layer math has one implementation: each tile is one forward_into
+    # call on views of the buffers, the sweep's tiled biases or
+    # forward_chunked's broadcast ones, and of the tile's rows of x and out.
+    config = NetworkConfig(hidden=(16, 8))
+    params = init_parameters(config, seed=5)
+    n_rows = 3 * FORWARD_TILE_ROWS + 5
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(n_rows, config.n_inputs))
+    expected = forward(params, config, x).output
+    calls = []
+    real = sensopt.network.forward_into
+
+    def spy(params, config, trace, biases):
+        calls.append((trace, biases))
+        real(params, config, trace, biases)
+
+    monkeypatch.setattr(sensopt.network, "forward_into", spy)
+    if tiled:
+        buffers = empty_tile_buffers(params, config, tile_rows(n_rows))
+        out = np.full((n_rows, config.n_outputs), np.nan)
+        forward_tiles_into(params, config, x, out, buffers)
+    else:
+        out = forward_chunked(params, config, x)
+    assert np.array_equal(out, expected)
+    assert len(calls) == 3
+    assert sum(len(trace.output) for trace, _ in calls) == n_rows
+    for trace, biases in calls:
+        rows = len(trace.output)
+        assert np.shares_memory(trace.activations[0], x)
+        assert trace.output.base is out
+        assert np.shares_memory(trace.pre_activations[-1], trace.output)
+        for b, layer_bias in zip(biases, params.biases):
+            assert len(b) == rows and np.array_equal(b, np.tile(layer_bias, (rows, 1)))
+            assert (b.strides[0] == 0) is not tiled
+        if tiled:
+            assert all(np.shares_memory(b, t) for b, t in zip(biases, buffers.biases))
+            assert all(np.shares_memory(z, buffers.z) for z in trace.pre_activations[:-1])
+            assert all(np.shares_memory(a, buffers.a) for a in trace.activations[1:-1])
+        else:
+            assert all(np.shares_memory(b, p) for b, p in zip(biases, params.biases))
 
 
 def test_forward_chunked_checks_its_inputs():
