@@ -92,9 +92,9 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config file {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigurationError("config file must hold a JSON object")

@@ -9,11 +9,12 @@ training partition and persisted with the model, so encoding is a pure
 function of (row, normalization spec). split() assigns rows to the
 train/validation/test partitions in the fixed shares DEFAULT_FRACTIONS.
 
-CSV contract, shared by every float table sensopt writes (the dataset,
-the predicted-vs-actual pairs, the selected curves): a header line of
-comma-separated column names, then one line per row whose fields are
-float64 values printed with 17 significant digits, so they read back
-exactly. Files are written with LF line endings, through a temporary
+CSV contract, shared by every table sensopt writes (the dataset, the
+predicted-vs-actual pairs, the selected curves, the sweep report): a
+header line of comma-separated column names, then one line per row whose
+fields are float64 values printed with 17 significant digits, so they
+read back exactly, or ready-made texts such as the report's ranks and
+flags. Files are written with LF line endings, through a temporary
 file that replaces the target only once it is complete. In a column whose
 values repeat, such as a dataset's settings, input5, category and
 output3, the writer formats each distinct value once per block of rows;
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import itertools
 import math
 import os
 import re
@@ -166,6 +168,19 @@ def _check_category(category: np.ndarray) -> np.ndarray:
     return rounded.astype(np.intp)
 
 
+def check_maxima(values: np.ndarray, maxima: np.ndarray, names) -> None:
+    """Raise a RangeError naming the first value of `values` over its column's maximum.
+
+    `values` is (n, k) and is read in row-major order; column j has the
+    maximum maxima[j] and the name names[j].
+    """
+    over = np.argwhere(values > maxima)
+    if len(over):
+        r, c = over[0]
+        value, maximum = float(values[r, c]), float(maxima[c])
+        raise RangeError(f"{names[c]} value {value!r} exceeds recorded maximum {maximum!r}")
+
+
 def encode_inputs(
     numeric: np.ndarray, category: np.ndarray, norm: NormalizationSpec
 ) -> np.ndarray:
@@ -192,12 +207,7 @@ def encode_inputs(
             f"expected {N_NUMERIC_INPUTS} numeric inputs per row, got {rows.shape[1]}"
         )
     maxima = np.asarray(norm.input_max)
-    over = rows > maxima
-    if np.any(over):
-        r, c = np.argwhere(over)[0]
-        raise RangeError(
-            f"{COLUMNS[c]} value {rows[r, c]!r} exceeds recorded maximum {maxima[c]!r}"
-        )
+    check_maxima(rows, maxima, COLUMNS)
     cat = _check_category(category)
     if cat.ndim == 0:
         cat = cat[None]
@@ -230,18 +240,21 @@ def encode_outputs(outputs: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
     return encoded[0] if single else encoded
 
 
-def decode_outputs(encoded: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
-    """Invert encode_outputs back to physical units."""
+def decode_outputs(encoded: np.ndarray, norm: NormalizationSpec, out=None) -> np.ndarray:
+    """Invert encode_outputs back to physical units.
+
+    Given an (n, 3) array `out`, the n rows are decoded into it, column
+    by column and with no temporary array, and `out` is returned.
+    """
     arr = np.asarray(encoded, dtype=np.float64)
     single = arr.ndim == 1
     rows = np.atleast_2d(arr)
     if rows.shape[1] != N_OUTPUTS:
         raise ConfigurationError(f"expected {N_OUTPUTS} outputs per row, got {rows.shape[1]}")
-    maxima = np.asarray(norm.output_max)
-    decoded = np.empty_like(rows)
-    decoded[:, 0] = 10.0 ** (rows[:, 0] * maxima[0])
-    decoded[:, 1] = rows[:, 1] * maxima[1]
-    decoded[:, 2] = rows[:, 2] * maxima[2]
+    decoded = np.empty_like(rows) if out is None else out
+    for j, maximum in enumerate(norm.output_max):
+        np.multiply(rows[:, j], maximum, decoded[:, j])
+    np.power(10.0, decoded[:, 0], decoded[:, 0])
     return decoded[0] if single else decoded
 
 
@@ -309,44 +322,47 @@ def _repeats(column: np.ndarray) -> bool:
     return 2 * np.count_nonzero(sample[1:] == sample[:-1]) >= sample.size
 
 
-def _texts(column: np.ndarray) -> np.ndarray:
+def _texts(column: np.ndarray) -> list[str]:
     """The "%.17g" text of each value, each distinct value formatted once."""
     distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
     texts = [_FLOAT_FMT % v for v in distinct.view(np.float64).tolist()]
-    return np.array(texts, dtype=object)[inverse]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def write_rows(fh, array) -> None:
-    """Write the rows of a 2-D array to text file `fh` as CSV lines.
+    """Write rows to text file `fh` as CSV lines, _BLOCK_ROWS rows at a time.
 
-    Every field gets 17 significant digits, and the bytes are those numpy's
-    savetxt writes with fmt "%.17g", delimiter "," and newline LF. A block
-    of rows with no repeating column is written by a single % operation.
-    Otherwise the block is built column by column: each distinct value of
-    a repeating column is formatted once and its text spliced in, each
-    other column is formatted by one % operation, and the column texts
-    are joined row by row. Values are distinct by their bits, so -0.0
-    and 0.0, or NaNs of either sign, are each formatted on their own.
+    `array` is a 2-D float array, or a sequence of its columns: 1-D
+    float64 arrays, and lists of ready-made texts written verbatim.
+    Every float field gets 17 significant digits, and the bytes are
+    those numpy's savetxt writes with fmt "%.17g", delimiter "," and
+    newline LF. In a block, each run of adjacent float columns whose
+    values do not repeat is formatted by one % operation, and each
+    distinct value of a repeating column once (values are distinct by
+    their bits, so -0.0 and 0.0, or NaNs of either sign, apart). A
+    block that is one such run is written as formatted; otherwise the
+    texts of its runs and columns are joined row by row.
     """
-    rows = np.asarray(array, dtype=np.float64)
-    for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        repeated = [_repeats(column) for column in block.T]
-        if not any(repeated):
-            line = ",".join([_FLOAT_FMT] * block.shape[1]) + "\n"
-            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    columns = list(np.asarray(array, np.float64).T) if isinstance(array, np.ndarray) else array
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [column[start : start + _BLOCK_ROWS] for column in columns]
+        # A column's texts: as given (list), by distinct value (_texts), or in a run (None).
+        kinds = [list if isinstance(c, list) else _texts if _repeats(c) else None for c in block]
+        if not any(kinds):
+            fh.write(_lines(block))
             continue
-        columns = [
-            _texts(column).tolist() if r else _column_texts(column)
-            for r, column in zip(repeated, block.T)
-        ]
-        fh.write("\n".join(map(",".join, zip(*columns))))
+        texts = []
+        for kind, run in itertools.groupby(zip(kinds, block), key=lambda pair: pair[0]):
+            run = [column for _, column in run]
+            texts += run if kind is list else map(kind, run) if kind else [_lines(run).splitlines()]
+        fh.write("\n".join(map(",".join, zip(*texts))))
         fh.write("\n")
 
 
-def _column_texts(column: np.ndarray) -> list[str]:
-    """The "%.17g" text of each value, formatted by one % operation."""
-    return ((_FLOAT_FMT + "\n") * column.size % tuple(column.tolist())).splitlines()
+def _lines(columns: list[np.ndarray]) -> str:
+    """The "%.17g" CSV lines of the rows of float `columns`, by one % operation."""
+    line = ",".join([_FLOAT_FMT] * len(columns)) + "\n"
+    return (line * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
 
 
 @contextlib.contextmanager

@@ -66,7 +66,7 @@ class NetworkConfig:
 
     def __post_init__(self):
         sizes = self.layer_sizes
-        if any(int(s) != s or s < 1 for s in sizes):
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1 for s in sizes):
             raise ConfigurationError(f"layer sizes must be positive integers, got {sizes}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha!r}")

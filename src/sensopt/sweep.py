@@ -48,8 +48,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .curves import Curve, CriteriaValues, criteria_block
-from .data import COLUMN_INDEX, ENCODED_INPUT_SIZE, N_NUMERIC_INPUTS, _texts, replacing
-from .errors import ConfigurationError, RangeError, SelectionError
+from .data import (
+    COLUMN_INDEX,
+    N_NUMERIC_INPUTS,
+    check_maxima,
+    decode_outputs,
+    encode_inputs,
+    replacing,
+    write_rows,
+)
+from .errors import ConfigurationError, SelectionError
 from .network import (
     BIT_STABLE_ROWS,
     Model,
@@ -83,7 +91,7 @@ CHUNK_COMBINATIONS = 64
 # Copies of one combination that fill a block of at least BIT_STABLE_ROWS
 # rows (3 * 200 = 600): see the export rule above.
 EXPORT_COPIES = -(-BIT_STABLE_ROWS // ROWS_PER_COMBINATION)
-# Report rows formatted per % operation: bounds the text held in memory.
+# Report rows per write_rows() call: bounds the texts held in memory.
 _REPORT_BLOCK_ROWS = 4096
 # Each settings input's column in a sample row and in the model's input maxima.
 _SETTING_COLUMNS = [COLUMN_INDEX[name] for name in SETTING_NAMES]
@@ -142,15 +150,8 @@ def _check_inside_model(model: Model, settings: np.ndarray) -> None:
     input5's sweep comes first, then the (n, 5) `settings` in row-major order.
     """
     maxima = np.asarray(model.normalization.input_max)
-    over = np.argwhere(settings > maxima[_SETTING_COLUMNS])
-    if INPUT5[-1] > maxima[4]:
-        name, value, maximum = "input5", INPUT5[-1], maxima[4]
-    elif len(over):
-        r, c = over[0]
-        name, value, maximum = SETTING_NAMES[c], settings[r, c], maxima[_SETTING_COLUMNS[c]]
-    else:
-        return
-    raise RangeError(f"{name} value {float(value)!r} exceeds recorded maximum {float(maximum)!r}")
+    check_maxima(INPUT5[-1:, None], maxima[[COLUMN_INDEX["input5"]]], ["input5"])
+    check_maxima(settings, maxima[_SETTING_COLUMNS], SETTING_NAMES)
 
 
 class _ChunkPredictor:
@@ -163,11 +164,12 @@ class _ChunkPredictor:
     predicting never allocates them.
 
     The encoded input block's input5 and one-hot category columns are
-    the same for every chunk, so they are written here, once, from the
-    oracle's row layout, and a chunk writes only its five settings
-    columns. Every value is computed as data.encode_inputs() and
-    data.decode_outputs() compute it, so the curves are those of
-    network.predict() on the chunk, bit for bit. Nothing is checked.
+    the same for every chunk, so they are encoded here, once, by
+    data.encode_inputs() on one combination's rows, and a chunk writes
+    only its five settings columns, scaled as encode_inputs() scales
+    them. The outputs are decoded by data.decode_outputs() into a
+    buffer, so the curves are those of network.predict() on the chunk,
+    bit for bit. predict() checks nothing.
     """
 
     def __init__(self, model: Model, n: int, tiles: TileBuffers | None = None):
@@ -176,17 +178,14 @@ class _ChunkPredictor:
         `tiles` must come from a predictor for a grid of the same size.
         """
         self.model = model
-        maxima = np.asarray(model.normalization.input_max)
-        self.settings_max = maxima[_SETTING_COLUMNS]
-        self.output_max = np.asarray(model.normalization.output_max)
+        self.settings_max = np.asarray(model.normalization.input_max)[_SETTING_COLUMNS]
         combinations = min(n, CHUNK_COMBINATIONS)
         rows = combinations * ROWS_PER_COMBINATION
         last_rows = ((n - 1) % CHUNK_COMBINATIONS + 1) * ROWS_PER_COMBINATION
-        self.encoded = np.zeros((rows, ENCODED_INPUT_SIZE))
-        block = self.encoded.reshape(combinations, ROWS_PER_COMBINATION, -1)
-        block[:, :, 4] = INPUT5 / maxima[4]
-        category = N_NUMERIC_INPUTS + CATEGORY.astype(np.intp)
-        block[:, np.arange(ROWS_PER_COMBINATION), category] = 1.0
+        template = np.zeros((ROWS_PER_COMBINATION, N_NUMERIC_INPUTS))
+        template[:, COLUMN_INDEX["input5"]] = INPUT5
+        combination = encode_inputs(template, CATEGORY, model.normalization)
+        self.encoded = np.tile(combination, (combinations, 1))
         self.outputs = np.empty((rows, model.config.n_outputs))
         if tiles is None:
             longest = max(tile_rows(rows), tile_rows(last_rows))
@@ -219,10 +218,7 @@ class _ChunkPredictor:
             self.model.params, self.model.config, self.encoded[:rows], outputs, self.tiles
         )
         decoded = self.decoded[:, :rows]
-        np.multiply(outputs[:, 0], self.output_max[0], decoded[0])
-        np.power(10.0, decoded[0], decoded[0])
-        np.multiply(outputs[:, 1], self.output_max[1], decoded[1])
-        np.multiply(outputs[:, 2], self.output_max[2], decoded[2])
+        decode_outputs(outputs, self.model.normalization, out=decoded.T)
         order = np.argsort(decoded[0].reshape(m, -1), axis=1, kind="stable")
         order += self.row_starts[:m]
         curves = self.curves[:, :m]
@@ -496,35 +492,22 @@ def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
 def write_report_csv(result: SweepResult, path) -> None:
     """Flat CSV of every candidate: settings, criteria, ranks, selected flags.
 
-    Settings and criteria get 17 significant digits. The fields are built
-    and written _REPORT_BLOCK_ROWS rows at a time, and each distinct
-    setting of a block is formatted once. Written through a temporary
-    file, like every sensopt table: a failed write leaves whatever `path`
-    held before untouched.
+    Written by data.write_rows(), _REPORT_BLOCK_ROWS rows at a time: the
+    settings and criteria as float fields with 17 significant digits,
+    each block's ranks and flags as ready-made texts. Written through a
+    temporary file, like every sensopt table: a failed write leaves
+    whatever `path` held before untouched.
     """
     subsets = sorted(result.selections)
     rank_names = [f"rank_c{i}" for i in ALL_CRITERIA]
     flag_names = [f"selected_{subset_label(s)}" for s in subsets]
     header = ",".join([*SETTING_NAMES, "c1", "c2", "c3", "c4", *rank_names, *flag_names])
-    line = ",".join(
-        ["%s"] * len(SETTING_NAMES) + ["%.17g"] * len(ALL_CRITERIA)
-        + ["%s"] * (len(ALL_CRITERIA) + len(subsets))
-    ) + "\n"
     with replacing(path) as fh:
         fh.write(header + "\n")
         for start in range(0, len(result.settings), _REPORT_BLOCK_ROWS):
             rows = slice(start, start + _REPORT_BLOCK_ROWS)
             settings, ranks = result.settings[rows], result.ranks[rows]
-            rank_fields = ranks.astype(object)
-            rank_fields[ranks < 0] = ""
-            # An object table keeps the criteria as floats for the %.17g fields.
-            fields = np.column_stack([
-                *(_texts(column) for column in settings.T),
-                result.criteria[rows],
-                rank_fields,
-                *(
-                    np.where(np.all(settings == result.selections[s].settings, axis=1), "1", "0")
-                    for s in subsets
-                ),
-            ])
-            fh.write((line * len(fields)) % tuple(fields.ravel().tolist()))
+            rank_texts = [["" if r < 0 else str(r) for r in column] for column in ranks.T.tolist()]
+            selected = [np.all(settings == result.selections[s].settings, axis=1) for s in subsets]
+            flag_texts = [np.where(flags, "1", "0").tolist() for flags in selected]
+            write_rows(fh, [*settings.T, *result.criteria[rows].T, *rank_texts, *flag_texts])

@@ -19,10 +19,10 @@ import sensopt.data
 from sensopt.cli import _scaled_count, _write_json, main
 from sensopt.curves import Curve, criteria
 from sensopt.data import TEST, read_csv, split
-from sensopt.errors import ConfigurationError
+from sensopt.errors import ConfigurationError, RangeError
 from sensopt.network import load_model, save_model
 from sensopt.oracle import SETTING_RANGES
-from sensopt.sweep import CHUNK_COMBINATIONS
+from sensopt.sweep import CHUNK_COMBINATIONS, predict_curves
 from sensopt.training import evaluate, write_prediction_csvs
 
 
@@ -599,6 +599,46 @@ def test_config_invalid_json(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text("{not json")
     assert main(["generate", "--out", str(tmp_path / "g"), "--config", str(config_path)]) == 1
+
+
+def test_a_value_over_the_models_maximum_is_named_as_a_plain_float(pipeline_dir, tmp_path, capsys):
+    # evaluate and the sweep name it in the same words.
+    model = pipeline_dir / "model.bin"
+    assert load_model(model).normalization.input_max[2] == 500.0
+    lines = (pipeline_dir / "dataset.csv").read_text().splitlines()
+    row = 1 + int(split(len(lines) - 1, 0).indices(TEST)[0])
+    fields = lines[row].split(",")
+    fields[2] = "501"
+    lines[row] = ",".join(fields)
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("\n".join(lines) + "\n")
+    argv = ["evaluate", "--out", str(tmp_path), "--model", str(model), "--dataset", str(dataset)]
+    assert main(argv) == 2
+    message = "input3 value 501.0 exceeds recorded maximum 500.0"
+    assert capsys.readouterr().err == f"sensopt evaluate: error: {message}\n"
+    settings = [float(fields[i]) for i in (0, 1, 2, 3, 5)]
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        list(predict_curves(load_model(model), [settings]))
+
+
+def test_a_config_file_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b'{"generate": {}}\xff\xfe')
+    assert main(["generate", "--out", str(tmp_path / "g"), "--config", str(config_path)]) == 1
+    assert f"config file {config_path}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_optimize_rejects_a_model_whose_layer_size_is_a_float(pipeline_dir, tmp_path, capsys):
+    raw = (pipeline_dir / "model.bin").read_bytes()
+    header_len = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + header_len])
+    header["config"]["hidden"][0] = float(header["config"]["hidden"][0])
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    model = tmp_path / "model.bin"
+    model.write_bytes(raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + header_len :])
+    code = main(["optimize", "--out", str(tmp_path / "opt"), "--model", str(model)])
+    assert code == 2
+    assert "malformed model header: layer sizes must be positive integers" in capsys.readouterr().err
 
 
 def test_train_names_the_line_that_is_not_utf8(pipeline_dir, tmp_path, capsys):

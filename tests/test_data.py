@@ -280,6 +280,29 @@ def test_write_rows_matches_savetxt_on_repeating_columns(column):
     assert ours.getvalue() == reference.getvalue()
 
 
+@pytest.mark.parametrize("repeating", [False, True])
+@pytest.mark.parametrize("n_rows", [100, sensopt.data._BLOCK_ROWS + 1])
+def test_write_rows_writes_text_columns_verbatim(n_rows, repeating):
+    rng = np.random.default_rng(n_rows)
+    values = rng.normal(size=(n_rows, 3)) * 1e3
+    if repeating:
+        values[:, 1] = np.array([478.0, -0.0, 0.1, np.nan])[np.arange(n_rows) % 4]
+    assert sensopt.data._repeats(values[:, 1]) == repeating
+    names = [f"t{i}" for i in range(n_rows)]
+    ranks = ["" if i % 7 == 3 else str(i // 2) for i in range(n_rows)]
+    ours = io.StringIO()
+    write_rows(ours, [values[:, 0], names, values[:, 1], values[:, 2], ranks])
+    reference = io.StringIO()
+    np.savetxt(reference, values, fmt="%.17g", delimiter=",", newline="\n")
+    lines = [
+        f"{a},{name},{b},{c},{rank}\n"
+        for (a, b, c), name, rank in zip(
+            (line.split(",") for line in reference.getvalue().splitlines()), names, ranks
+        )
+    ]
+    assert ours.getvalue() == "".join(lines)
+
+
 def _dataset_lines(n_rows: int) -> list[str]:
     buffer = io.StringIO()
     write_rows(buffer, random_table(np.random.default_rng(9), n_rows).values)

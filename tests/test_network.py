@@ -54,6 +54,9 @@ TINY_Y = np.array([1.0])
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         NetworkConfig(hidden=(0,))
+    for hidden in ((64.0, 64), (True, 64)):
+        with pytest.raises(ConfigurationError, match="positive integers"):
+            NetworkConfig(hidden=hidden)
     with pytest.raises(ConfigurationError):
         NetworkConfig(alpha=1.0)
     with pytest.raises(ConfigurationError):
@@ -503,6 +506,8 @@ def test_forward_chunked_checks_its_inputs():
         ("config", "output_activation", "leaky_relu"),
         ("normalization", "signal_log_base", 2.0),
         ("normalization", "input_max", [float("nan"), 144.0, 500.0, 3650.0, 49.0, 4000.0]),
+        # Equal to the sizes the header's layers list, but not an integer.
+        ("config", "hidden", [12.0, 11]),
     ],
 )
 def test_load_model_rejects_header_values_the_format_does_not_allow(tmp_path, section, key, value):
