@@ -219,8 +219,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     net_config = NetworkConfig(hidden=tuple(resolved["hidden"]), alpha=resolved["alpha"])
     train_cfg = TrainConfig(**{key: resolved[key] for key in train_defaults})
     dataset_path = args.dataset or os.path.join(args.out, "dataset.csv")
-    # No name holds the raw table, so it is freed before training starts.
-    arrays, norm, assignment = prepare_training_data(read_csv(dataset_path), resolved["seed"])
+    # The array the dataset is parsed into becomes the encoded partitions.
+    arrays, norm, assignment = prepare_training_data(dataset_path, resolved["seed"])
     split_record = {"seed": resolved["seed"], "rows": len(assignment.labels)}
     params, history = train(
         net_config,

@@ -38,6 +38,7 @@ import itertools
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,10 @@ DEFAULT_FRACTIONS = (0.81, 0.09, 0.10)
 
 # 17 significant digits round-trip any float64 exactly.
 _FLOAT_FMT = "%.17g"
-# Rows per block of write_rows() and encode_table(): bounds the memory they hold at once.
+# Rows per block of write_rows() and encode_rows_into(): bounds the memory they hold at once.
 _BLOCK_ROWS = 4096
+# Rows of a block that write_rows() joins into one string at a time.
+_JOIN_ROWS = 1024
 # Leading rows of a block's column that decide whether its values repeat
 # enough to format each distinct value once (see write_rows).
 _SAMPLE_ROWS = 64
@@ -182,7 +185,7 @@ def check_maxima(values: np.ndarray, maxima: np.ndarray, names) -> None:
 
 
 def encode_inputs(
-    numeric: np.ndarray, category: np.ndarray, norm: NormalizationSpec
+    numeric: np.ndarray, category: np.ndarray, norm: NormalizationSpec, out=None
 ) -> np.ndarray:
     """Encode raw inputs into the network's 10-entry input vector.
 
@@ -190,6 +193,9 @@ def encode_inputs(
         numeric: shape (6,) or (n, 6), the values of input1..input6.
         category: scalar or shape (n,), integer category 0..3.
         norm: scaling constants to divide by.
+        out: an (n, 10) array to encode the n rows into, or None for a
+            new one; `numeric` may be its first six columns and
+            `category` its seventh, as both are checked and read first.
 
     Returns:
         Array of shape (10,) or (n, 10): six normalized numerics followed
@@ -213,17 +219,20 @@ def encode_inputs(
         cat = cat[None]
     if cat.shape[0] != rows.shape[0]:
         raise ConfigurationError("numeric rows and category entries must match in count")
-    encoded = np.zeros((rows.shape[0], ENCODED_INPUT_SIZE))
+    encoded = np.empty((rows.shape[0], ENCODED_INPUT_SIZE)) if out is None else out
     np.divide(rows, maxima, out=encoded[:, :N_NUMERIC_INPUTS])
+    encoded[:, N_NUMERIC_INPUTS:] = 0.0
     encoded[np.arange(rows.shape[0]), N_NUMERIC_INPUTS + cat] = 1.0
     return encoded[0] if single else encoded
 
 
-def encode_outputs(outputs: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
+def encode_outputs(outputs: np.ndarray, norm: NormalizationSpec, out=None) -> np.ndarray:
     """Scale physical (signal, snr, output3) rows into normalized targets.
 
     The signal passes through log10 before scaling; all three entries land
-    in [0, 1] on the data the spec was fitted from.
+    in [0, 1] on the data the spec was fitted from. Given an (n, 3) array
+    `out`, which may be `outputs` itself, the n rows are encoded into it
+    and `out` is returned.
     """
     arr = np.asarray(outputs, dtype=np.float64)
     single = arr.ndim == 1
@@ -233,7 +242,7 @@ def encode_outputs(outputs: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
     if np.any(rows[:, 0] <= 0):
         raise DomainError("signal must be positive for the log transform")
     maxima = np.asarray(norm.output_max)
-    encoded = np.empty_like(rows)
+    encoded = np.empty_like(rows) if out is None else out
     encoded[:, 0] = np.log10(rows[:, 0]) / maxima[0]
     encoded[:, 1] = rows[:, 1] / maxima[1]
     encoded[:, 2] = rows[:, 2] / maxima[2]
@@ -258,23 +267,34 @@ def decode_outputs(encoded: np.ndarray, norm: NormalizationSpec, out=None) -> np
     return decoded[0] if single else decoded
 
 
+def encode_rows_into(values: np.ndarray, norm: NormalizationSpec, y: np.ndarray) -> None:
+    """Encode raw sample rows in place: `values` (n, 10) becomes the network's inputs.
+
+    The rows' targets go to `y` (n, 3). The rows are encoded _BLOCK_ROWS
+    at a time, in order: a block's outputs are copied to `y`, then
+    encode_inputs() and encode_outputs() encode the block's inputs and
+    targets over themselves. So an error names the first offending value
+    of the first block holding one, as encode_inputs() and then
+    encode_outputs() check it, and the blocks before it are encoded.
+    """
+    for start in range(0, len(values), _BLOCK_ROWS):
+        block, targets = values[start : start + _BLOCK_ROWS], y[start : start + _BLOCK_ROWS]
+        targets[...] = block[:, N_NUMERIC_INPUTS + 1 :]
+        encode_inputs(block[:, :N_NUMERIC_INPUTS], block[:, N_NUMERIC_INPUTS], norm, block)
+        encode_outputs(targets, norm, targets)
+
+
 def encode_table(
     table: SampleTable, norm: NormalizationSpec, rows: np.ndarray | slice = slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode the rows of `table` at `rows` (all by default) into (inputs, targets) arrays.
 
-    The rows are encoded _BLOCK_ROWS at a time, in order, into the two
-    arrays; an error names the first offending value of the first block
-    holding one, as encode_inputs() and then encode_outputs() check it.
+    The rows are gathered into a new array, which encode_rows_into()
+    then encodes in place into the inputs; `table` is left unchanged.
     """
-    values = table.values
     picked = np.arange(len(table))[rows] if isinstance(rows, slice) else rows
-    x, y = np.empty((len(picked), ENCODED_INPUT_SIZE)), np.empty((len(picked), N_OUTPUTS))
-    for start in range(0, len(picked), _BLOCK_ROWS):
-        part = slice(start, start + _BLOCK_ROWS)
-        block = values[picked[part]]
-        x[part] = encode_inputs(block[:, :N_NUMERIC_INPUTS], block[:, N_NUMERIC_INPUTS], norm)
-        y[part] = encode_outputs(block[:, N_NUMERIC_INPUTS + 1 :], norm)
+    x, y = table.values[picked], np.empty((len(picked), N_OUTPUTS))
+    encode_rows_into(x, norm, y)
     return x, y
 
 
@@ -341,7 +361,8 @@ def write_rows(fh, array) -> None:
     distinct value of a repeating column once (values are distinct by
     their bits, so -0.0 and 0.0, or NaNs of either sign, apart). A
     block that is one such run is written as formatted; otherwise the
-    texts of its runs and columns are joined row by row.
+    texts of its runs and columns are joined row by row, _JOIN_ROWS
+    rows to a string.
     """
     columns = list(np.asarray(array, np.float64).T) if isinstance(array, np.ndarray) else array
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
@@ -355,8 +376,10 @@ def write_rows(fh, array) -> None:
         for kind, run in itertools.groupby(zip(kinds, block), key=lambda pair: pair[0]):
             run = [column for _, column in run]
             texts += run if kind is list else map(kind, run) if kind else [_lines(run).splitlines()]
-        fh.write("\n".join(map(",".join, zip(*texts))))
-        fh.write("\n")
+        lines = map(",".join, zip(*texts))
+        while part := list(itertools.islice(lines, _JOIN_ROWS)):
+            fh.write("\n".join(part))
+            fh.write("\n")
 
 
 def _lines(columns: list[np.ndarray]) -> str:
@@ -402,8 +425,9 @@ def write_csv(table: SampleTable, path) -> None:
 def read_csv(path) -> SampleTable:
     """Parse a sample CSV back into a table, losslessly.
 
-    The body is parsed by numpy's loadtxt; only when that fails does a
-    line-by-line pass run, to name the first bad line.
+    The body is parsed by numpy's loadtxt into one array of the counted
+    number of rows, which the returned table holds; only when that
+    fails does a line-by-line pass run, to name the first bad line.
 
     Raises:
         CsvParseError: bytes that are not UTF-8 text, wrong header, wrong
@@ -422,10 +446,17 @@ def read_csv(path) -> SampleTable:
         raise CsvParseError(f"line 1: expected header {_HEADER!r}", line_number=1)
     values = np.empty((0, n_cols))
     if n_rows:
+        # Given max_rows, loadtxt allocates the array once at its final
+        # size, where growing it as it parsed would leave the heap holes
+        # that later allocations cannot reuse. It warns when a blank line
+        # does not count towards max_rows; the row count reports those.
         try:
-            values = np.loadtxt(
-                path, delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="utf-8"
-            )
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "Input line", UserWarning)
+                values = np.loadtxt(
+                    path, delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="utf-8",
+                    max_rows=n_rows,
+                )
         except ValueError:
             values = None
         # loadtxt skips blank lines, which the row count exposes.

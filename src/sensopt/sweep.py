@@ -494,9 +494,9 @@ def write_report_csv(result: SweepResult, path) -> None:
 
     Written by data.write_rows(), _REPORT_BLOCK_ROWS rows at a time: the
     settings and criteria as float fields with 17 significant digits,
-    each block's ranks and flags as ready-made texts. Written through a
-    temporary file, like every sensopt table: a failed write leaves
-    whatever `path` held before untouched.
+    each block's ranks and flags as ready-made texts, each distinct one
+    made once. Written through a temporary file, like every sensopt
+    table: a failed write leaves whatever `path` held before untouched.
     """
     subsets = sorted(result.selections)
     rank_names = [f"rank_c{i}" for i in ALL_CRITERIA]
@@ -506,8 +506,12 @@ def write_report_csv(result: SweepResult, path) -> None:
         fh.write(header + "\n")
         for start in range(0, len(result.settings), _REPORT_BLOCK_ROWS):
             rows = slice(start, start + _REPORT_BLOCK_ROWS)
-            settings, ranks = result.settings[rows], result.ranks[rows]
-            rank_texts = [["" if r < 0 else str(r) for r in column] for column in ranks.T.tolist()]
+            settings, ranks = result.settings[rows], result.ranks[rows].T
+            # Each distinct rank of the block is formatted once, and its
+            # columns' fields share that text.
+            distinct, inverse = np.unique(ranks, return_inverse=True)
+            texts = np.array(["" if r < 0 else str(r) for r in distinct.tolist()], dtype=object)
+            rank_texts = texts[inverse.reshape(ranks.shape)].tolist()
             selected = [np.all(settings == result.selections[s].settings, axis=1) for s in subsets]
             flag_texts = [np.where(flags, "1", "0").tolist() for flags in selected]
             write_rows(fh, [*settings.T, *result.criteria[rows].T, *rank_texts, *flag_texts])

@@ -7,15 +7,15 @@ validation MSE has not improved for `plateau_patience` consecutive
 epochs. MSE here is the mean over samples and the three normalized
 outputs.
 
-A step runs network.forward_into and network.backprop_into on buffers
-that train() allocates once per run, one set for full batches and one
-for a shorter last batch; each epoch gathers the shuffled rows once, so
-a batch is a contiguous slice.
+A step gathers its batch's shuffled rows into buffers and runs
+network.forward_into and network.backprop_into on them; train()
+allocates these buffers once per run, one set for full batches and one
+for a shorter last batch, and copies no partition.
 
-Memory: prepare_training_data() encodes the training and validation
-partitions straight from their rows of the raw table, which is never
-copied, so a run holds one encoded copy of each plus train()'s epoch
-buffers (the shuffled training rows) once the caller drops the table.
+Memory: given a dataset's path, prepare_training_data() encodes the
+training and validation rows in place, in the array read_csv() parses
+the file into, so a run holds that one array and the targets, and no
+other copy of the data.
 """
 
 from __future__ import annotations
@@ -30,12 +30,15 @@ from .data import (
     TRAIN,
     VALIDATION,
     N_NUMERIC_INPUTS,
+    N_OUTPUTS,
     NormalizationSpec,
     SampleTable,
     SplitAssignment,
     decode_outputs,
+    encode_rows_into,
     encode_table,
     fit_normalization,
+    read_csv,
     split,
     write_table,
 )
@@ -58,6 +61,8 @@ from .network import (  # noqa: F401  forward, backprop: bindings perfbench/span
 )
 
 OUTPUT_NAMES = ("signal", "snr", "output3")
+# Rows prepare_training_data() moves at a time when it compacts a table in place.
+_COMPACT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -193,6 +198,10 @@ def train(
         cfg: loop hyperparameters; cfg.seed fixes initialization and the
             per-epoch shuffles, so identical calls give identical results.
 
+    Each batch's rows are gathered by index from x_train and y_train
+    into the step's buffers, so the partitions are read, never copied or
+    written.
+
     Returns:
         (trained parameters, per-epoch history). Runs exactly cfg.epochs
         epochs; there is no early stopping.
@@ -214,34 +223,35 @@ def train(
     n = x_train.shape[0]
     size = cfg.batch_size
 
-    # The epoch's shuffled rows, and per batch length (a full batch and
-    # the last one) the trace, gradient, hidden-layer derivative and
-    # squared-error buffers of a step.
-    xs, ys = np.empty_like(x_train), np.empty_like(y_train)
+    # Per batch length (a full batch and the last one): the trace, whose
+    # first activation holds the batch's inputs, the batch's targets, and
+    # the gradient, hidden-layer derivative and squared-error buffers.
     buffers = {}
     for rows in (min(size, n), n - (n - 1) // size * size):
-        trace = empty_trace(net_config, xs[:rows])
+        trace = empty_trace(net_config, np.empty((rows, net_config.n_inputs)))
         scratch = [np.empty_like(z) for z in trace.pre_activations[:-1]]
-        buffers[rows] = (trace, empty_gradients(params, rows), scratch, np.empty_like(ys[:rows]))
+        targets = np.empty((rows, net_config.n_outputs))
+        grads = empty_gradients(params, rows)
+        buffers[rows] = (trace, targets, grads, scratch, np.empty_like(targets))
     subtract, multiply, add_reduce, take = np.subtract, np.multiply, np.add.reduce, np.take
 
     for epoch in range(cfg.epochs):
         perm = _epoch_permutation(cfg.seed, epoch, n)
-        # mode="clip" writes straight into xs and ys; the default
-        # mode="raise" would gather into a temporary copy first.
-        take(x_train, perm, 0, xs, "clip")
-        take(y_train, perm, 0, ys, "clip")
         state.learning_rate = schedule.rate
         squared_error_sum = 0.0
         for batch_index, start in enumerate(range(0, n, size)):
             stop = min(start + size, n)
-            trace, grads, scratch, squares = buffers[stop - start]
-            trace.activations[0] = xs[start:stop]
+            trace, targets, grads, scratch, squares = buffers[stop - start]
+            # mode="clip" gathers straight into the batch buffers; the
+            # default mode="raise" would gather into a temporary first.
+            batch = perm[start:stop]
+            take(x_train, batch, 0, trace.activations[0], "clip")
+            take(y_train, batch, 0, targets, "clip")
             forward_into(params, net_config, trace, params.biases)
             # The output error a - y is backprop's starting delta; the
             # batch MSE is taken from it before any output derivative.
             error = grads.deltas[-1]
-            subtract(trace.activations[-1], ys[start:stop], error)
+            subtract(trace.activations[-1], targets, error)
             multiply(error, error, squares)
             batch_sq = float(add_reduce(squares, None)) / squares.size
             if not math.isfinite(batch_sq):
@@ -317,21 +327,52 @@ def write_prediction_csvs(report: EvaluationReport, directory) -> list[str]:
 
 
 def prepare_training_data(
-    table: SampleTable, seed: int
+    source, seed: int
 ) -> tuple[dict[str, np.ndarray], NormalizationSpec, SplitAssignment]:
     """Split a raw table, fit normalization on the training rows, encode what training uses.
 
+    `source` is a SampleTable, whose training and validation rows are
+    copied and encoded and which is left unchanged, or the path of a
+    dataset CSV. The array read_csv() parses that file into is then
+    encoded in place: its training rows move to its front in their
+    order, its validation rows follow, and encode_rows_into() encodes
+    them, so no other copy of the rows is made.
+
     Returns a dict with x_train/y_train/x_val/y_val, the fitted
-    normalization and the split assignment; the test rows are left
-    unencoded (evaluate() encodes the rows it scores). Each partition
-    is encoded straight from its rows of `table`, which holds the only
-    raw copy: the caller may drop `table` once this returns.
+    normalization and the split assignment. The x arrays are views of
+    one array, training rows first, and so are the y arrays; the test
+    rows are left unencoded (evaluate() encodes the rows it scores).
+    Either source gives the same bytes and raises the same errors.
     """
+    table = source if isinstance(source, SampleTable) else read_csv(source)
     assignment = split(len(table), seed)
-    norm = fit_normalization(table, assignment.indices(TRAIN))
+    train_rows, val_rows = assignment.indices(TRAIN), assignment.indices(VALIDATION)
+    norm = fit_normalization(table, train_rows)
+    if table is source:
+        x = table.values[np.concatenate((train_rows, val_rows))]
+    else:
+        x = _front_rows(table.values, train_rows, val_rows)
+    y = np.empty((len(x), N_OUTPUTS))
     arrays = {}
-    for label, tag in ((TRAIN, "train"), (VALIDATION, "val")):
-        x, y = encode_table(table, norm, assignment.indices(label))
-        arrays[f"x_{tag}"] = x
-        arrays[f"y_{tag}"] = y
+    n_train = len(train_rows)
+    for tag, part in (("train", slice(None, n_train)), ("val", slice(n_train, None))):
+        encode_rows_into(x[part], norm, y[part])
+        arrays[f"x_{tag}"], arrays[f"y_{tag}"] = x[part], y[part]
     return arrays, norm, assignment
+
+
+def _front_rows(values: np.ndarray, train_rows: np.ndarray, val_rows: np.ndarray) -> np.ndarray:
+    """Move the rows of `values` at `train_rows`, then those at `val_rows`, to its front.
+
+    In place; both index arrays ascend. Returns the view of the moved
+    rows, and leaves the rows behind them as they are.
+    """
+    val = values[val_rows]
+    # Row train_rows[i] moves to row i. As train_rows ascends,
+    # train_rows[i] >= i, so no block reads a row an earlier block wrote.
+    n_train = len(train_rows)
+    for start in range(0, n_train, _COMPACT_ROWS):
+        stop = min(start + _COMPACT_ROWS, n_train)
+        values[start:stop] = values[train_rows[start:stop]]
+    values[n_train : n_train + len(val)] = val
+    return values[: n_train + len(val)]

@@ -1,13 +1,25 @@
 import hashlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sensopt.training
-from sensopt.data import TRAIN, VALIDATION, encode_table, fit_normalization
+from sensopt.data import (
+    TRAIN,
+    VALIDATION,
+    SampleTable,
+    encode_table,
+    fit_normalization,
+    read_csv,
+    split,
+    write_csv,
+)
 from sensopt.errors import (
     ConfigurationError,
     DomainError,
+    RangeError,
     ShapeError,
     TrainingDivergedError,
 )
@@ -20,6 +32,7 @@ from sensopt.network import (
     init_parameters,
     sgd_step,
 )
+from sensopt.oracle import TABLE1, SensorOracle, generate_dataset
 from sensopt.training import (
     PlateauSchedule,
     _epoch_permutation,
@@ -253,6 +266,58 @@ def test_prepare_training_data_is_the_per_partition_table_encoding(small_dataset
         assert arrays[f"x_{tag}"].tobytes() == x.tobytes()
         assert arrays[f"y_{tag}"].tobytes() == y.tobytes()
         assert arrays[f"x_{tag}"].shape == x.shape and arrays[f"y_{tag}"].shape == y.shape
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_prepare_training_data_from_a_path_is_the_read_tables_bytes(small_dataset, tmp_path, seed):
+    # 5,184 training rows: the in-place compaction ends on a short block.
+    path = tmp_path / "dataset.csv"
+    write_csv(small_dataset, path)
+    arrays, norm, assignment = prepare_training_data(path, seed)
+    expected, expected_norm, expected_assignment = prepare_training_data(read_csv(path), seed)
+    assert assignment.counts()[0] == 5_184 and 5_184 % 4_096
+    assert norm == expected_norm
+    assert np.array_equal(assignment.labels, expected_assignment.labels)
+    assert sorted(arrays) == sorted(expected)
+    for name, array in expected.items():
+        assert arrays[name].shape == array.shape
+        assert arrays[name].tobytes() == array.tobytes()
+
+
+def test_prepare_training_data_leaves_a_table_unchanged(small_dataset):
+    before = small_dataset.values.tobytes()
+    arrays, _, _ = prepare_training_data(small_dataset, seed=3)
+    assert small_dataset.values.tobytes() == before
+    assert not any(np.shares_memory(a, small_dataset.values) for a in arrays.values())
+
+
+def test_both_sources_raise_the_same_range_error(small_dataset, tmp_path):
+    # The last validation row's input3 exceeds its training maximum.
+    values = small_dataset.values.copy()
+    row = split(len(values), 3).indices(VALIDATION)[-1]
+    values[row, 2] = 2 * values[:, 2].max()
+    path = tmp_path / "dataset.csv"
+    write_csv(SampleTable(values), path)
+    with pytest.raises(RangeError, match="input3 value") as from_table:
+        prepare_training_data(SampleTable(values), seed=3)
+    with pytest.raises(RangeError, match=re.escape(str(from_table.value))):
+        prepare_training_data(path, seed=3)
+
+
+def test_train_makes_no_epoch_copy_of_the_training_rows():
+    # 39,366 training rows of the 48,600-row desk grid: train() holds its
+    # step buffers, the epoch's permutation and the validation forward's
+    # tiles, and gathers each batch straight into its buffers.
+    table = generate_dataset(SensorOracle(seed=0), TABLE1.subsample(3))
+    arrays, _, _ = prepare_training_data(table, seed=0)
+    partitions = (arrays[name] for name in ("x_train", "y_train", "x_val", "y_val"))
+    tracemalloc.start()
+    try:
+        train(NetworkConfig(), *partitions, TrainConfig(epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays["x_train"].nbytes
 
 
 def test_evaluate_and_prediction_csvs(small_dataset, small_model, tmp_path):
