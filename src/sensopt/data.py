@@ -20,7 +20,7 @@ values repeat, such as a dataset's settings, input5, category and
 output3, the writer formats each distinct value once per block of rows;
 the bytes are those of formatting every field. read_csv()
 reads UTF-8 text with LF, CRLF or lone CR line endings and rejects,
-naming the 1-based line:
+naming the 1-based line, counted as in Python's universal newlines mode:
   - bytes that are not UTF-8 text;
   - a header other than COLUMNS;
   - a line without exactly 10 fields, blank lines included;
@@ -28,11 +28,13 @@ naming the 1-based line:
     and hex literals are rejected);
   - a non-finite field (nan, inf);
   - a non-positive signal, or a category that is not an integer in 0..3.
+The first four are text faults: the first line with one is named, for
+the first of them in this order. The last two bullets are value faults,
+checked once the whole file has parsed, each kind at its first line.
 """
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import itertools
 import math
@@ -77,8 +79,6 @@ _JOIN_ROWS = 1024
 # Leading rows of a block's column that decide whether its values repeat
 # enough to format each distinct value once (see write_rows).
 _SAMPLE_ROWS = 64
-# Bytes read at a time when read_csv() counts a file's lines.
-_SCAN_BYTES = 1 << 20
 _HEADER = ",".join(COLUMNS)
 # The literals numpy's loadtxt parser accepts, once surrounding whitespace
 # is stripped; used only to name the line of a file it rejected.
@@ -284,16 +284,13 @@ def encode_rows_into(values: np.ndarray, norm: NormalizationSpec, y: np.ndarray)
         encode_outputs(targets, norm, targets)
 
 
-def encode_table(
-    table: SampleTable, norm: NormalizationSpec, rows: np.ndarray | slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode the rows of `table` at `rows` (all by default) into (inputs, targets) arrays.
+def encode_table(table: SampleTable, norm: NormalizationSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Encode the rows of `table` into (inputs, targets) arrays.
 
-    The rows are gathered into a new array, which encode_rows_into()
-    then encodes in place into the inputs; `table` is left unchanged.
+    The rows are copied into a new array, which encode_rows_into() then
+    encodes in place into the inputs; `table` is left unchanged.
     """
-    picked = np.arange(len(table))[rows] if isinstance(rows, slice) else rows
-    x, y = table.values[picked], np.empty((len(picked), N_OUTPUTS))
+    x, y = table.values.copy(), np.empty((len(table), N_OUTPUTS))
     encode_rows_into(x, norm, y)
     return x, y
 
@@ -425,25 +422,24 @@ def write_csv(table: SampleTable, path) -> None:
 def read_csv(path) -> SampleTable:
     """Parse a sample CSV back into a table, losslessly.
 
-    The body is parsed by numpy's loadtxt into one array of the counted
-    number of rows, which the returned table holds; only when that
-    fails does a line-by-line pass run, to name the first bad line.
+    One text-mode pass reads the header and counts the lines after it;
+    numpy's loadtxt then parses them into one array of that many rows,
+    which the returned table holds. Only when either finds a fault does
+    a second pass run, to name the first line with one.
 
     Raises:
-        CsvParseError: bytes that are not UTF-8 text, wrong header, wrong
-            field count, an unparseable or non-finite field, a
-            non-positive signal or a non-integral category; the message
-            carries the offending 1-based line number.
+        CsvParseError: a text or value fault (see the module docstring);
+            the message carries the 1-based number of the line it names.
     """
     n_cols = len(COLUMNS)
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
-        n_rows = _count_lines(path) - 1
+            n_rows = sum(1 for _ in fh)
     except UnicodeDecodeError:
-        raise _first_undecodable_line(path) from None
+        raise _first_bad_line(path) from None
     if header.rstrip("\n") != _HEADER:
-        raise CsvParseError(f"line 1: expected header {_HEADER!r}", line_number=1)
+        raise _first_bad_line(path)
     values = np.empty((0, n_cols))
     if n_rows:
         # Given max_rows, loadtxt allocates the array once at its final
@@ -467,59 +463,33 @@ def read_csv(path) -> SampleTable:
     return table
 
 
-def _count_lines(path) -> int:
-    """The number of lines of `path`, checking on the way that it is UTF-8 text.
+def _line_fault(line_no: int, text: str) -> str | None:
+    """The text fault of line `line_no` of a sample CSV, given without its ending, or None.
 
-    Lines end as in Python's universal newlines mode, at LF, CRLF or a
-    lone CR, and a last line without an ending counts too. The file is
-    read in binary blocks of _SCAN_BYTES, so no line is decoded alone.
-
-    Raises:
-        UnicodeDecodeError: the bytes are not UTF-8 text.
+    Undecodable bytes are in `text` as surrogateescape's lone surrogates.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    endings, last = 0, b""
-    with open(path, "rb") as fh:
-        while block := fh.read(_SCAN_BYTES):
-            decoder.decode(block)
-            endings += block.count(b"\n")
-            if b"\r" in block:
-                endings += block.count(b"\r") - block.count(b"\r\n")
-            # A CRLF split between two blocks is one ending, not two.
-            endings -= last == b"\r" and block[:1] == b"\n"
-            last = block[-1:]
-    decoder.decode(b"", final=True)
-    return endings + (last not in (b"", b"\r", b"\n"))
-
-
-def _first_undecodable_line(path) -> CsvParseError:
-    """The error for the first line of `path` that is not UTF-8 text."""
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return CsvParseError(f"line {line_no}: not UTF-8 text", line_number=line_no)
-    return CsvParseError(f"{os.fspath(path)}: not UTF-8 text")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "not UTF-8 text"
+    if line_no == 1:
+        return None if text == _HEADER else f"expected header {_HEADER!r}"
+    fields = text.split(",") if text else []
+    if len(fields) != len(COLUMNS):
+        return f"expected {len(COLUMNS)} fields, got {len(fields)}"
+    if not all(_NUMBER.fullmatch(field.strip()) for field in fields):
+        return "unparseable numeric field"
+    return None
 
 
 def _first_bad_line(path) -> CsvParseError:
-    """The error for the first data line of `path` that cannot be parsed."""
-    n_cols = len(COLUMNS)
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line_no, line in enumerate(fh, start=2):
-            text = line.rstrip("\n")
-            fields = text.split(",") if text else []
-            if len(fields) != n_cols:
-                return CsvParseError(
-                    f"line {line_no}: expected {n_cols} fields, got {len(fields)}",
-                    line_number=line_no,
-                )
-            if not all(_NUMBER.fullmatch(field.strip()) for field in fields):
-                return CsvParseError(
-                    f"line {line_no}: unparseable numeric field", line_number=line_no
-                )
+    """The error for the first line of `path` with a text fault (see the module docstring)."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        # An empty file still has a first line to lack the header.
+        lines = itertools.chain([fh.readline()], fh)
+        for line_no, line in enumerate(lines, start=1):
+            if fault := _line_fault(line_no, line.rstrip("\n")):
+                return CsvParseError(f"line {line_no}: {fault}", line_number=line_no)
     return CsvParseError(f"{os.fspath(path)}: unparseable CSV body")
 
 

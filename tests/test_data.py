@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -136,9 +137,10 @@ def test_encode_table_is_one_unblocked_encode_bit_for_bit():
     block = sensopt.data._BLOCK_ROWS
     values = random_table(np.random.default_rng(4), 12 * block).values
     rows = np.random.default_rng(5).permutation(len(values))[: 10 * block + 17]
+    table = SampleTable(values[rows])
     tracemalloc.start()
     try:
-        x, y = encode_table(SampleTable(values), NORM, rows)
+        x, y = encode_table(table, NORM)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -150,7 +152,7 @@ def test_encode_table_is_one_unblocked_encode_bit_for_bit():
     with pytest.raises(RangeError) as unblocked:
         encode_inputs(values[rows, :6], values[rows, 6], NORM)
     with pytest.raises(RangeError, match=re.escape(str(unblocked.value))):
-        encode_table(SampleTable(values), NORM, rows)
+        encode_table(SampleTable(values[rows]), NORM)
 
 
 def test_split_sizes_and_partitioning():
@@ -384,34 +386,46 @@ def test_read_csv_accepts_lone_cr_line_endings(tmp_path):
     endings = [b"\r", b"\n", b"\r\n"] * 13 + [b"\r"]
     cr.write_bytes(b"".join(line + ending for line, ending in zip(lines, endings)) + lines[-1])
     assert np.array_equal(read_csv(cr).values, table.values)
-    # CR CR LF ends a line, then a blank one, as in the parent's text mode.
+    # CR CR LF ends a line, then a blank one.
     cr.write_bytes(b"\r\r\n".join(lines) + b"\n")
     with pytest.raises(CsvParseError) as err:
         read_csv(cr)
     assert str(err.value) == "line 2: expected 10 fields, got 0"
 
 
-@pytest.mark.parametrize("scan_bytes", [1, 2, 3, 7, 64])
-def test_read_csv_counts_lines_across_block_boundaries(tmp_path, monkeypatch, scan_bytes):
-    # CRLFs and two-byte characters split between blocks count once and
+@pytest.mark.parametrize("boundary", [1, 2, 3, 7, 64])
+def test_read_csv_counts_lines_across_block_boundaries(tmp_path, boundary):
+    # About 550 KB, 67 of the text layer's 8 KiB reads. A CRLF and a
+    # two-byte character across the given read boundary count once and
     # decode; a trailing blank line and a bad byte are named as before.
-    monkeypatch.setattr(sensopt.data, "_SCAN_BYTES", scan_bytes)
-    lines = [line.encode("ascii") for line in _dataset_lines(30)]
+    at = boundary * 8192 - 1
+    lines = [line.encode("ascii") for line in _dataset_lines(3500)]
     path = tmp_path / "rows.csv"
-    path.write_bytes(b"\r\n".join(lines))
-    assert read_csv(path).values.shape == (30, 10)
-    path.write_bytes(b"\r\n".join(lines) + b"\r\n\r\n")
-    with pytest.raises(CsvParseError, match="line 32: expected 10 fields, got 0"):
+    # Leading zeros on the first field of the row whose CR comes last
+    # before the boundary put that CR just before it.
+    padded = list(lines)
+    row = b"\r\n".join(lines).count(b"\r", 0, at) - 1
+    padded[row] = b"0" * (at - len(b"\r\n".join(lines[: row + 1]))) + lines[row]
+    crlf = b"\r\n".join(padded)
+    assert crlf[at : at + 2] == b"\r\n"
+    path.write_bytes(crlf)
+    assert read_csv(path).values.shape == (3500, 10)
+    path.write_bytes(crlf + b"\r\n\r\n")
+    with pytest.raises(CsvParseError, match="line 3502: expected 10 fields, got 0"):
         read_csv(path)
-    lines[7] += "é".encode()
+    # The é goes where its two bytes straddle the boundary.
+    row = b"\n".join(lines).count(b"\n", 0, at)
+    col = at - sum(len(line) + 1 for line in lines[:row])
+    lines[row] = lines[row][:col] + "é".encode() + lines[row][col:]
+    assert (b"\n".join(lines))[at : at + 2] == "é".encode()
     path.write_bytes(b"\n".join(lines) + b"\n")
-    with pytest.raises(CsvParseError, match="line 8: unparseable numeric field"):
+    with pytest.raises(CsvParseError, match=f"line {row + 1}: unparseable numeric field"):
         read_csv(path)
-    lines[7] = lines[7][:-1]  # half of the two-byte character
+    lines[row] = lines[row][: col + 1] + lines[row][col + 2 :]  # half of the two-byte character
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(CsvParseError) as err:
         read_csv(path)
-    assert str(err.value) == "line 8: not UTF-8 text"
+    assert str(err.value) == f"line {row + 1}: not UTF-8 text"
 
 
 def test_read_csv_header_only_gives_empty_table_without_warning(tmp_path):
@@ -444,19 +458,50 @@ def test_failed_write_leaves_the_old_file_untouched(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "endings",
+    [
+        # LF, the ending sensopt writes, adds nothing to the case names.
+        pytest.param([b"\n"], id=pytest.HIDDEN_PARAM),
+        pytest.param([b"\r\n"], id="crlf"),
+        pytest.param([b"\r"], id="cr"),
+        pytest.param([b"\r", b"\n", b"\r\n"], id="mixed"),
+    ],
+)
+@pytest.mark.parametrize(
     "row, tail, line_number",
     [(2000, b"\xff\xfe", 2002), (0, b"\xe9", 2), (-1, b"\xff\xfe", 1)],
 )
-def test_read_csv_names_the_line_that_is_not_utf8(tmp_path, row, tail, line_number):
-    # row -1 puts the bytes on the header line.
+def test_read_csv_names_the_line_that_is_not_utf8(tmp_path, row, tail, line_number, endings):
+    # row -1 puts the bytes on the header line; the endings take turns.
     lines = [line.encode("ascii") for line in _dataset_lines(3000)]
     lines[row + 1] += tail
     path = tmp_path / "bad.csv"
-    path.write_bytes(b"\n".join(lines) + b"\n")
+    path.write_bytes(b"".join(map(bytes.__add__, lines, itertools.cycle(endings))))
     with pytest.raises(CsvParseError) as err:
         read_csv(path)
     assert err.value.line_number == line_number
     assert str(err.value) == f"line {line_number}: not UTF-8 text"
+
+
+@pytest.mark.parametrize(
+    "line_number, text, message",
+    [
+        (3, b"1_0,2,3,4,5,6,0,10,1,1", "line 3: unparseable numeric field"),
+        (1, b"signal,snr", f"line 1: expected header {','.join(COLUMNS)!r}"),
+    ],
+    ids=["literal", "header"],
+)
+def test_read_csv_names_the_first_line_with_a_text_fault(tmp_path, line_number, text, message):
+    # Lines are checked in order, so an earlier line's literal or header
+    # is named before the bad byte four lines on.
+    lines = [line.encode("ascii") for line in _dataset_lines(10)]
+    lines[line_number - 1] = text
+    lines[line_number + 3] += b"\xff"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CsvParseError) as err:
+        read_csv(path)
+    assert str(err.value) == message
 
 
 def test_replacing_leaves_the_old_file_untouched_when_the_block_raises(tmp_path):
