@@ -10,8 +10,8 @@ The manifest is the run's last write, and the command deletes any earlier
 one before its first output write: a run that fails midway leaves none.
 
 This module only parses and wires: the defaults come from TrainConfig,
-NetworkConfig and SensorOracle, and the export of the selected curves
-from sensopt.sweep.scored_curves().
+NetworkConfig and SensorOracle, and the selected curves, as the sweep
+scored them, from sensopt.sweep.predict_curves().
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -38,14 +38,11 @@ from .sweep import (
     DEFAULT_POINTS_PER_AXIS,
     axis_grid,
     default_sweep_spec,
+    predict_curves,
     run_sweep,
-    scored_curves,
     subset_label,
     write_report_csv,
 )
-# Not called here, but perfbench/spans.py wraps the binding
-# sensopt.cli.predict_curves, so it stays importable from this module.
-from .sweep import predict_curves  # noqa: F401
 from .training import (
     TrainConfig,
     evaluate,
@@ -333,7 +330,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     summary_path = os.path.join(args.out, "selection_summary.json")
     _write_json(summary_path, result.summary())
     outputs = [report_path, summary_path]
-    curves = scored_curves(model, [s.settings for s in result.selections.values()])
+    curves = predict_curves(model, [s.settings for s in result.selections.values()])
     for (subset, selection), curve in zip(result.selections.items(), curves):
         curve_path = os.path.join(args.out, f"selected_curve_{subset_label(subset)}.csv")
         write_curve_csv(curve, curve_path)

@@ -42,9 +42,9 @@ MODEL_MAGIC = b"SNSOPT01"
 # the same bits as one over all rows, while one of ~400 or fewer runs another
 # kernel and may differ in the last bit. Two things rely on it: the tiles of
 # forward_tiles_into, which are never shorter unless the whole input is, and
-# `sensopt optimize`, which exports a selected curve by predicting its
-# combination again in a block of at least BIT_STABLE_ROWS rows
-# (sweep.EXPORT_COPIES). Tiles of about FORWARD_TILE_ROWS rows also keep the
+# the sweep, which never predicts a block of fewer than BIT_STABLE_ROWS rows
+# (sweep.MIN_BLOCK_COMBINATIONS), so a selected curve exported on its own has
+# the bits it was scored on. Tiles of about FORWARD_TILE_ROWS rows also keep the
 # layer buffers in cache.
 BIT_STABLE_ROWS = 512
 FORWARD_TILE_ROWS = 1024

@@ -1,8 +1,8 @@
 """Interpolated design-space sweep over a trained surrogate.
 
 A sweep's grid is an oracle.GridSpec, built by axis_grid() from one
-AxisSpec per input; run_sweep() and predict_curves() check its
-settings() array against the model's maxima once. A chunk of
+AxisSpec per input; run_sweep() and predict_curves() check once that
+its settings() array is finite and within the model's maxima. A chunk of
 CHUNK_COMBINATIONS rows of it is predicted into (chunk, 200) blocks of
 curves by one kernel, _ChunkPredictor.predict(), which checks nothing:
 it writes the chunk's settings into an encoded input block whose other
@@ -30,10 +30,10 @@ a time.
 
 Export rule: a combination's curve has the same bits in every predicted
 block of network.BIT_STABLE_ROWS rows or more, whichever combinations
-share that block. So the curve run_sweep() scored for a combination is
-reproduced by predicting the combination EXPORT_COPIES times in a row,
-on its own or next to other combinations, without its chunk.
-scored_curves() applies the rule to export the selected curves.
+share that block. The kernel never predicts a block of fewer than
+MIN_BLOCK_COMBINATIONS combinations, padding a shorter chunk with
+repeats of its rows, so predict_curves() yields, for settings of any
+length, the curves run_sweep() scored for them.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .data import (
     replacing,
     write_rows,
 )
-from .errors import ConfigurationError, SelectionError
+from .errors import ConfigurationError, DomainError, SelectionError
 from .network import (
     BIT_STABLE_ROWS,
     Model,
@@ -66,9 +66,7 @@ from .network import (
     forward_tiles_into,
     tile_rows,
 )
-# Not called here, but perfbench/spans.py wraps the bindings
-# sensopt.sweep.criteria and sensopt.sweep.predict, so they stay
-# importable from this module.
+# Not called here: bindings perfbench/spans.py wraps (see tests/test_imports.py).
 from .curves import criteria  # noqa: F401
 from .network import predict  # noqa: F401
 from .oracle import (
@@ -88,9 +86,9 @@ DEFAULT_POINTS_PER_AXIS = 9
 # Combinations per predicted block: 64 * 200 = 12,800 rows share the
 # network's forward tiles.
 CHUNK_COMBINATIONS = 64
-# Copies of one combination that fill a block of at least BIT_STABLE_ROWS
-# rows (3 * 200 = 600): see the export rule above.
-EXPORT_COPIES = -(-BIT_STABLE_ROWS // ROWS_PER_COMBINATION)
+# The fewest combinations whose block has at least BIT_STABLE_ROWS rows
+# (3 * 200 = 600): see the export rule above.
+MIN_BLOCK_COMBINATIONS = -(-BIT_STABLE_ROWS // ROWS_PER_COMBINATION)
 # Report rows per write_rows() call: bounds the texts held in memory.
 _REPORT_BLOCK_ROWS = 4096
 # Each settings input's column in a sample row and in the model's input maxima.
@@ -145,10 +143,16 @@ def default_sweep_spec(points_per_axis: int = DEFAULT_POINTS_PER_AXIS) -> GridSp
 
 
 def _check_inside_model(model: Model, settings: np.ndarray) -> None:
-    """Raise a RangeError naming the first value over the model's normalization maximum.
+    """Raise a DomainError for a non-finite setting, a RangeError for one over its maximum.
 
-    input5's sweep comes first, then the (n, 5) `settings` in row-major order.
+    Each names the first such value. Non-finite settings are checked
+    first, in row-major order; then the maxima, input5's sweep first
+    and the (n, 5) `settings` after it in row-major order.
     """
+    bad = np.argwhere(~np.isfinite(settings))
+    if len(bad):
+        r, c = bad[0]
+        raise DomainError(f"{SETTING_NAMES[c]} value {float(settings[r, c])!r} is not finite")
     maxima = np.asarray(model.normalization.input_max)
     check_maxima(INPUT5[-1:, None], maxima[[COLUMN_INDEX["input5"]]], ["input5"])
     check_maxima(settings, maxima[_SETTING_COLUMNS], SETTING_NAMES)
@@ -160,8 +164,8 @@ class _ChunkPredictor:
     Made once per worker and run, and reused for every chunk it predicts:
     the grid's chunks of CHUNK_COMBINATIONS combinations and its last,
     possibly shorter, chunk, which forward_tiles_into() may cut into
-    longer tiles. The tile buffers hold the longer of the two tiles, so
-    predicting never allocates them.
+    longer tiles. The buffers hold blocks of MIN_BLOCK_COMBINATIONS or
+    more and the longer of the two tiles, so predicting never allocates them.
 
     The encoded input block's input5 and one-hot category columns are
     the same for every chunk, so they are encoded here, once, by
@@ -179,9 +183,10 @@ class _ChunkPredictor:
         """
         self.model = model
         self.settings_max = np.asarray(model.normalization.input_max)[_SETTING_COLUMNS]
-        combinations = min(n, CHUNK_COMBINATIONS)
+        combinations = max(min(n, CHUNK_COMBINATIONS), MIN_BLOCK_COMBINATIONS)
         rows = combinations * ROWS_PER_COMBINATION
-        last_rows = ((n - 1) % CHUNK_COMBINATIONS + 1) * ROWS_PER_COMBINATION
+        last = max((n - 1) % CHUNK_COMBINATIONS + 1, MIN_BLOCK_COMBINATIONS)
+        last_rows = last * ROWS_PER_COMBINATION
         template = np.zeros((ROWS_PER_COMBINATION, N_NUMERIC_INPUTS))
         template[:, COLUMN_INDEX["input5"]] = INPUT5
         combination = encode_inputs(template, CATEGORY, model.normalization)
@@ -204,9 +209,14 @@ class _ChunkPredictor:
         """The (3, m, 200) signal, snr and output3 curves of one chunk's (m, 5) `settings`.
 
         Each row is one combination's curve, sorted by ascending signal
-        with a stable sort. The result is a view into this object's
-        buffers, valid until the next call.
+        with a stable sort. A chunk of fewer than MIN_BLOCK_COMBINATIONS
+        combinations is predicted in a block padded with repeats of its
+        rows, by the export rule above. The result is a view into this
+        object's buffers, valid until the next call.
         """
+        chunk = settings.shape[0]
+        if chunk < MIN_BLOCK_COMBINATIONS:
+            settings = np.resize(settings, (MIN_BLOCK_COMBINATIONS, settings.shape[1]))
         m = settings.shape[0]
         rows = m * ROWS_PER_COMBINATION
         scaled = settings / self.settings_max
@@ -224,7 +234,7 @@ class _ChunkPredictor:
         curves = self.curves[:, :m]
         for column, curve in zip(decoded, curves):
             np.take(column, order, out=curve, mode="clip")
-        return curves
+        return curves[:, :chunk]
 
 
 def predict_curves(model: Model, settings) -> Iterator[Curve]:
@@ -232,10 +242,11 @@ def predict_curves(model: Model, settings) -> Iterator[Curve]:
 
     `settings` is an array or a sequence of rows. They are predicted
     CHUNK_COMBINATIONS at a time by one _ChunkPredictor, each chunk's
-    curves copied into arrays of their own. Settings outside the model's
-    normalization range raise a RangeError naming the input, before any
-    chunk is predicted; a predicted signal that is not positive raises
-    a DomainError, from Curve.
+    curves copied into arrays of their own. Before any chunk is
+    predicted, a non-finite setting raises a DomainError and a setting
+    outside the model's normalization range a RangeError, each naming
+    its input; a predicted signal that is not positive raises a
+    DomainError, from Curve.
     """
     settings = np.asarray(settings, dtype=np.float64)
     n = len(settings)
@@ -248,18 +259,6 @@ def predict_curves(model: Model, settings) -> Iterator[Curve]:
         curves = predictor.predict(chunk).copy()
         for row, signal, snr, output3 in zip(chunk.tolist(), *curves):
             yield Curve(settings=tuple(row), signal=signal, snr=snr, output3=output3)
-
-
-def scored_curves(model: Model, settings: Sequence[tuple[float, ...]]) -> list[Curve]:
-    """The curves run_sweep() scored for `settings`, bit for bit.
-
-    By the export rule above: all of them are predicted in one block,
-    each EXPORT_COPIES times in a row, so the block has
-    EXPORT_COPIES * 200 rows or more. That holds for up to
-    CHUNK_COMBINATIONS // EXPORT_COPIES combinations.
-    """
-    repeated = [combination for combination in settings for _ in range(EXPORT_COPIES)]
-    return list(predict_curves(model, repeated))[::EXPORT_COPIES]
 
 
 @dataclass(frozen=True)
@@ -421,10 +420,11 @@ def _cpu_count() -> int:
 def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
     """Score every combination of `spec` and select under each of SELECTION_SUBSETS.
 
-    The settings are checked against the model's maxima before any
-    worker starts. A combination whose least predicted signal is not
-    positive gets NaN criteria, so it is unranked on all four. The
-    chunks of CHUNK_COMBINATIONS combinations are scored by one worker
+    Before any worker starts, a non-finite setting raises a DomainError
+    and a setting over the model's maxima a RangeError. A combination
+    whose least predicted signal is not positive gets NaN criteria, so
+    it is unranked on all four. The chunks of CHUNK_COMBINATIONS
+    combinations are scored by one worker
     per CPU, at most one per chunk: the calling thread and helper
     threads, each with a _ChunkPredictor of its own. A chunk's criteria
     depend on its rows alone, so the result does not depend on the

@@ -177,6 +177,8 @@ def _checked_partition(config: NetworkConfig, x, y, name: str) -> tuple[np.ndarr
         raise ConfigurationError(f"{name} inputs and targets must align and be nonempty")
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{name} inputs must be finite")
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"{name} targets must be finite")
     return x, y
 
 
@@ -208,7 +210,7 @@ def train(
 
     Raises:
         ShapeError: an input or target width disagrees with net_config.
-        DomainError: a non-finite input entry.
+        DomainError: a non-finite input or target entry.
         ConfigurationError: a partition is empty or its arrays do not align.
         TrainingDivergedError: a batch cost became non-finite.
     """

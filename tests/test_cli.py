@@ -655,21 +655,34 @@ def test_train_names_the_line_that_is_not_utf8(pipeline_dir, tmp_path, capsys):
 def test_selected_curve_is_the_scored_curve(small_model, tmp_path):
     model_path = tmp_path / "model.bin"
     save_model(small_model, model_path)
-    config_path = tmp_path / "config.json"
-    # 324 combinations, scored in chunks of 64 with a short last chunk of
-    # 4. The selections pick combinations 177 and 276.
-    axes = [
-        {"minimum": lo, "maximum": hi, "step": (hi - lo) / (count - 1)}
-        for (lo, hi), count in zip(SETTING_RANGES, (3, 4, 3, 3, 3))
-    ]
-    config_path.write_text(json.dumps({"optimize": {"axes": axes}}))
+
+    def axes_flags(name, counts):
+        path = tmp_path / f"{name}.json"
+        axes = [
+            {"minimum": lo, "maximum": hi, "step": (hi - lo) / (count - 1)}
+            if count > 1
+            else {"minimum": lo, "maximum": lo, "step": 1.0}
+            for (lo, hi), count in zip(SETTING_RANGES, counts)
+        ]
+        path.write_text(json.dumps({"optimize": {"axes": axes}}))
+        return ["--config", str(path)]
+
+    # Per run: its flags and the first report row its selections may be
+    # on. In the two larger grids they lie outside the first chunk, whose
+    # curves a sweep predicts first.
     runs = {
         # 3 points per axis: 243 combinations. Both selections pick
         # combination 123.
-        "default": ["--scale", "0.25"],
-        "custom_axes": ["--config", str(config_path)],
+        "default": (["--scale", "0.25"], CHUNK_COMBINATIONS),
+        # 324 combinations, scored in chunks of 64 with a short last chunk
+        # of 4. The selections pick combinations 177 and 276.
+        "custom_axes": (axes_flags("custom_axes", (3, 4, 3, 3, 3)), CHUNK_COMBINATIONS),
+        # A grid of one chunk of 1 or 2 combinations, fewer than a
+        # bit-stable block holds.
+        "one_combination": (axes_flags("one_combination", (1, 1, 1, 1, 1)), 0),
+        "two_combinations": (axes_flags("two_combinations", (1, 2, 1, 1, 1)), 0),
     }
-    for name, flags in runs.items():
+    for name, (flags, first_row) in runs.items():
         out = tmp_path / name
         assert main(["optimize", "--out", str(out), "--model", str(model_path), *flags]) == 0
         rows = [line.split(",") for line in (out / "sweep_report.csv").read_text().splitlines()]
@@ -677,8 +690,7 @@ def test_selected_curve_is_the_scored_curve(small_model, tmp_path):
         for label in ("c1c2c3c4", "c1c2c3"):
             flag = header.index(f"selected_{label}")
             (row,) = [r for r in body if r[flag] == "1"]
-            # Outside the first chunk, whose curves a sweep predicts first.
-            assert body.index(row) >= CHUNK_COMBINATIONS, (name, label)
+            assert body.index(row) >= first_row, (name, label)
             scored = [float(v) for v in row[header.index("c1") : header.index("c4") + 1]]
             exported = np.loadtxt(out / f"selected_curve_{label}.csv", delimiter=",", skiprows=1)
             signal, snr, output3 = exported[:, 0], exported[:, 1], exported[:, 4]

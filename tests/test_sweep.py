@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from sensopt.sweep import (
     predict_curves,
     rank_candidates,
     run_sweep,
-    scored_curves,
     select,
     select_row,
     subset_label,
@@ -460,7 +460,7 @@ def test_exported_curves_are_the_scored_curves_bit_for_bit(small_model):
     # 243 combinations: three chunks of 64 and a short one of 51, each
     # forward cut into tiles of ~1,066 rows, so the combinations cover
     # every offset in a chunk and straddle every tile boundary. Each is
-    # exported beside another, as optimize exports its two selections,
+    # predicted beside another, as optimize exports its two selections,
     # and on its own.
     settings = _spec((3, 3, 3, 3, 3)).settings()
     grid = [tuple(row) for row in settings.tolist()]
@@ -473,12 +473,26 @@ def test_exported_curves_are_the_scored_curves_bit_for_bit(small_model):
 
     for index, combination in enumerate(grid):
         partner = len(grid) - 1 - index
-        exports = [(index, curve) for curve in scored_curves(small_model, [combination])]
-        exports += zip((index, partner), scored_curves(small_model, [combination, grid[partner]]))
+        exports = [(index, curve) for curve in predict_curves(small_model, [combination])]
+        exports += zip((index, partner), predict_curves(small_model, [combination, grid[partner]]))
         for row, curve in exports:
             assert curve.settings == grid[row]
             for got, want in zip((curve.signal, curve.snr, curve.output3), scored(row)):
                 assert got.tobytes() == want.tobytes(), (index, row)
+
+
+@pytest.mark.parametrize("counts", [(5, 13, 1, 1, 1), (6, 11, 1, 1, 1)], ids=["65", "66"])
+def test_a_short_last_chunk_is_scored_on_its_exported_curves(counts, small_model):
+    # 65 and 66 combinations: the last chunk holds 1 or 2 of them, fewer
+    # than a bit-stable block. Every row's criteria are those of its curve
+    # predicted on its own, as optimize exports a selection.
+    spec = _spec(counts)
+    result = run_sweep(small_model, spec)
+    for row, combination in enumerate(spec.settings()):
+        (curve,) = predict_curves(small_model, [combination])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            (exported,) = criteria_block(curve.signal[None], curve.snr[None], curve.output3[None])
+        assert result.criteria[row].tobytes() == exported.tobytes(), row
 
 
 def _report_result(n: int, seed: int) -> SweepResult:
@@ -623,14 +637,17 @@ def _predicted_criteria(model: Model, spec: GridSpec) -> np.ndarray:
 
     Each chunk is expanded into its raw (m * 200, 6) input rows and
     predicted whole, then sorted by signal: the sweep's result, computed
-    through the public prediction path.
+    through the public prediction path. A chunk of fewer than 3
+    combinations is predicted with repeats of its rows, 3 combinations
+    in all (np.resize), and only its own criteria are kept.
     """
     grid = spec.settings()
     input5 = np.repeat(np.arange(INPUT5_COUNT, dtype=np.float64), CATEGORY_COUNT)
     category = np.tile(np.arange(CATEGORY_COUNT, dtype=np.float64), INPUT5_COUNT)
     values = []
     for start in range(0, len(grid), sensopt.sweep.CHUNK_COMBINATIONS):
-        settings = grid[start : start + sensopt.sweep.CHUNK_COMBINATIONS]
+        chunk = grid[start : start + sensopt.sweep.CHUNK_COMBINATIONS]
+        settings = np.resize(chunk, (max(len(chunk), 3), 5))
         m = len(settings)
         numeric = np.empty((m, len(input5), 6))
         numeric[:, :, 0:4] = settings[:, None, 0:4]
@@ -639,7 +656,7 @@ def _predicted_criteria(model: Model, spec: GridSpec) -> np.ndarray:
         outputs = predict(model, numeric.reshape(-1, 6), np.tile(category, m)).reshape(m, -1, 3)
         order = np.argsort(outputs[:, :, 0], axis=1, kind="stable")
         curves = (np.take_along_axis(outputs[:, :, j], order, axis=1) for j in range(3))
-        values.append(criteria_block(*curves))
+        values.append(criteria_block(*curves)[: len(chunk)])
     return np.concatenate(values)
 
 
@@ -731,6 +748,25 @@ def test_an_out_of_range_grid_raises_before_any_chunk_is_predicted(small_model, 
         run_sweep(narrow, spec)
     with pytest.raises(RangeError, match=message):
         list(predict_curves(narrow, spec.settings()))
+    assert predicted == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_setting_raises_before_any_chunk_is_predicted(value, small_model, monkeypatch):
+    predicted = []
+    monkeypatch.setattr(
+        sensopt.sweep._ChunkPredictor, "predict", lambda self, settings: predicted.append(settings)
+    )
+    settings = _spec((2, 2, 2, 2, 2)).settings()
+    settings[5, 2] = value
+    # GridSpec rejects a non-finite value, so run_sweep() gets one only
+    # from a grid that is not a GridSpec.
+    grid = types.SimpleNamespace(settings=lambda: settings)
+    message = rf"^input3 value {value!r} is not finite$"
+    with pytest.raises(DomainError, match=message):
+        list(predict_curves(small_model, settings))
+    with pytest.raises(DomainError, match=message):
+        run_sweep(small_model, grid)
     assert predicted == []
 
 

@@ -183,13 +183,27 @@ def test_divergence_is_reported():
     assert err.value.batch is not None
     assert err.value.parameter_norm is not None
 
-    # A non-finite target is not an input check: its batch diverges.
+    # A finite target whose square overflows diverges in its own batch.
     x_tr, y_tr, x_val, y_val = _toy_data(100, seed=7)
-    y_tr[33, 1] = np.nan
-    with pytest.raises(TrainingDivergedError) as err:
+    y_tr[33, 1] = 1e200
+    with pytest.raises(TrainingDivergedError) as err, np.errstate(over="ignore"):
         train(net, x_tr, y_tr, x_val, y_val, TrainConfig(epochs=1, seed=0))
     position = int(np.flatnonzero(_epoch_permutation(0, 0, 90) == 33)[0])
     assert (err.value.epoch, err.value.batch) == (0, position // 20)
+
+
+@pytest.mark.parametrize("partition, value", [("training", np.inf), ("validation", np.nan)])
+def test_train_rejects_non_finite_targets_up_front(partition, value, monkeypatch):
+    # A bad target is bad input, not divergence: train() names its
+    # partition before the first optimizer step.
+    def no_step(*args):
+        raise AssertionError("an optimizer step ran before the target check")
+
+    monkeypatch.setattr(sensopt.training, "adam_step", no_step)
+    x_tr, y_tr, x_val, y_val = _toy_data(100, seed=7)
+    (y_tr if partition == "training" else y_val)[7, 1] = value
+    with pytest.raises(DomainError, match=f"^{partition} targets must be finite$"):
+        train(NetworkConfig(hidden=(8,)), x_tr, y_tr, x_val, y_val, TrainConfig(epochs=1))
 
 
 def test_train_input_validation(monkeypatch):
