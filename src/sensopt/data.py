@@ -161,14 +161,17 @@ def fit_normalization(
     return NormalizationSpec(input_max=input_max, output_max=output_max)
 
 
-def _check_category(category: np.ndarray) -> np.ndarray:
-    cat = np.asarray(category, dtype=np.float64)
-    rounded = np.rint(cat)
-    if np.any(cat != rounded) or np.any(rounded < 0) or np.any(rounded >= N_CATEGORIES):
-        raise DomainError(
-            f"category values must be integers in 0..{N_CATEGORIES - 1}"
-        )
-    return rounded.astype(np.intp)
+def _bad_category(cat: np.ndarray) -> np.ndarray:
+    """Where the float64 `cat` is not an integer in 0..N_CATEGORIES - 1, NaN included."""
+    return (cat != np.rint(cat)) | (cat < 0) | (cat >= N_CATEGORIES)
+
+
+def _checked_rows(array, width: int, what: str) -> np.ndarray:
+    """`array` as an (n, width) float64 array; a ConfigurationError for any other shape."""
+    rows = np.asarray(array, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ConfigurationError(f"expected {what} of shape (n, {width}), got {rows.shape}")
+    return rows
 
 
 def check_maxima(values: np.ndarray, maxima: np.ndarray, names) -> None:
@@ -187,58 +190,50 @@ def check_maxima(values: np.ndarray, maxima: np.ndarray, names) -> None:
 def encode_inputs(
     numeric: np.ndarray, category: np.ndarray, norm: NormalizationSpec, out=None
 ) -> np.ndarray:
-    """Encode raw inputs into the network's 10-entry input vector.
+    """Encode raw input rows into the network's 10-entry input rows.
 
     Args:
-        numeric: shape (6,) or (n, 6), the values of input1..input6.
-        category: scalar or shape (n,), integer category 0..3.
+        numeric: shape (n, 6), the values of input1..input6.
+        category: shape (n,), integer category 0..3.
         norm: scaling constants to divide by.
         out: an (n, 10) array to encode the n rows into, or None for a
             new one; `numeric` may be its first six columns and
             `category` its seventh, as both are checked and read first.
 
     Returns:
-        Array of shape (10,) or (n, 10): six normalized numerics followed
-        by a one-hot category block.
+        Array of shape (n, 10): six normalized numerics followed by a
+        one-hot category block.
 
     Raises:
+        ConfigurationError: `numeric` is not (n, 6) or `category` not (n,).
         RangeError: a numeric value exceeds its recorded maximum.
         DomainError: category outside 0..3 or non-integral.
     """
-    arr = np.asarray(numeric, dtype=np.float64)
-    single = arr.ndim == 1
-    rows = np.atleast_2d(arr)
-    if rows.shape[1] != N_NUMERIC_INPUTS:
-        raise ConfigurationError(
-            f"expected {N_NUMERIC_INPUTS} numeric inputs per row, got {rows.shape[1]}"
-        )
+    rows = _checked_rows(numeric, N_NUMERIC_INPUTS, "numeric inputs")
+    cat = np.asarray(category, dtype=np.float64)
+    if cat.shape != (rows.shape[0],):
+        raise ConfigurationError(f"expected {rows.shape[0]} categories, got shape {cat.shape}")
     maxima = np.asarray(norm.input_max)
     check_maxima(rows, maxima, COLUMNS)
-    cat = _check_category(category)
-    if cat.ndim == 0:
-        cat = cat[None]
-    if cat.shape[0] != rows.shape[0]:
-        raise ConfigurationError("numeric rows and category entries must match in count")
+    if np.any(_bad_category(cat)):
+        raise DomainError(f"category values must be integers in 0..{N_CATEGORIES - 1}")
+    hot = N_NUMERIC_INPUTS + cat.astype(np.intp)
     encoded = np.empty((rows.shape[0], ENCODED_INPUT_SIZE)) if out is None else out
     np.divide(rows, maxima, out=encoded[:, :N_NUMERIC_INPUTS])
     encoded[:, N_NUMERIC_INPUTS:] = 0.0
-    encoded[np.arange(rows.shape[0]), N_NUMERIC_INPUTS + cat] = 1.0
-    return encoded[0] if single else encoded
+    encoded[np.arange(rows.shape[0]), hot] = 1.0
+    return encoded
 
 
 def encode_outputs(outputs: np.ndarray, norm: NormalizationSpec, out=None) -> np.ndarray:
-    """Scale physical (signal, snr, output3) rows into normalized targets.
+    """Scale physical (signal, snr, output3) rows, shape (n, 3), into normalized targets.
 
     The signal passes through log10 before scaling; all three entries land
     in [0, 1] on the data the spec was fitted from. Given an (n, 3) array
     `out`, which may be `outputs` itself, the n rows are encoded into it
     and `out` is returned.
     """
-    arr = np.asarray(outputs, dtype=np.float64)
-    single = arr.ndim == 1
-    rows = np.atleast_2d(arr)
-    if rows.shape[1] != N_OUTPUTS:
-        raise ConfigurationError(f"expected {N_OUTPUTS} outputs per row, got {rows.shape[1]}")
+    rows = _checked_rows(outputs, N_OUTPUTS, "outputs")
     if np.any(rows[:, 0] <= 0):
         raise DomainError("signal must be positive for the log transform")
     maxima = np.asarray(norm.output_max)
@@ -246,25 +241,21 @@ def encode_outputs(outputs: np.ndarray, norm: NormalizationSpec, out=None) -> np
     encoded[:, 0] = np.log10(rows[:, 0]) / maxima[0]
     encoded[:, 1] = rows[:, 1] / maxima[1]
     encoded[:, 2] = rows[:, 2] / maxima[2]
-    return encoded[0] if single else encoded
+    return encoded
 
 
 def decode_outputs(encoded: np.ndarray, norm: NormalizationSpec, out=None) -> np.ndarray:
-    """Invert encode_outputs back to physical units.
+    """Invert encode_outputs on (n, 3) rows back to physical units.
 
     Given an (n, 3) array `out`, the n rows are decoded into it, column
     by column and with no temporary array, and `out` is returned.
     """
-    arr = np.asarray(encoded, dtype=np.float64)
-    single = arr.ndim == 1
-    rows = np.atleast_2d(arr)
-    if rows.shape[1] != N_OUTPUTS:
-        raise ConfigurationError(f"expected {N_OUTPUTS} outputs per row, got {rows.shape[1]}")
+    rows = _checked_rows(encoded, N_OUTPUTS, "outputs")
     decoded = np.empty_like(rows) if out is None else out
     for j, maximum in enumerate(norm.output_max):
         np.multiply(rows[:, j], maximum, decoded[:, j])
     np.power(10.0, decoded[:, 0], decoded[:, 0])
-    return decoded[0] if single else decoded
+    return decoded
 
 
 def encode_rows_into(values: np.ndarray, norm: NormalizationSpec, y: np.ndarray) -> None:
@@ -508,8 +499,7 @@ def _validate_rows(table: SampleTable) -> None:
             f"line {bad_signal[0] + 2}: signal must be positive",
             line_number=int(bad_signal[0]) + 2,
         )
-    cat = table.column("category")
-    bad_cat = np.nonzero((cat != np.rint(cat)) | (cat < 0) | (cat >= N_CATEGORIES))[0]
+    bad_cat = np.nonzero(_bad_category(table.column("category")))[0]
     if bad_cat.size:
         raise CsvParseError(
             f"line {bad_cat[0] + 2}: category must be an integer in 0..{N_CATEGORIES - 1}",

@@ -34,7 +34,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import NormalizationSpec, decode_outputs, encode_inputs, replacing
+from .data import (
+    ENCODED_INPUT_SIZE,
+    N_OUTPUTS,
+    NormalizationSpec,
+    decode_outputs,
+    encode_inputs,
+    replacing,
+)
 from .errors import ConfigurationError, DomainError, ModelFormatError, ShapeError
 
 MODEL_MAGIC = b"SNSOPT01"
@@ -205,8 +212,6 @@ def _check_parameter_shapes(params: NetworkParameters, config: NetworkConfig) ->
 def _checked_inputs(params: NetworkParameters, config: NetworkConfig, inputs) -> np.ndarray:
     """`inputs` as an (n, n_inputs) float64 array, after the forward checks."""
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != config.n_inputs:
         raise ShapeError(f"inputs must have {config.n_inputs} columns, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -216,7 +221,7 @@ def _checked_inputs(params: NetworkParameters, config: NetworkConfig, inputs) ->
 
 
 def forward(params: NetworkParameters, config: NetworkConfig, inputs) -> ForwardTrace:
-    """Propagate `inputs` (shape (n_inputs,) or (n, n_inputs)) through the net.
+    """Propagate `inputs`, shape (n, n_inputs), through the net.
 
     Raises:
         ShapeError: input width or parameter shapes disagree with the config.
@@ -229,43 +234,32 @@ def forward(params: NetworkParameters, config: NetworkConfig, inputs) -> Forward
 
 
 def quadratic_cost(targets, outputs) -> float:
-    """Half squared Euclidean distance per sample, averaged over the batch."""
-    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(outputs, dtype=np.float64))
-    if y.shape != a.shape:
-        raise ShapeError(f"targets {y.shape} and outputs {a.shape} must match")
+    """Half squared Euclidean distance per sample of (n, k) rows, averaged over the batch."""
+    y = np.asarray(targets, dtype=np.float64)
+    a = np.asarray(outputs, dtype=np.float64)
+    if y.ndim != 2 or y.shape != a.shape:
+        raise ShapeError(f"targets {y.shape} and outputs {a.shape} must be (n, k) of one shape")
     return float(0.5 * np.mean(np.sum((y - a) ** 2, axis=1)))
 
 
 class Gradients:
     """Cost gradients in the parameter layout; deltas are the backpropagated errors.
 
-    `flat` holds every gradient entry in NetworkParameters.flat's order,
-    so the optimizers use it whole; `d_weights` and `d_biases` are
-    per-layer views into it. Built from per-layer arrays, it copies them.
+    Built from per-layer weight and bias gradients, it copies them into
+    `flat`, in NetworkParameters.flat's order, so the optimizers use it
+    whole; `d_weights` and `d_biases` are per-layer views into `flat`.
     """
 
     def __init__(self, d_weights, d_biases, deltas=()):
-        layer_sizes, flat = _flatten(d_weights, d_biases)
-        self._bind(flat, layer_sizes, deltas)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, layer_sizes, deltas=()) -> "Gradients":
-        """Gradients whose per-layer views share memory with `flat`."""
-        grads = cls.__new__(cls)
-        grads._bind(flat, layer_sizes, deltas)
-        return grads
-
-    def _bind(self, flat, layer_sizes, deltas) -> None:
-        self.flat = flat
-        self.d_weights, self.d_biases = _layer_views(flat, layer_sizes)
+        layer_sizes, self.flat = _flatten(d_weights, d_biases)
+        self.d_weights, self.d_biases = _layer_views(self.flat, layer_sizes)
         self.deltas = list(deltas)
 
 
 def empty_gradients(params: NetworkParameters, rows: int) -> Gradients:
     """Gradients of fresh buffers, with a (rows, fan_out) delta per layer."""
     deltas = [np.empty((rows, size)) for size in params.layer_sizes[1:]]
-    return Gradients.from_flat(np.empty_like(params.flat), params.layer_sizes, deltas)
+    return Gradients(*_layer_views(np.empty_like(params.flat), params.layer_sizes), deltas)
 
 
 def backprop_into(
@@ -301,12 +295,12 @@ def backprop_into(
 def backprop(
     params: NetworkParameters, config: NetworkConfig, trace: ForwardTrace, targets
 ) -> Gradients:
-    """Gradients of the batch-mean quadratic cost, in fresh buffers.
+    """Gradients of the batch-mean quadratic cost for (n, n_outputs) `targets`, in fresh buffers.
 
     Raises:
-        ShapeError: targets do not match the trace's output.
+        ShapeError: targets do not match the trace's (n, n_outputs) output.
     """
-    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    y = np.asarray(targets, dtype=np.float64)
     a = trace.activations[-1]
     if y.shape != a.shape:
         raise ShapeError(f"targets {y.shape} and outputs {a.shape} must match")
@@ -340,7 +334,7 @@ def numeric_gradients(
         below = cost()
         flat[i] = original
         grad[i] = (above - below) / (2.0 * step)
-    return Gradients.from_flat(grad, params.layer_sizes)
+    return Gradients(*_layer_views(grad, params.layer_sizes))
 
 
 @dataclass
@@ -506,7 +500,7 @@ def forward_tiles_into(
 
 
 def forward_chunked(params: NetworkParameters, config: NetworkConfig, x) -> np.ndarray:
-    """Network outputs for encoded rows `x`, bit for bit forward(...).output.
+    """Outputs (n, n_outputs) of encoded (n, n_inputs) rows `x`: forward(...).output bit for bit.
 
     forward()'s checks, once, then forward_tiles_into() on work buffers
     allocated for this call. The biases are broadcast, not tiled: one
@@ -524,11 +518,13 @@ def forward_chunked(params: NetworkParameters, config: NetworkConfig, x) -> np.n
 
 
 def predict(model: Model, numeric, category) -> np.ndarray:
-    """Physical (signal, snr, output3) predictions for raw input rows."""
+    """Physical (signal, snr, output3) predictions, shape (n, 3), for raw input rows.
+
+    `numeric` (n, 6) and `category` (n,) are checked by data.encode_inputs().
+    """
     x = encode_inputs(numeric, category, model.normalization)
     outputs = forward_chunked(model.params, model.config, x)
-    decoded = decode_outputs(outputs, model.normalization)
-    return decoded[0] if x.ndim == 1 else decoded
+    return decode_outputs(outputs, model.normalization)
 
 
 # -- serialization ----------------------------------------------------------
@@ -591,9 +587,9 @@ def load_model(path) -> Model:
 
     Raises:
         ModelFormatError: wrong magic/version, truncation, malformed
-            header (an output activation other than "identity" or a
-            signal log base other than 10 included), or a parameter
-            checksum mismatch.
+            header (an output activation other than "identity", a signal
+            log base other than 10 or widths other than data's 10 inputs
+            and 3 outputs included), or a parameter checksum mismatch.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -635,6 +631,9 @@ def load_model(path) -> Model:
             f"model header output_activation and signal_log_base are {fixed}; "
             "the format allows only ('identity', 10.0)"
         )
+    widths = (config.n_inputs, config.n_outputs)
+    if widths != (ENCODED_INPUT_SIZE, N_OUTPUTS):
+        raise ModelFormatError(f"model (inputs, outputs) {widths}; the format allows only (10, 3)")
     sizes = config.layer_sizes
     if layers != list(zip(sizes, sizes[1:])):
         raise ModelFormatError(f"header layers {layers} do not match the config's sizes {sizes}")

@@ -2,8 +2,9 @@
 
 A sweep's grid is an oracle.GridSpec, built by axis_grid() from one
 AxisSpec per input; run_sweep() and predict_curves() check once that
-its settings() array is finite and within the model's maxima. A chunk of
-CHUNK_COMBINATIONS rows of it is predicted into (chunk, 200) blocks of
+the model maps 10 encoded inputs to 3 outputs and that the (n, 5)
+settings are finite and within its maxima. A chunk of
+CHUNK_COMBINATIONS settings rows is predicted into (chunk, 200) blocks of
 curves by one kernel, _ChunkPredictor.predict(), which checks nothing:
 it writes the chunk's settings into an encoded input block whose other
 columns were written once, runs the network's tiled forward and
@@ -50,14 +51,16 @@ import numpy as np
 from .curves import Curve, CriteriaValues, criteria_block
 from .data import (
     COLUMN_INDEX,
+    ENCODED_INPUT_SIZE,
     N_NUMERIC_INPUTS,
+    N_OUTPUTS,
     check_maxima,
     decode_outputs,
     encode_inputs,
     replacing,
     write_rows,
 )
-from .errors import ConfigurationError, DomainError, SelectionError
+from .errors import ConfigurationError, DomainError, SelectionError, ShapeError
 from .network import (
     BIT_STABLE_ROWS,
     Model,
@@ -143,12 +146,17 @@ def default_sweep_spec(points_per_axis: int = DEFAULT_POINTS_PER_AXIS) -> GridSp
 
 
 def _check_inside_model(model: Model, settings: np.ndarray) -> None:
-    """Raise a DomainError for a non-finite setting, a RangeError for one over its maximum.
+    """Raise a ShapeError, DomainError or RangeError if `model` cannot sweep `settings`.
 
-    Each names the first such value. Non-finite settings are checked
-    first, in row-major order; then the maxima, input5's sweep first
-    and the (n, 5) `settings` after it in row-major order.
+    In this order: model widths other than (10, 3) or settings not (n, 5);
+    the first non-finite setting in row-major order; the first value over
+    its maximum, input5's sweep first and then `settings` in row-major order.
     """
+    widths = (model.config.n_inputs, model.config.n_outputs)
+    if widths != (ENCODED_INPUT_SIZE, N_OUTPUTS):
+        raise ShapeError(f"model (inputs, outputs) {widths}; a sweep needs (10, 3)")
+    if settings.ndim != 2 or settings.shape[1] != len(SETTING_NAMES):
+        raise ShapeError(f"settings must have shape (n, 5), got {settings.shape}")
     bad = np.argwhere(~np.isfinite(settings))
     if len(bad):
         r, c = bad[0]
@@ -243,16 +251,17 @@ def predict_curves(model: Model, settings) -> Iterator[Curve]:
     `settings` is an array or a sequence of rows. They are predicted
     CHUNK_COMBINATIONS at a time by one _ChunkPredictor, each chunk's
     curves copied into arrays of their own. Before any chunk is
-    predicted, a non-finite setting raises a DomainError and a setting
+    predicted, settings that are not (n, 5) or a model of other widths
+    raise a ShapeError, a non-finite setting a DomainError and a setting
     outside the model's normalization range a RangeError, each naming
     its input; a predicted signal that is not positive raises a
     DomainError, from Curve.
     """
     settings = np.asarray(settings, dtype=np.float64)
+    _check_inside_model(model, settings)
     n = len(settings)
     if not n:
         return
-    _check_inside_model(model, settings)
     predictor = _ChunkPredictor(model, n)
     for start in range(0, n, CHUNK_COMBINATIONS):
         chunk = settings[start : start + CHUNK_COMBINATIONS]
@@ -266,8 +275,7 @@ class CandidateScore:
     """A combination, its criteria, and its dense rank per criterion.
 
     ranks[i - 1] is the 0-based dense ascending rank under criterion i,
-    or None when the candidate is unscorable there (NaN criterion) or the
-    criterion was not ranked.
+    or None when the candidate is unscorable there (NaN criterion).
     """
 
     settings: tuple[float, ...]
@@ -327,19 +335,16 @@ def _rank_tuple(row) -> tuple[int | None, ...]:
 
 def rank_candidates(
     scored: Sequence[tuple[tuple[float, ...], CriteriaValues]],
-    subset: Sequence[int] = ALL_CRITERIA,
 ) -> list[CandidateScore]:
-    """Assign dense ascending ranks per criterion in `subset`.
+    """Assign dense ascending ranks per criterion.
 
     Ties share a rank. The returned list is sorted by settings
     (lexicographically), so the output is independent of input order.
     """
-    subset = _check_subset(subset)
     if not scored:
         raise ConfigurationError("no candidates to rank")
     ordered = sorted(scored, key=lambda item: item[0])
     ranks = dense_ranks([crit.as_tuple() for _, crit in ordered])
-    ranks[:, [i - 1 for i in ALL_CRITERIA if i not in subset]] = -1
     return [
         CandidateScore(settings=tuple(settings), criteria=crit, ranks=_rank_tuple(row))
         for (settings, crit), row in zip(ordered, ranks.tolist())
@@ -420,8 +425,9 @@ def _cpu_count() -> int:
 def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
     """Score every combination of `spec` and select under each of SELECTION_SUBSETS.
 
-    Before any worker starts, a non-finite setting raises a DomainError
-    and a setting over the model's maxima a RangeError. A combination
+    Before any worker starts, a model of other widths raises a
+    ShapeError, a non-finite setting a DomainError and a setting over
+    the model's maxima a RangeError. A combination
     whose least predicted signal is not positive gets NaN criteria, so
     it is unranked on all four. The chunks of CHUNK_COMBINATIONS
     combinations are scored by one worker

@@ -18,9 +18,9 @@ import sensopt.cli
 import sensopt.data
 from sensopt.cli import _scaled_count, _write_json, main
 from sensopt.curves import Curve, criteria
-from sensopt.data import TEST, read_csv, split
+from sensopt.data import TEST, NormalizationSpec, read_csv, split
 from sensopt.errors import ConfigurationError, RangeError
-from sensopt.network import load_model, save_model
+from sensopt.network import Model, NetworkConfig, init_parameters, load_model, save_model
 from sensopt.oracle import SETTING_RANGES
 from sensopt.sweep import CHUNK_COMBINATIONS, predict_curves
 from sensopt.training import evaluate, write_prediction_csvs
@@ -641,6 +641,19 @@ def test_optimize_rejects_a_model_whose_layer_size_is_a_float(pipeline_dir, tmp_
     code = main(["optimize", "--out", str(tmp_path / "opt"), "--model", str(model)])
     assert code == 2
     assert "malformed model header: layer sizes must be positive integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_inputs, n_outputs", [(11, 3), (7, 3), (10, 4)])
+def test_optimize_rejects_a_model_of_other_widths(tmp_path, capsys, n_inputs, n_outputs):
+    config = NetworkConfig(n_inputs=n_inputs, hidden=(8, 8), n_outputs=n_outputs)
+    norm = NormalizationSpec((510.0, 144.0, 500.0, 3650.0, 49.0, 4000.0), (6.0, 32.0, 5.0))
+    model = tmp_path / "model.bin"
+    save_model(Model(config, init_parameters(config, seed=0), norm), model)
+    code = main(["optimize", "--out", str(tmp_path / "opt"), "--model", str(model)])
+    assert code == 2
+    message = f"model (inputs, outputs) ({n_inputs}, {n_outputs}); the format allows only (10, 3)"
+    assert capsys.readouterr().err == f"sensopt optimize: error: {message}\n"
+    assert not (tmp_path / "opt" / "optimize_manifest.json").exists()
 
 
 def test_train_names_the_line_that_is_not_utf8(pipeline_dir, tmp_path, capsys):

@@ -82,11 +82,11 @@ def test_fit_normalization_uses_column_maxima():
 
 
 def test_encode_inputs_layout():
-    numeric = np.array([255.0, 72.0, 250.0, 1825.0, 24.5, 2000.0])
-    encoded = encode_inputs(numeric, 2, NORM)
-    assert encoded.shape == (10,)
-    assert np.allclose(encoded[:6], numeric / np.asarray(NORM.input_max))
-    assert np.array_equal(encoded[6:], [0.0, 0.0, 1.0, 0.0])
+    numeric = np.array([[255.0, 72.0, 250.0, 1825.0, 24.5, 2000.0]])
+    encoded = encode_inputs(numeric, [2], NORM)
+    assert encoded.shape == (1, 10)
+    assert np.allclose(encoded[:, :6], numeric / np.asarray(NORM.input_max))
+    assert np.array_equal(encoded[:, 6:], [[0.0, 0.0, 1.0, 0.0]])
 
     batch = encode_inputs(np.tile(numeric, (3, 1)), [0, 1, 3], NORM)
     assert batch.shape == (3, 10)
@@ -94,17 +94,21 @@ def test_encode_inputs_layout():
 
 
 def test_encode_inputs_errors():
-    good = np.array([100.0, 100.0, 100.0, 100.0, 10.0, 100.0])
+    good = np.array([[100.0, 100.0, 100.0, 100.0, 10.0, 100.0]])
     bad = good.copy()
-    bad[3] = 1e6
+    bad[0, 3] = 1e6
     with pytest.raises(RangeError, match="input4"):
-        encode_inputs(bad, 0, NORM)
-    with pytest.raises(DomainError):
-        encode_inputs(good, 4, NORM)
-    with pytest.raises(DomainError):
-        encode_inputs(good, 1.5, NORM)
+        encode_inputs(bad, [0], NORM)
+    for category in ([4], [1.5], [-1], [np.nan]):
+        with pytest.raises(DomainError):
+            encode_inputs(good, category, NORM)
     with pytest.raises(ConfigurationError):
-        encode_inputs(good[:5], 0, NORM)
+        encode_inputs(good[:, :5], [0], NORM)
+    # Only (n, 6) rows with (n,) categories: a lone row or a scalar
+    # category is rejected, as is a count mismatch.
+    for numeric, category in ((good[0], [0]), (good[0], 0), (good, 0), (good, [0, 1])):
+        with pytest.raises(ConfigurationError):
+            encode_inputs(numeric, category, NORM)
 
 
 def test_output_round_trip():
@@ -118,7 +122,12 @@ def test_output_round_trip():
     recovered = decode_outputs(encoded, NORM)
     assert np.allclose(recovered, physical, rtol=1e-12)
     with pytest.raises(DomainError):
-        encode_outputs(np.array([0.0, 1.0, 1.0]), NORM)
+        encode_outputs(np.array([[0.0, 1.0, 1.0]]), NORM)
+    # Only (n, 3) rows: a lone row or a wrong width is rejected.
+    for rows in (physical[0], physical[:, :2], physical[None]):
+        for codec in (encode_outputs, decode_outputs):
+            with pytest.raises(ConfigurationError):
+                codec(rows, NORM)
 
 
 def test_encode_table_pairs_inputs_and_outputs():

@@ -47,8 +47,8 @@ def tiny_params() -> NetworkParameters:
     )
 
 
-TINY_X = np.array([1.0, 2.0, -4.0])
-TINY_Y = np.array([1.0])
+TINY_X = np.array([[1.0, 2.0, -4.0]])
+TINY_Y = np.array([[1.0]])
 
 
 def test_config_validation():
@@ -116,20 +116,24 @@ def test_forward_trace_by_hand():
 
 def test_forward_input_checks():
     params = tiny_params()
-    with pytest.raises(ShapeError):
-        forward(params, TINY, np.zeros(4))
+    # Only (n, 3) rows: a wrong width and a lone 1-D row are both rejected.
+    for x in (np.zeros((1, 4)), np.zeros(4), TINY_X[0]):
+        with pytest.raises(ShapeError):
+            forward(params, TINY, x)
     with pytest.raises(DomainError):
-        forward(params, TINY, np.array([1.0, np.nan, 0.0]))
+        forward(params, TINY, np.array([[1.0, np.nan, 0.0]]))
     with pytest.raises(ShapeError):
         forward(params, NetworkConfig(n_inputs=3, hidden=(5,), n_outputs=1), TINY_X)
 
 
 def test_quadratic_cost():
-    assert quadratic_cost(TINY_Y, np.array([-5.04])) == pytest.approx(18.2408)
+    assert quadratic_cost(TINY_Y, np.array([[-5.04]])) == pytest.approx(18.2408)
     batch = quadratic_cost(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
     assert batch == pytest.approx(0.5)
-    with pytest.raises(ShapeError):
-        quadratic_cost(np.zeros(3), np.zeros(2))
+    # Mismatched shapes, and 1-D arrays even of one shape, are not (n, k) rows.
+    for targets, outputs in ((np.zeros((1, 3)), np.zeros((1, 2))), (np.zeros(3), np.zeros(3))):
+        with pytest.raises(ShapeError):
+            quadratic_cost(targets, outputs)
 
 
 def test_backprop_by_hand():
@@ -141,6 +145,8 @@ def test_backprop_by_hand():
     assert np.allclose(grads.deltas[0], [[-3.624, 3.02]])
     assert np.allclose(grads.d_weights[0], [[-3.624, -7.248, 14.496], [3.02, 6.04, -12.08]])
     assert np.allclose(grads.d_biases[0], [-3.624, 3.02])
+    with pytest.raises(ShapeError):
+        backprop(params, TINY, trace, TINY_Y[0])
 
 
 def test_batch_gradient_is_mean_of_sample_gradients():
@@ -154,7 +160,7 @@ def test_batch_gradient_is_mean_of_sample_gradients():
         acc_w = np.zeros_like(batch.d_weights[layer])
         acc_b = np.zeros_like(batch.d_biases[layer])
         for i in range(8):
-            single = backprop(params, cfg, forward(params, cfg, x[i]), y[i])
+            single = backprop(params, cfg, forward(params, cfg, x[i : i + 1]), y[i : i + 1])
             acc_w += single.d_weights[layer]
             acc_b += single.d_biases[layer]
         assert np.allclose(batch.d_weights[layer], acc_w / 8, atol=1e-12)
@@ -269,10 +275,12 @@ def test_predict_decodes_and_chunks():
         forward(model.params, model.config, x).output, model.normalization
     )
     assert np.array_equal(out, manual)
-    single = predict(model, numeric[0], int(category[0]))
-    assert single.shape == (3,)
+    single = predict(model, numeric[:1], category[:1])
+    assert single.shape == (1, 3)
     # A lone row may ride a different matmul kernel; only last-bit slack.
-    assert np.allclose(single, out[0], rtol=1e-13)
+    assert np.allclose(single, out[:1], rtol=1e-13)
+    with pytest.raises(ConfigurationError):
+        predict(model, numeric[0], int(category[0]))
 
 
 def test_model_round_trip(tmp_path):
@@ -495,8 +503,11 @@ def test_forward_chunked_checks_its_inputs():
         forward_chunked(params, config, bad)
     with pytest.raises(ShapeError):
         forward_chunked(params, NetworkConfig(hidden=(64, 64)), np.zeros((4, 10)))
+    with pytest.raises(ShapeError):
+        forward_chunked(params, config, np.zeros(10))
     assert np.array_equal(
-        forward_chunked(params, config, np.zeros(10)), forward(params, config, np.zeros(10)).output
+        forward_chunked(params, config, np.zeros((1, 10))),
+        forward(params, config, np.zeros((1, 10))).output,
     )
 
 
@@ -526,6 +537,19 @@ def test_load_model_rejects_header_values_the_format_does_not_allow(tmp_path, se
     load_model(path)
     rewrite(value)
     with pytest.raises(ModelFormatError, match="header"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("n_inputs, n_outputs", [(11, 3), (7, 3), (10, 4)])
+def test_load_model_rejects_widths_the_pipeline_cannot_feed(tmp_path, n_inputs, n_outputs):
+    # save_model() writes any architecture, but data's codec encodes 10
+    # inputs and decodes 3 outputs, so only those widths load.
+    config = NetworkConfig(n_inputs=n_inputs, hidden=(12, 11), n_outputs=n_outputs)
+    model = Model(config, init_parameters(config, seed=3), _toy_model().normalization)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    message = rf"^model \(inputs, outputs\) \({n_inputs}, {n_outputs}\); the format allows only "
+    with pytest.raises(ModelFormatError, match=message + r"\(10, 3\)$"):
         load_model(path)
 
 

@@ -17,7 +17,14 @@ from conftest import brute_force_select, spearman
 from sensopt.cli import main
 from sensopt.curves import CriteriaValues, criteria, criteria_block
 from sensopt.data import NormalizationSpec
-from sensopt.network import Model, NetworkConfig, NetworkParameters, predict, save_model
+from sensopt.network import (
+    Model,
+    NetworkConfig,
+    NetworkParameters,
+    init_parameters,
+    predict,
+    save_model,
+)
 from sensopt.oracle import (
     CATEGORY_COUNT,
     INPUT5_COUNT,
@@ -25,7 +32,7 @@ from sensopt.oracle import (
     TABLE1,
     GridSpec,
 )
-from sensopt.errors import ConfigurationError, DomainError, RangeError, SelectionError
+from sensopt.errors import ConfigurationError, DomainError, RangeError, SelectionError, ShapeError
 from sensopt.sweep import (
     CHUNK_COMBINATIONS,
     SELECTION_SUBSETS,
@@ -228,10 +235,6 @@ def test_rank_candidates_input_order_invariance():
 def test_rank_candidates_validation():
     with pytest.raises(ConfigurationError):
         rank_candidates([])
-    with pytest.raises(ConfigurationError):
-        rank_candidates([((1.0,), _cv(1, 1, 1, 1))], subset=(5,))
-    with pytest.raises(ConfigurationError):
-        rank_candidates([((1.0,), _cv(1, 1, 1, 1))], subset=())
 
 
 def test_select_intersection_and_tie_breaks():
@@ -251,6 +254,10 @@ def test_select_intersection_and_tie_breaks():
     assert single.k == 1
     assert single.settings == (2.0,)
     assert single.subset == (1,)
+
+    for subset in ((5,), ()):
+        with pytest.raises(ConfigurationError):
+            select(ranked, subset)
 
 
 def test_select_skips_unscorable_candidates():
@@ -729,7 +736,17 @@ def test_the_first_failing_chunk_raises_its_own_error(workers, small_model, monk
     assert chunk_2_failed.is_set() == (workers > 1)
 
 
-def test_an_out_of_range_grid_raises_before_any_chunk_is_predicted(small_model, monkeypatch):
+@pytest.fixture
+def predicted_chunks(monkeypatch) -> list:
+    """The chunks _ChunkPredictor.predict() is called on; patched, it predicts none of them."""
+    predicted = []
+    monkeypatch.setattr(
+        sensopt.sweep._ChunkPredictor, "predict", lambda self, settings: predicted.append(settings)
+    )
+    return predicted
+
+
+def test_an_out_of_range_grid_raises_before_any_chunk_is_predicted(small_model, predicted_chunks):
     # Combination 1 exceeds only its input6 maximum, combination 2 its
     # input4 maximum: the error names the first value over its maximum
     # in grid order, as the first failing chunk's check named it.
@@ -738,25 +755,19 @@ def test_an_out_of_range_grid_raises_before_any_chunk_is_predicted(small_model, 
     narrow = dataclasses.replace(
         small_model, normalization=NormalizationSpec(maxima, norm.output_max)
     )
-    predicted = []
-    monkeypatch.setattr(
-        sensopt.sweep._ChunkPredictor, "predict", lambda self, settings: predicted.append(settings)
-    )
     spec = _spec((3, 2, 2, 2, 2))
     message = r"^input6 value 4000\.0 exceeds recorded maximum 3900\.0$"
     with pytest.raises(RangeError, match=message):
         run_sweep(narrow, spec)
     with pytest.raises(RangeError, match=message):
         list(predict_curves(narrow, spec.settings()))
-    assert predicted == []
+    assert predicted_chunks == []
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_a_non_finite_setting_raises_before_any_chunk_is_predicted(value, small_model, monkeypatch):
-    predicted = []
-    monkeypatch.setattr(
-        sensopt.sweep._ChunkPredictor, "predict", lambda self, settings: predicted.append(settings)
-    )
+def test_a_non_finite_setting_raises_before_any_chunk_is_predicted(
+    value, small_model, predicted_chunks
+):
     settings = _spec((2, 2, 2, 2, 2)).settings()
     settings[5, 2] = value
     # GridSpec rejects a non-finite value, so run_sweep() gets one only
@@ -767,7 +778,40 @@ def test_a_non_finite_setting_raises_before_any_chunk_is_predicted(value, small_
         list(predict_curves(small_model, settings))
     with pytest.raises(DomainError, match=message):
         run_sweep(small_model, grid)
-    assert predicted == []
+    assert predicted_chunks == []
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        (510.0, 144.0, 500.0, 3650.0, 4000.0),
+        [(510.0, 144.0, 500.0, 3650.0)] * 2,
+        np.full((2, 5, 1), 100.0),
+    ],
+    ids=["one-flat-row", "four-columns", "three-dimensional"],
+)
+def test_settings_that_are_not_n_by_5_raise_before_any_chunk_is_predicted(
+    settings, small_model, predicted_chunks
+):
+    with pytest.raises(ShapeError, match=r"^settings must have shape \(n, 5\)"):
+        list(predict_curves(small_model, settings))
+    assert predicted_chunks == []
+
+
+@pytest.mark.parametrize("n_inputs, n_outputs", [(11, 3), (7, 3), (10, 4)])
+def test_a_model_of_other_widths_raises_before_any_chunk_is_predicted(
+    n_inputs, n_outputs, predicted_chunks
+):
+    config = NetworkConfig(n_inputs=n_inputs, hidden=(4, 4), n_outputs=n_outputs)
+    norm = NormalizationSpec((510.0, 144.0, 500.0, 3650.0, 49.0, 4000.0), (6.0, 32.0, 5.0))
+    model = Model(config, init_parameters(config, seed=0), norm)
+    spec = _spec((2, 2, 2, 2, 2))
+    message = rf"^model \(inputs, outputs\) \({n_inputs}, {n_outputs}\); a sweep needs \(10, 3\)$"
+    with pytest.raises(ShapeError, match=message):
+        list(predict_curves(model, spec.settings()))
+    with pytest.raises(ShapeError, match=message):
+        run_sweep(model, spec)
+    assert predicted_chunks == []
 
 
 def _dead_signal_model() -> Model:
