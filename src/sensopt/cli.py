@@ -311,11 +311,18 @@ def _axes_from_config(axes_config) -> list[AxisSpec]:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     defaults = {"scale": 1.0, "points_per_axis": DEFAULT_POINTS_PER_AXIS, "axes": None}
-    resolved = _resolve(args, defaults)
+    given = _given(args, defaults)
+    resolved = {**defaults, **given}
     if resolved["axes"] is not None:
+        # The axes fix the grid, so a scale or a point count would go unused.
+        unused = sorted(given.keys() & {"scale", "points_per_axis"})
+        if unused:
+            raise ConfigurationError(
+                f"optimize.axes sets the grid; {' and '.join(unused)} cannot be given with it"
+            )
         axes = _axes_from_config(resolved["axes"])
         spec = axis_grid(axes)
-        resolved["axes"] = [dataclasses.asdict(axis) for axis in axes]
+        resolved = {"axes": [dataclasses.asdict(axis) for axis in axes]}
     else:
         points = resolved["points_per_axis"]
         if points < 2:

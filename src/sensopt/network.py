@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -339,13 +339,13 @@ def numeric_gradients(
 
 @dataclass
 class OptimizerState:
-    """Update-rule constants plus the adaptive-moment accumulators."""
+    """Adam's constants, the learning rate and the adaptive-moment accumulators."""
 
     mode: str
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-7
     step_count: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
@@ -387,6 +387,8 @@ def adam_step(
     Per entry: p -= lr * m_hat / (sqrt(v_hat) + epsilon), where m_hat and
     v_hat are the bias-corrected first and second moment estimates. The
     first step with gradient g therefore moves by -lr * g / (|g| + epsilon).
+    beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-7 are OptimizerState's
+    class constants.
     """
     if state.mode != "adam":
         raise ConfigurationError(f"adam_step called with optimizer mode {state.mode!r}")

@@ -12,10 +12,10 @@ network.forward_into and network.backprop_into on them; train()
 allocates these buffers once per run, one set for full batches and one
 for a shorter last batch, and copies no partition.
 
-Memory: given a dataset's path, prepare_training_data() encodes the
-training and validation rows in place, in the array read_csv() parses
-the file into, so a run holds that one array and the targets, and no
-other copy of the data.
+Memory: prepare_training_data() encodes the training and validation
+rows in place, in the array read_csv() parses a dataset's file into or
+in one copy of a SampleTable's array, so a run holds that one array and
+the targets, and no other copy of the data.
 """
 
 from __future__ import annotations
@@ -333,12 +333,12 @@ def prepare_training_data(
 ) -> tuple[dict[str, np.ndarray], NormalizationSpec, SplitAssignment]:
     """Split a raw table, fit normalization on the training rows, encode what training uses.
 
-    `source` is a SampleTable, whose training and validation rows are
-    copied and encoded and which is left unchanged, or the path of a
-    dataset CSV. The array read_csv() parses that file into is then
-    encoded in place: its training rows move to its front in their
-    order, its validation rows follow, and encode_rows_into() encodes
-    them, so no other copy of the rows is made.
+    `source` is a SampleTable, whose array is copied once and which is
+    left unchanged, or the path of a dataset CSV, whose array read_csv()
+    parses the file into. That one array is then encoded in place: its
+    training rows move to its front in their order, its validation rows
+    follow, and encode_rows_into() encodes them, so no other copy of the
+    rows is made.
 
     Returns a dict with x_train/y_train/x_val/y_val, the fitted
     normalization and the split assignment. The x arrays are views of
@@ -350,10 +350,8 @@ def prepare_training_data(
     assignment = split(len(table), seed)
     train_rows, val_rows = assignment.indices(TRAIN), assignment.indices(VALIDATION)
     norm = fit_normalization(table, train_rows)
-    if table is source:
-        x = table.values[np.concatenate((train_rows, val_rows))]
-    else:
-        x = _front_rows(table.values, train_rows, val_rows)
+    values = table.values.copy() if table is source else table.values
+    x = _front_rows(values, train_rows, val_rows)
     y = np.empty((len(x), N_OUTPUTS))
     arrays = {}
     n_train = len(train_rows)

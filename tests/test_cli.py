@@ -561,6 +561,33 @@ def test_optimize_axes_from_config(pipeline_dir, tmp_path):
     assert len(report) == 17  # 2*2*2*2*1 combinations
     manifest = json.loads((out / "optimize_manifest.json").read_text())
     assert manifest["resolved_config"]["axes"][4]["maximum"] == 3200.0
+    assert sorted(manifest["resolved_config"]) == ["axes"]
+
+
+@pytest.mark.parametrize(
+    "section, flags, keys",
+    [
+        pytest.param({"scale": 0.3}, [], "scale", id="scale-in-file"),
+        pytest.param({}, ["--scale", "0.3"], "scale", id="scale-flag"),
+        pytest.param({"points_per_axis": 9}, [], "points_per_axis", id="points-in-file"),
+        pytest.param(
+            {"points_per_axis": 7}, ["--scale", "0.3"], "points_per_axis and scale", id="both"
+        ),
+    ],
+)
+def test_optimize_rejects_a_grid_size_beside_axes(
+    pipeline_dir, tmp_path, capsys, section, flags, keys
+):
+    # Given keys count even at their default value (points_per_axis 9).
+    axes = [{"minimum": lo, "maximum": hi, "step": hi - lo} for lo, hi in SETTING_RANGES]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"optimize": {"axes": axes, **section}}))
+    out = tmp_path / "opt"
+    argv = ["optimize", "--out", str(out), "--model", str(pipeline_dir / "model.bin")]
+    assert main([*argv, "--config", str(config_path), *flags]) == 1
+    message = f"optimize.axes sets the grid; {keys} cannot be given with it"
+    assert capsys.readouterr().err == f"sensopt optimize: configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_optimize_row_budget_enforced(tmp_path, capsys):

@@ -16,6 +16,7 @@ from sensopt.network import (
     Model,
     NetworkConfig,
     NetworkParameters,
+    OptimizerState,
     adam_step,
     backprop,
     empty_tile_buffers,
@@ -207,6 +208,12 @@ def test_adam_first_step_closed_form():
         assert np.allclose(w1, expected, atol=1e-15)
     with pytest.raises(ConfigurationError):
         sgd_step(params, grads, state)
+
+
+@pytest.mark.parametrize("name", ["beta1", "beta2", "epsilon"])
+def test_adam_constants_are_not_constructor_fields(name):
+    with pytest.raises(TypeError):
+        OptimizerState(mode="adam", learning_rate=1e-3, **{name: 0.5})
 
 
 def test_adam_constant_gradient_step_approaches_learning_rate():

@@ -285,10 +285,20 @@ def test_prepare_training_data_is_the_per_partition_table_encoding(small_dataset
 @pytest.mark.parametrize("seed", [0, 3])
 def test_prepare_training_data_from_a_path_is_the_read_tables_bytes(small_dataset, tmp_path, seed):
     # 5,184 training rows: the in-place compaction ends on a short block.
+    # The reference gathers the read table's rows by index and encodes them.
     path = tmp_path / "dataset.csv"
     write_csv(small_dataset, path)
     arrays, norm, assignment = prepare_training_data(path, seed)
-    expected, expected_norm, expected_assignment = prepare_training_data(read_csv(path), seed)
+    table = read_csv(path)
+    expected_assignment = split(len(table), seed)
+    train_rows = expected_assignment.indices(TRAIN)
+    rows = np.concatenate((train_rows, expected_assignment.indices(VALIDATION)))
+    expected_norm = fit_normalization(table, train_rows)
+    x, y = encode_table(SampleTable(table.values[rows]), expected_norm)
+    n_train = len(train_rows)
+    expected = {
+        "x_train": x[:n_train], "y_train": y[:n_train], "x_val": x[n_train:], "y_val": y[n_train:]
+    }
     assert assignment.counts()[0] == 5_184 and 5_184 % 4_096
     assert norm == expected_norm
     assert np.array_equal(assignment.labels, expected_assignment.labels)
