@@ -414,10 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"sensopt {args.command}: configuration error: {exc}", file=sys.stderr)
         return 1
-    except SensoptError as exc:
-        print(f"sensopt {args.command}: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SensoptError, OSError) as exc:
         print(f"sensopt {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -309,18 +309,20 @@ def split(n_rows: int, seed: int) -> SplitAssignment:
 
     With DEFAULT_FRACTIONS (f_train, f_val, f_test), sizes are
     floor(f_train * n), floor(f_val * n) and the remainder, so the
-    partition is exhaustive and disjoint.
+    partition is exhaustive and disjoint. A row count that leaves a
+    partition empty raises a ConfigurationError naming it: 11 rows leave
+    validation empty, so the default shares need at least 12.
     """
-    if n_rows < 10:
-        raise ConfigurationError(f"need at least 10 rows to split, got {n_rows}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    perm = rng.permutation(n_rows)
     n_train = int(np.floor(DEFAULT_FRACTIONS[0] * n_rows))
     n_val = int(np.floor(DEFAULT_FRACTIONS[1] * n_rows))
+    counts = (n_train, n_val, n_rows - n_train - n_val)
+    for name, count in zip(("train", "validation", "test"), counts):
+        if count < 1:
+            raise ConfigurationError(f"a split of {n_rows} rows leaves the {name} partition empty")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    perm = rng.permutation(n_rows)
     labels = np.empty(n_rows, dtype=np.int8)
-    labels[perm[:n_train]] = TRAIN
-    labels[perm[n_train : n_train + n_val]] = VALIDATION
-    labels[perm[n_train + n_val :]] = TEST
+    labels[perm] = np.repeat(np.array((TRAIN, VALIDATION, TEST), dtype=np.int8), counts)
     return SplitAssignment(labels=labels)
 
 
@@ -485,23 +487,16 @@ def _first_bad_line(path) -> CsvParseError:
 
 
 def _validate_rows(table: SampleTable) -> None:
-    if len(table) == 0:
-        return
-    bad_value = np.nonzero(~np.isfinite(table.values).all(axis=1))[0]
-    if bad_value.size:
-        raise CsvParseError(
-            f"line {bad_value[0] + 2}: non-finite numeric field",
-            line_number=int(bad_value[0]) + 2,
-        )
-    bad_signal = np.nonzero(table.column("signal") <= 0)[0]
-    if bad_signal.size:
-        raise CsvParseError(
-            f"line {bad_signal[0] + 2}: signal must be positive",
-            line_number=int(bad_signal[0]) + 2,
-        )
-    bad_cat = np.nonzero(_bad_category(table.column("category")))[0]
-    if bad_cat.size:
-        raise CsvParseError(
-            f"line {bad_cat[0] + 2}: category must be an integer in 0..{N_CATEGORIES - 1}",
-            line_number=int(bad_cat[0]) + 2,
-        )
+    """Raise a CsvParseError at the first line of the first value fault.
+
+    The kinds are tried in the module docstring's order, each over every row.
+    """
+    category_fault = f"category must be an integer in 0..{N_CATEGORIES - 1}"
+    for mask, fault in (
+        (~np.isfinite(table.values).all(axis=1), "non-finite numeric field"),
+        (table.column("signal") <= 0, "signal must be positive"),
+        (_bad_category(table.column("category")), category_fault),
+    ):
+        if mask.any():
+            line_no = int(np.argmax(mask)) + 2
+            raise CsvParseError(f"line {line_no}: {fault}", line_number=line_no)

@@ -50,14 +50,16 @@ ROWS_PER_COMBINATION = INPUT5_COUNT * CATEGORY_COUNT
 
 SETTING_NAMES = ("input1", "input2", "input3", "input4", "input6")
 
-# Full range each settings input may assume (endpoints of the recorded grid).
-SETTING_RANGES = (
-    (418.0, 510.0),
-    (112.0, 144.0),
-    (400.0, 500.0),
-    (2850.0, 3650.0),
-    (3200.0, 4000.0),
+# The recorded grid TABLE1's values per settings input, its repeated 3600 kept verbatim.
+_TABLE1_VALUES = (
+    (418.0, 441.0, 464.0, 478.0, 510.0),
+    (112.0, 120.0, 128.0, 136.0, 144.0),
+    (400.0, 425.0, 450.0, 475.0, 500.0),
+    (2850.0, 3050.0, 3250.0, 3450.0, 3650.0),
+    (3200.0, 3400.0, 3600.0, 3600.0, 4000.0),
 )
+# Full range each settings input may assume: the recorded grid's endpoints.
+SETTING_RANGES = tuple((values[0], values[-1]) for values in _TABLE1_VALUES)
 # Most expanded rows (combinations x 200) a grid may imply.
 ROW_BUDGET = 24_000_000
 
@@ -147,28 +149,18 @@ class GridSpec:
         return GridSpec(*picked)
 
 
-TABLE1 = GridSpec(
-    input1=(418.0, 441.0, 464.0, 478.0, 510.0),
-    input2=(112.0, 120.0, 128.0, 136.0, 144.0),
-    input3=(400.0, 425.0, 450.0, 475.0, 500.0),
-    input4=(2850.0, 3050.0, 3250.0, 3450.0, 3650.0),
-    # The repeated 3600 is part of the recorded grid and is kept verbatim.
-    input6=(3200.0, 3400.0, 3600.0, 3600.0, 4000.0),
-)
+TABLE1 = GridSpec(*_TABLE1_VALUES)
 
 
 def _normalize_settings(settings) -> np.ndarray:
-    arr = np.asarray(settings, dtype=np.float64)
-    single = arr.ndim == 1
-    rows = np.atleast_2d(arr)
-    if rows.shape[1] != len(SETTING_NAMES):
+    """(m, 5) rows scaled to [0, 1] over SETTING_RANGES; other shapes: ConfigurationError."""
+    rows = np.asarray(settings, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != len(SETTING_NAMES):
         raise ConfigurationError(
-            f"a settings combination has {len(SETTING_NAMES)} entries, got {rows.shape[1]}"
+            f"settings must have shape (m, {len(SETTING_NAMES)}), got {rows.shape}"
         )
-    lo = np.array([r[0] for r in SETTING_RANGES])
-    hi = np.array([r[1] for r in SETTING_RANGES])
-    u = (rows - lo) / (hi - lo)
-    return u[0] if single else u
+    lo, hi = np.array(SETTING_RANGES).T
+    return (rows - lo) / (hi - lo)
 
 
 class SensorOracle:
@@ -187,6 +179,9 @@ class SensorOracle:
 
     Every parameter must be finite.
     """
+
+    # The constructor's parameters, each kept as the attribute of its name.
+    _CONFIG_KEYS = ("seed", "dip_center", "dip_depth", "dip_width", "noise_db")
 
     def __init__(
         self,
@@ -266,10 +261,10 @@ class SensorOracle:
     # -- public queries ----------------------------------------------------
 
     def dip_depth_at(self, settings) -> float | np.ndarray:
-        """True dip depth (dB) for one combination or an (n, 5) batch."""
-        u = _normalize_settings(settings)
-        out = self._depth(np.atleast_2d(u))
-        return float(out[0]) if u.ndim == 1 else out
+        """True dip depth (dB): a float for one combination of 5 settings, n for (n, 5)."""
+        single = np.ndim(settings) == 1
+        out = self._depth(_normalize_settings([settings] if single else settings))
+        return float(out[0]) if single else out
 
     # -- simulation --------------------------------------------------------
 
@@ -308,14 +303,9 @@ class SensorOracle:
             on an oracle without noise, bit for bit.
 
         Raises:
-            ConfigurationError: settings is not of shape (m, 5).
+            ConfigurationError: from _normalize_settings(), for settings not (m, 5).
         """
-        rows = np.asarray(settings, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ConfigurationError(
-                f"settings must have shape (m, {len(SETTING_NAMES)}), got {rows.shape}"
-            )
-        u = _normalize_settings(rows)
+        u = _normalize_settings(settings)
         level = self._level(u)[:, None]
         rate = self._rate(u)[:, None]
         dev = self._slope_dev(u)[:, None]
@@ -346,19 +336,13 @@ class SensorOracle:
     # -- persistence -------------------------------------------------------
 
     def to_config(self) -> dict:
-        """Key-value form from which an identical oracle can be rebuilt."""
-        return {
-            "seed": self.seed,
-            "dip_center": self.dip_center,
-            "dip_depth": self.dip_depth,
-            "dip_width": self.dip_width,
-            "noise_db": self.noise_db,
-        }
+        """Key-value form from which an identical oracle can be rebuilt: _CONFIG_KEYS."""
+        return {key: getattr(self, key) for key in self._CONFIG_KEYS}
 
     @classmethod
     def from_config(cls, config: dict) -> "SensorOracle":
-        known = {"seed", "dip_center", "dip_depth", "dip_width", "noise_db"}
-        unknown = set(config) - known
+        """The oracle of a to_config() dict; a key not in _CONFIG_KEYS is an error."""
+        unknown = set(config) - set(cls._CONFIG_KEYS)
         if unknown:
             raise ConfigurationError(f"unknown oracle config keys: {sorted(unknown)}")
         return cls(**config)

@@ -20,8 +20,9 @@ and criteria of every candidate, NaN where a predicted signal is not
 positive: peak memory is one block of predicted rows per worker plus
 one row of settings, criteria and ranks per candidate, never the full
 point cloud. The calling thread allocates every worker's
-_ChunkPredictor; per chunk, a worker then allocates only argsort's order
-array and criteria_block()'s temporaries. One candidate is selected
+_ChunkPredictor; per chunk, a worker then allocates only the scaled
+settings, a short chunk's np.resize() pad, argsort's order array and
+criteria_block()'s temporaries. One candidate is selected
 under each subset of SELECTION_SUBSETS. predict_curves()
 runs the same kernel on a settings array, one chunk after another, and
 yields its curves one at a time.
@@ -353,14 +354,17 @@ def rank_candidates(
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """A selection; `row` is select_row()'s index: of the sweep's rows, or select()'s `ranked`."""
+
     settings: tuple[float, ...]
     criteria: CriteriaValues
     k: int
     subset: tuple[int, ...]
+    row: int
 
 
 def select(ranked: Sequence[CandidateScore], subset: Sequence[int]) -> SelectionResult:
-    """Smallest-K prefix-intersection selection over `subset`; see select_row().
+    """Smallest-K selection over `subset` (see select_row()); its `row` indexes `ranked`.
 
     Raises:
         SelectionError: every candidate is unscorable on the subset.
@@ -370,7 +374,7 @@ def select(ranked: Sequence[CandidateScore], subset: Sequence[int]) -> Selection
         [[-1 if r is None else r for r in c.ranks] for c in ranked], dtype=np.int64
     ).reshape(len(ranked), len(ALL_CRITERIA))
     row, k = select_row(np.array([c.settings for c in ranked]), ranks, subset)
-    return SelectionResult(ranked[row].settings, ranked[row].criteria, k, subset)
+    return SelectionResult(ranked[row].settings, ranked[row].criteria, k, subset, row)
 
 
 @dataclass
@@ -490,7 +494,7 @@ def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
     for subset in SELECTION_SUBSETS:
         row, k = select_row(settings, ranks, subset)
         selections[subset] = SelectionResult(
-            tuple(settings[row].tolist()), CriteriaValues(*values[row].tolist()), k, subset
+            tuple(settings[row].tolist()), CriteriaValues(*values[row].tolist()), k, subset, row
         )
     return SweepResult(settings=settings, criteria=values, ranks=ranks, selections=selections)
 
@@ -498,15 +502,18 @@ def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
 def write_report_csv(result: SweepResult, path) -> None:
     """Flat CSV of every candidate: settings, criteria, ranks, selected flags.
 
-    Written by data.write_rows(), _REPORT_BLOCK_ROWS rows at a time: the
-    settings and criteria as float fields with 17 significant digits,
-    each block's ranks and flags as ready-made texts, each distinct one
-    made once. Written through a temporary file, like every sensopt
-    table: a failed write leaves whatever `path` held before untouched.
+    A subset's flag is 1 on its selection's `row` alone, even where the
+    grid repeats that combination. Written by data.write_rows(),
+    _REPORT_BLOCK_ROWS rows at a time: the settings and criteria as float
+    fields with 17 significant digits, each block's ranks and flags as
+    ready-made texts, each distinct one made once. Written through a
+    temporary file, like every sensopt table: a failed write leaves
+    whatever `path` held before untouched.
     """
     subsets = sorted(result.selections)
     rank_names = [f"rank_c{i}" for i in ALL_CRITERIA]
     flag_names = [f"selected_{subset_label(s)}" for s in subsets]
+    selected = [result.selections[s].row for s in subsets]
     header = ",".join([*SETTING_NAMES, "c1", "c2", "c3", "c4", *rank_names, *flag_names])
     with replacing(path) as fh:
         fh.write(header + "\n")
@@ -518,6 +525,6 @@ def write_report_csv(result: SweepResult, path) -> None:
             distinct, inverse = np.unique(ranks, return_inverse=True)
             texts = np.array(["" if r < 0 else str(r) for r in distinct.tolist()], dtype=object)
             rank_texts = texts[inverse.reshape(ranks.shape)].tolist()
-            selected = [np.all(settings == result.selections[s].settings, axis=1) for s in subsets]
-            flag_texts = [np.where(flags, "1", "0").tolist() for flags in selected]
+            block = np.arange(start, start + len(settings))
+            flag_texts = [np.where(block == row, "1", "0").tolist() for row in selected]
             write_rows(fh, [*settings.T, *result.criteria[rows].T, *rank_texts, *flag_texts])

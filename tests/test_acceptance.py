@@ -198,7 +198,7 @@ def test_criterion_4_surrogate_quality_desk_scale(tmp_path):
     )
 
 
-@pytest.mark.skipif(not FULL_SCALE, reason="set SENSOPT_FULL_SCALE=1 for the half-hour run")
+@pytest.mark.skipif(not FULL_SCALE, reason="set SENSOPT_FULL_SCALE=1 for the five-minute run")
 def test_criterion_4_surrogate_quality_full_scale():
     started = time.monotonic()
     table = generate_dataset(SensorOracle(seed=0), TABLE1)

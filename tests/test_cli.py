@@ -370,6 +370,28 @@ def test_train_names_the_line_of_a_non_finite_field(pipeline_dir, tmp_path, caps
     assert not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_table_too_small_to_split_is_a_configuration_error(
+    command, pipeline_dir, tmp_path, capsys
+):
+    # 11 rows split as (8, 0, 3): the validation partition would be empty.
+    lines = (pipeline_dir / "dataset.csv").read_text().splitlines()
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("\n".join(lines[:12]) + "\n")
+    out = tmp_path / "out"
+    model = str(pipeline_dir / "model.bin")
+    argv = {
+        "train": ["train", "--epochs", "1"],
+        "evaluate": ["evaluate", "--model", model, "--seed", "0"],
+    }[command]
+    assert main([*argv, "--dataset", str(dataset), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"sensopt {command}: configuration error: "
+        "a split of 11 rows leaves the validation partition empty\n"
+    )
+    assert not out.exists()
+
+
 def test_evaluate_outputs(pipeline_dir, tmp_path, capsys):
     out = tmp_path / "eval"
     code = main(

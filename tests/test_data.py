@@ -189,6 +189,15 @@ def test_split_validation():
         split(9, seed=0)
 
 
+@pytest.mark.parametrize("n_rows, empty", [(0, "train"), (10, "validation"), (11, "validation")])
+def test_split_rejects_a_row_count_that_leaves_a_partition_empty(n_rows, empty):
+    # floor(0.81 n), floor(0.09 n) and the rest: (8, 0, 2) and (8, 0, 3).
+    message = f"a split of {n_rows} rows leaves the {empty} partition empty"
+    with pytest.raises(ConfigurationError, match=message):
+        split(n_rows, seed=0)
+    assert split(12, seed=0).counts() == (9, 1, 2)
+
+
 def test_csv_round_trip_is_lossless(tmp_path):
     table = random_table(np.random.default_rng(6), 300)
     path = tmp_path / "rows.csv"
@@ -228,6 +237,30 @@ def test_csv_parse_errors(tmp_path):
     path.write_text(header + "\n1,2,3,4,5,6,7,10,1,1\n")
     with pytest.raises(CsvParseError, match="category"):
         read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        # The kinds are tried in this order, each over every row.
+        ({9: (8, "nan"), 5: (7, "-1"), 3: (6, "1.5")}, "line 11: non-finite numeric field"),
+        ({5: (7, "-1"), 3: (6, "1.5")}, "line 7: signal must be positive"),
+        ({3: (6, "1.5"), 8: (6, "4")}, "line 5: category must be an integer in 0..3"),
+    ],
+)
+def test_read_csv_names_the_first_line_of_the_first_value_fault(tmp_path, faults, message):
+    path = tmp_path / "rows.csv"
+    write_csv(random_table(np.random.default_rng(3), 12), path)
+    lines = path.read_text().splitlines()
+    for row, (column, text) in faults.items():
+        fields = lines[row + 1].split(",")
+        fields[column] = text
+        lines[row + 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvParseError) as err:
+        read_csv(path)
+    assert str(err.value) == message
+    assert err.value.line_number == int(message.split(":")[0].split()[1])
 
 
 def test_csv_chunked_reader_boundary(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import struct
 
 import numpy as np
@@ -128,6 +129,38 @@ def test_simulate_blocks_shapes():
         assert block.shape == (0, ROWS_PER_COMBINATION)
 
 
+@pytest.mark.parametrize(
+    "query, settings, shape",
+    [
+        ("simulate_blocks", [(418.0, 112.0, 400.0, 2850.0)], (1, 4)),
+        ("simulate_blocks", np.zeros((2, 3, 5)), (2, 3, 5)),
+        ("simulate_block", (418.0, 112.0, 400.0, 2850.0), (1, 4)),
+        ("dip_depth_at", (418.0, 112.0, 400.0, 2850.0), (1, 4)),
+        ("dip_depth_at", np.zeros((2, 3, 5)), (2, 3, 5)),
+    ],
+)
+def test_every_settings_shape_fault_gets_one_message(query, settings, shape):
+    message = f"settings must have shape (m, 5), got {shape}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        getattr(SensorOracle(seed=1), query)(settings)
+
+
+def test_dip_depth_at_one_combination_is_a_float():
+    oracle = SensorOracle(seed=1)
+    settings = TABLE1.settings()[:3]
+    depths = oracle.dip_depth_at(settings)
+    assert depths.shape == (3,)
+    for row, depth in zip(settings.tolist(), depths.tolist()):
+        assert type(oracle.dip_depth_at(row)) is float and oracle.dip_depth_at(row) == depth
+
+
+def test_setting_ranges_are_the_recorded_grids_endpoints():
+    assert SETTING_RANGES == (
+        (418.0, 510.0), (112.0, 144.0), (400.0, 500.0), (2850.0, 3650.0), (3200.0, 4000.0)
+    )
+    assert SETTING_RANGES == tuple((values[0], values[-1]) for values in TABLE1.values())
+
+
 def test_generate_dataset_matches_per_combination_reference():
     spec = TABLE1.subsample(3)
     oracle = SensorOracle(seed=4, noise_db=0.5)
@@ -250,6 +283,7 @@ def test_config_round_trip():
         assert a.tobytes() == b.tobytes()
     with pytest.raises(ConfigurationError):
         SensorOracle.from_config({"seed": 1, "bogus": 2})
+    assert list(oracle.to_config()) == ["seed", "dip_center", "dip_depth", "dip_width", "noise_db"]
 
 
 def test_depth_field_is_smooth_and_nonconstant():

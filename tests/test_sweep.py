@@ -248,12 +248,15 @@ def test_select_intersection_and_tie_breaks():
     result = select(ranked, (1, 2))
     assert result.k == 2
     assert result.settings == (1.0,)
+    # rank_candidates() sorts by settings; row indexes that order.
+    assert ranked[result.row].settings == result.settings and result.row == 0
 
     # Single criterion: plain argmin, K = 1.
     single = select(ranked, (1,))
     assert single.k == 1
     assert single.settings == (2.0,)
     assert single.subset == (1,)
+    assert single.row == 1
 
     for subset in ((5,), ()):
         with pytest.raises(ConfigurationError):
@@ -518,6 +521,7 @@ def _report_result(n: int, seed: int) -> SweepResult:
             criteria=CriteriaValues(*criteria[row].tolist()),
             k=1,
             subset=subset,
+            row=row,
         )
         for subset, row in (((1, 2, 3, 4), 0), ((1, 2, 3), n // 2))
     }
@@ -536,7 +540,7 @@ def _whole_table_report(result: SweepResult) -> bytes:
     )
     ranks = np.where(result.ranks < 0, "", result.ranks.astype(str))
     flags = [
-        np.where(np.all(result.settings == result.selections[s].settings, axis=1), "1", "0")
+        np.where(np.arange(len(result.settings)) == result.selections[s].row, "1", "0")
         for s in subsets
     ]
     fields = np.column_stack([result.settings.astype(object), result.criteria, ranks, *flags])
@@ -554,6 +558,23 @@ def test_report_bytes_equal_the_whole_table_reference(n, tmp_path):
     path = tmp_path / "report.csv"
     write_report_csv(result, path)
     assert path.read_bytes() == _whole_table_report(result)
+
+
+def test_report_flags_one_row_of_a_repeated_combination(small_model, tmp_path):
+    # One combination four times: every row has the same settings and
+    # criteria, and select_row()'s first-row tie rule picks row 0.
+    spec = GridSpec((464.0, 464.0), (128.0,), (450.0,), (3250.0,), (3600.0, 3600.0))
+    result = run_sweep(small_model, spec)
+    assert len(result.settings) == 4 and (result.settings == result.settings[0]).all()
+    path = tmp_path / "report.csv"
+    write_report_csv(result, path)
+    header, *body = path.read_text().splitlines()
+    names = header.split(",")
+    for subset, selection in result.selections.items():
+        column = names.index(f"selected_{subset_label(subset)}")
+        flags = [line.split(",")[column] for line in body]
+        assert flags.count("1") == 1
+        assert selection.row == 0 and flags[selection.row] == "1"
 
 
 def test_report_write_holds_one_block_of_fields_in_memory(tmp_path):
@@ -850,7 +871,7 @@ def test_a_dead_signal_mid_grid_is_unranked_not_fatal(workers, tmp_path, monkeyp
     for subset in SELECTION_SUBSETS:
         row, k = select_row(healthy, ranks, subset)
         selections[subset] = SelectionResult(
-            tuple(healthy[row].tolist()), CriteriaValues(*expected[row].tolist()), k, subset
+            tuple(healthy[row].tolist()), CriteriaValues(*expected[row].tolist()), k, subset, row
         )
     alone = SweepResult(settings=healthy, criteria=expected, ranks=ranks, selections=selections)
     write_report_csv(alone, tmp_path / "alone.csv")
