@@ -8,6 +8,8 @@ manifest with the fully resolved configuration and SHA-256 digests of
 its file inputs and outputs, so any run can be reproduced and checked.
 The manifest is the run's last write, and the command deletes any earlier
 one before its first output write: a run that fails midway leaves none.
+_outputs() is that rule's one home: each command writes its outputs
+inside one `with _outputs(...)` block.
 
 This module only parses and wires: the defaults come from TrainConfig,
 NetworkConfig and SensorOracle, and the selected curves, as the sweep
@@ -98,11 +100,13 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _given(args: argparse.Namespace, defaults: dict) -> dict:
-    """The keys of `defaults` set by the config file's section for the command or by its flags.
+def _resolve(args: argparse.Namespace, defaults: dict) -> tuple[dict, dict]:
+    """(resolved, given): `defaults` overridden by the command's config section and flags.
 
-    A key's flag, the option whose argparse dest is the key, overrides
-    the file; a flag left out (None) sets nothing.
+    `given` holds the keys of `defaults` that the config file's section
+    for the command or its flags set. A key's flag, the option whose
+    argparse dest is the key, overrides the file; a flag left out (None)
+    sets nothing.
 
     Raises:
         ConfigurationError: the section is not an object, or holds an
@@ -126,12 +130,7 @@ def _given(args: argparse.Namespace, defaults: dict) -> dict:
         raise ConfigurationError(
             f"{args.command}.seed must be a non-negative integer, got {given['seed']!r}"
         )
-    return given
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """`defaults`, overridden by what the config file and the flags set; see _given()."""
-    return {**defaults, **_given(args, defaults)}
+    return {**defaults, **given}, given
 
 
 def _write_json(path: str, document, sort_keys: bool = True) -> None:
@@ -141,49 +140,47 @@ def _write_json(path: str, document, sort_keys: bool = True) -> None:
         fh.write("\n")
 
 
-def _manifest_path(out_dir: str, command: str) -> str:
-    return os.path.join(out_dir, f"{command}_manifest.json")
+@contextlib.contextmanager
+def _outputs(args: argparse.Namespace, resolved: dict, inputs: list[str]):
+    """Make --out, delete the command's manifest there, and write it once the block completes.
 
-
-def _start_outputs(out_dir: str, command: str) -> None:
-    """Make `out_dir` and delete the command's manifest there, before any output is written.
-
-    The manifest is written last, so until a run has written all its
-    outputs no manifest vouches for them: a run that fails midway leaves
-    no manifest beside a mix of its outputs and an earlier run's.
+    The block appends each path it writes to the yielded list. The
+    manifest, `<command>_manifest.json`, records `resolved`, the digests
+    of the `inputs` and of those outputs, and is the run's last write:
+    until a run has written all its outputs no manifest vouches for
+    them, so a run that fails midway leaves no manifest beside a mix of
+    its outputs and an earlier run's.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(args.out, f"{args.command}_manifest.json")
+    os.makedirs(args.out, exist_ok=True)
     with contextlib.suppress(FileNotFoundError):
-        os.remove(_manifest_path(out_dir, command))
-
-
-def _write_manifest(
-    out_dir: str, command: str, resolved: dict, inputs: dict[str, str], outputs: list[str]
-) -> None:
+        os.remove(manifest_path)
+    outputs: list[str] = []
+    yield outputs
     manifest = {
         "tool": "sensopt",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "resolved_config": resolved,
-        "inputs": {path: _sha256(path) for path in inputs.values()},
+        "inputs": {path: _sha256(path) for path in inputs},
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "output_sha256": {os.path.basename(p): _sha256(p) for p in outputs},
     }
-    _write_json(_manifest_path(out_dir, command), manifest)
+    _write_json(manifest_path, manifest)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     oracle_defaults = SensorOracle().to_config()
-    resolved = _resolve(args, {**oracle_defaults, "scale": 1.0})
+    resolved, _ = _resolve(args, {**oracle_defaults, "scale": 1.0})
     grid = TABLE1.subsample(_scaled_count(5, resolved["scale"]))
     oracle = SensorOracle.from_config({key: resolved[key] for key in oracle_defaults})
     table = generate_dataset(oracle, grid)
-    _start_outputs(args.out, "generate")
-    dataset_path = os.path.join(args.out, "dataset.csv")
-    write_csv(table, dataset_path)
-    oracle_path = os.path.join(args.out, "oracle_config.json")
-    _write_json(oracle_path, oracle.to_config())
-    _write_manifest(args.out, "generate", resolved, {}, [dataset_path, oracle_path])
+    with _outputs(args, resolved, []) as outputs:
+        dataset_path = os.path.join(args.out, "dataset.csv")
+        write_csv(table, dataset_path)
+        oracle_path = os.path.join(args.out, "oracle_config.json")
+        _write_json(oracle_path, oracle.to_config())
+        outputs += [dataset_path, oracle_path]
     print(
         f"generated {len(table)} rows ({grid.combination_count} combinations) "
         f"-> {dataset_path}"
@@ -209,7 +206,7 @@ def _parse_hidden(value) -> tuple[int, ...]:
 def cmd_train(args: argparse.Namespace) -> int:
     train_defaults = dataclasses.asdict(TrainConfig())
     net_defaults = NetworkConfig()
-    resolved = _resolve(
+    resolved, _ = _resolve(
         args, {**train_defaults, "hidden": list(net_defaults.hidden), "alpha": net_defaults.alpha}
     )
     resolved["hidden"] = list(_parse_hidden(resolved["hidden"]))
@@ -227,14 +224,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         arrays["y_val"],
         train_cfg,
     )
-    _start_outputs(args.out, "train")
-    model_path = os.path.join(args.out, "model.bin")
-    save_model(Model(net_config, params, norm, split_record), model_path)
-    history_path = os.path.join(args.out, "history.csv")
-    history.write_csv(history_path)
-    _write_manifest(
-        args.out, "train", resolved, {"dataset": dataset_path}, [model_path, history_path]
-    )
+    with _outputs(args, resolved, [dataset_path]) as outputs:
+        model_path = os.path.join(args.out, "model.bin")
+        save_model(Model(net_config, params, norm, split_record), model_path)
+        history_path = os.path.join(args.out, "history.csv")
+        history.write_csv(history_path)
+        outputs += [model_path, history_path]
     print(
         f"trained {len(history)} epochs: final train MSE {history.train_mse[-1]:.6g}, "
         f"validation MSE {history.val_mse[-1]:.6g} -> {model_path}"
@@ -243,9 +238,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    defaults = {"seed": 0, "partition": "test"}
-    given = _given(args, defaults)
-    resolved = {**defaults, **given}
+    resolved, given = _resolve(args, {"seed": 0, "partition": "test"})
     if resolved["partition"] not in _PARTITIONS:
         raise ConfigurationError(
             f"partition must be one of {sorted(_PARTITIONS)}, got {resolved['partition']!r}"
@@ -263,7 +256,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     assignment = split(len(table), resolved["seed"])
     rows = table.select(assignment.indices(_PARTITIONS[resolved["partition"]]))
     report = evaluate(model, rows)
-    _start_outputs(args.out, "evaluate")
     metrics = {
         m.name: {
             "mse": m.mse,
@@ -271,18 +263,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         }
         for m in report.metrics
     }
-    metrics_path = os.path.join(args.out, "metrics.json")
-    _write_json(
-        metrics_path, {"partition": resolved["partition"], "outputs": metrics}, sort_keys=False
-    )
-    pair_paths = write_prediction_csvs(report, args.out)
-    _write_manifest(
-        args.out,
-        "evaluate",
-        resolved,
-        {"model": args.model, "dataset": args.dataset},
-        [metrics_path, *pair_paths],
-    )
+    with _outputs(args, resolved, [args.model, args.dataset]) as outputs:
+        metrics_path = os.path.join(args.out, "metrics.json")
+        _write_json(
+            metrics_path, {"partition": resolved["partition"], "outputs": metrics}, sort_keys=False
+        )
+        outputs += [metrics_path, *write_prediction_csvs(report, args.out)]
     for m in report.metrics:
         print(f"{m.name}: MSE {m.mse:.6g}, R^2 {m.r_squared:.6g}")
     return 0
@@ -310,9 +296,9 @@ def _axes_from_config(axes_config) -> list[AxisSpec]:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    defaults = {"scale": 1.0, "points_per_axis": DEFAULT_POINTS_PER_AXIS, "axes": None}
-    given = _given(args, defaults)
-    resolved = {**defaults, **given}
+    resolved, given = _resolve(
+        args, {"scale": 1.0, "points_per_axis": DEFAULT_POINTS_PER_AXIS, "axes": None}
+    )
     if resolved["axes"] is not None:
         # The axes fix the grid, so a scale or a point count would go unused.
         unused = sorted(given.keys() & {"scale", "points_per_axis"})
@@ -331,23 +317,22 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         spec = default_sweep_spec(max(_scaled_count(points, resolved["scale"]), 2))
     model = load_model(args.model)
     result = run_sweep(model, spec)
-    _start_outputs(args.out, "optimize")
-    report_path = os.path.join(args.out, "sweep_report.csv")
-    write_report_csv(result, report_path)
-    summary_path = os.path.join(args.out, "selection_summary.json")
-    _write_json(summary_path, result.summary())
-    outputs = [report_path, summary_path]
-    curves = predict_curves(model, [s.settings for s in result.selections.values()])
-    for (subset, selection), curve in zip(result.selections.items(), curves):
-        curve_path = os.path.join(args.out, f"selected_curve_{subset_label(subset)}.csv")
-        write_curve_csv(curve, curve_path)
-        outputs.append(curve_path)
-        values = ", ".join(f"{v:g}" for v in selection.settings)
-        print(
-            f"criteria {subset_label(subset)}: K={selection.k}, settings ({values}), "
-            f"c4={selection.criteria.c4:.4g}"
-        )
-    _write_manifest(args.out, "optimize", resolved, {"model": args.model}, outputs)
+    with _outputs(args, resolved, [args.model]) as outputs:
+        report_path = os.path.join(args.out, "sweep_report.csv")
+        write_report_csv(result, report_path)
+        summary_path = os.path.join(args.out, "selection_summary.json")
+        _write_json(summary_path, result.summary())
+        outputs += [report_path, summary_path]
+        curves = predict_curves(model, [s.settings for s in result.selections.values()])
+        for (subset, selection), curve in zip(result.selections.items(), curves):
+            curve_path = os.path.join(args.out, f"selected_curve_{subset_label(subset)}.csv")
+            write_curve_csv(curve, curve_path)
+            outputs.append(curve_path)
+            values = ", ".join(f"{v:g}" for v in selection.settings)
+            print(
+                f"criteria {subset_label(subset)}: K={selection.k}, settings ({values}), "
+                f"c4={selection.criteria.c4:.4g}"
+            )
     print(f"scored {spec.combination_count} combinations -> {report_path}")
     return 0
 

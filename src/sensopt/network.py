@@ -66,9 +66,9 @@ class NetworkConfig:
     layers, which the diagnostics rely on.
     """
 
-    n_inputs: int = 10
+    n_inputs: int = ENCODED_INPUT_SIZE
     hidden: tuple[int, ...] = (64, 64, 64)
-    n_outputs: int = 3
+    n_outputs: int = N_OUTPUTS
     alpha: float = 0.3
 
     def __post_init__(self):

@@ -26,9 +26,10 @@ criteria_block()'s temporaries. One candidate is selected
 under each subset of SELECTION_SUBSETS. predict_curves()
 runs the same kernel on a settings array, one chunk after another, and
 yields its curves one at a time.
-rank_candidates() and select() are the ranking steps on per-candidate
-records. write_report_csv() writes every candidate, a block of rows at
-a time.
+rank_candidates() builds a SweepResult of (settings, criteria) pairs,
+select() selects among a SweepResult's rows and is the one maker of a
+SelectionResult. write_report_csv() writes every candidate, a block of
+rows at a time.
 
 Export rule: a combination's curve has the same bits in every predicted
 block of network.BIT_STABLE_ROWS rows or more, whichever combinations
@@ -273,7 +274,7 @@ def predict_curves(model: Model, settings) -> Iterator[Curve]:
 
 @dataclass(frozen=True)
 class CandidateScore:
-    """A combination, its criteria, and its dense rank per criterion.
+    """A SweepResult.candidates row: a combination, its criteria, its dense rank per criterion.
 
     ranks[i - 1] is the 0-based dense ascending rank under criterion i,
     or None when the candidate is unscorable there (NaN criterion).
@@ -330,31 +331,25 @@ def select_row(settings, ranks, subset: Sequence[int]) -> tuple[int, int]:
     return int(pool[np.lexsort(keys)[0]]), k
 
 
-def _rank_tuple(row) -> tuple[int | None, ...]:
-    return tuple(None if r < 0 else r for r in row)
-
-
 def rank_candidates(
     scored: Sequence[tuple[tuple[float, ...], CriteriaValues]],
-) -> list[CandidateScore]:
-    """Assign dense ascending ranks per criterion.
+) -> SweepResult:
+    """The SweepResult, with no selections, of (settings, criteria) pairs.
 
-    Ties share a rank. The returned list is sorted by settings
-    (lexicographically), so the output is independent of input order.
+    Its rows are sorted by settings (lexicographically), so the result is
+    independent of input order, and ranked by dense_ranks(): ties share a rank.
     """
     if not scored:
         raise ConfigurationError("no candidates to rank")
     ordered = sorted(scored, key=lambda item: item[0])
-    ranks = dense_ranks([crit.as_tuple() for _, crit in ordered])
-    return [
-        CandidateScore(settings=tuple(settings), criteria=crit, ranks=_rank_tuple(row))
-        for (settings, crit), row in zip(ordered, ranks.tolist())
-    ]
+    values = np.array([crit.as_tuple() for _, crit in ordered], dtype=np.float64)
+    settings = np.array([row for row, _ in ordered], dtype=np.float64)
+    return SweepResult(settings, values, dense_ranks(values), selections={})
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """A selection; `row` is select_row()'s index: of the sweep's rows, or select()'s `ranked`."""
+    """A selection; `row` indexes the rows of the SweepResult it was selected from."""
 
     settings: tuple[float, ...]
     criteria: CriteriaValues
@@ -363,27 +358,27 @@ class SelectionResult:
     row: int
 
 
-def select(ranked: Sequence[CandidateScore], subset: Sequence[int]) -> SelectionResult:
-    """Smallest-K selection over `subset` (see select_row()); its `row` indexes `ranked`.
+def select(result: SweepResult, subset: Sequence[int]) -> SelectionResult:
+    """Smallest-K selection over `subset` (see select_row()) among `result`'s rows.
 
     Raises:
         SelectionError: every candidate is unscorable on the subset.
     """
     subset = _check_subset(subset)
-    ranks = np.array(
-        [[-1 if r is None else r for r in c.ranks] for c in ranked], dtype=np.int64
-    ).reshape(len(ranked), len(ALL_CRITERIA))
-    row, k = select_row(np.array([c.settings for c in ranked]), ranks, subset)
-    return SelectionResult(ranked[row].settings, ranked[row].criteria, k, subset, row)
+    row, k = select_row(result.settings, result.ranks, subset)
+    criteria = CriteriaValues(*result.criteria[row].tolist())
+    return SelectionResult(tuple(result.settings[row].tolist()), criteria, k, subset, row)
 
 
 @dataclass
 class SweepResult:
-    """Every candidate, in grid (so lexicographic settings) order, and the selections.
+    """Candidates in lexicographic settings order, and the selections made among them.
 
-    Row i of `settings` (n, 5), `criteria` (n, 4) and `ranks` (n, 4) is
+    Row i of `settings` (n, d), `criteria` (n, 4) and `ranks` (n, 4) is
     one candidate; ranks are 0-based dense ascending ranks per criterion,
-    -1 where the candidate is unscorable (NaN criterion).
+    -1 where the candidate is unscorable (NaN criterion). run_sweep()
+    selects under each of SELECTION_SUBSETS; a rank_candidates() result
+    has no selections.
     """
 
     settings: np.ndarray
@@ -396,7 +391,9 @@ class SweepResult:
         """The candidates as CandidateScore records, in row order."""
         rows = zip(self.settings.tolist(), self.criteria.tolist(), self.ranks.tolist())
         return [
-            CandidateScore(tuple(settings), CriteriaValues(*crit), _rank_tuple(ranks))
+            CandidateScore(
+                tuple(settings), CriteriaValues(*crit), tuple(None if r < 0 else r for r in ranks)
+            )
             for settings, crit, ranks in rows
         ]
 
@@ -489,14 +486,9 @@ def run_sweep(model: Model, spec: GridSpec) -> SweepResult:
             helper.join()
     if failures:
         raise failures[min(failures)]
-    ranks = dense_ranks(values)
-    selections = {}
-    for subset in SELECTION_SUBSETS:
-        row, k = select_row(settings, ranks, subset)
-        selections[subset] = SelectionResult(
-            tuple(settings[row].tolist()), CriteriaValues(*values[row].tolist()), k, subset, row
-        )
-    return SweepResult(settings=settings, criteria=values, ranks=ranks, selections=selections)
+    result = SweepResult(settings, values, dense_ranks(values), selections={})
+    result.selections.update({subset: select(result, subset) for subset in SELECTION_SUBSETS})
+    return result
 
 
 def write_report_csv(result: SweepResult, path) -> None:

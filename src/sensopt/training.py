@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
+    COLUMNS,
     TRAIN,
     VALIDATION,
     N_NUMERIC_INPUTS,
@@ -60,7 +61,7 @@ from .network import (  # noqa: F401  forward, backprop: bindings perfbench/span
     sgd_step,
 )
 
-OUTPUT_NAMES = ("signal", "snr", "output3")
+OUTPUT_NAMES = COLUMNS[N_NUMERIC_INPUTS + 1 :]
 # Rows prepare_training_data() moves at a time when it compacts a table in place.
 _COMPACT_ROWS = 4096
 

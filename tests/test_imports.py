@@ -1,10 +1,11 @@
 """sensopt's modules reach each other only through public names they use.
 
 A name with a leading underscore is private to the module that defines
-it, so a decision it encodes has one owner. A name imported from a
-sensopt module and never read is dead, unless it is a binding that
-perfbench/spans.py wraps (PATCH_POINTS). This reads the source of each
-module of src/sensopt and of spans.py, and imports none of them.
+it, so a decision it encodes has one owner, and that module reads it:
+one it never reads is dead. A name imported from a sensopt module and
+never read is dead too, unless it is a binding that perfbench/spans.py
+wraps (PATCH_POINTS). This reads the source of each module of
+src/sensopt and of spans.py, and imports none of them.
 """
 
 import ast
@@ -43,16 +44,42 @@ def _private_imports(source: str) -> list[str]:
     ]
 
 
-def _dead_imports(source: str) -> list[str]:
-    """The names a module's `source` imports from a sensopt module and never reads."""
-    tree = ast.parse(source)
-    read = {
+def _read_names(tree: ast.AST) -> set[str]:
+    return {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
+
+
+def _dead_imports(source: str) -> list[str]:
+    """The names a module's `source` imports from a sensopt module and never reads."""
+    tree = ast.parse(source)
+    read = _read_names(tree)
     bound = [alias.asname or alias.name for _, alias in _sensopt_imports(tree)]
     return [name for name in bound if name not in read]
+
+
+def _unread_private_names(source: str) -> list[str]:
+    """The private names a module's `source` defines at its top level and never reads.
+
+    A top-level def, class or assignment target defines a name; dunder
+    names such as __version__ are public.
+    """
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = _read_names(tree)
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    ]
 
 
 def _patch_points() -> set[str]:
@@ -105,3 +132,28 @@ def test_every_unread_import_is_a_binding_perfbench_wraps(path):
     module = "sensopt" if path.stem == "__init__" else f"sensopt.{path.stem}"
     dead = {f"{module}.{name}" for name in _dead_imports(path.read_text(encoding="utf-8"))}
     assert dead <= _patch_points()
+
+
+def test_the_check_finds_an_unread_private_name():
+    source = (
+        "from __future__ import annotations\n"
+        "_USED = 1\n"
+        "_UNREAD, _PAIR = 2, 3\n"
+        "_ANNOTATED: int = 4\n"
+        "__dunder__ = 5\n"
+        "def _helper():\n"
+        "    _local = _USED\n"
+        "    return _local\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "class _Private:\n"
+        "    _attribute = 6\n"
+        "def public(value: _Annotation = _ANNOTATED):\n"
+        "    return _helper() + _PAIR\n"
+    )
+    assert _unread_private_names(source) == ["_UNREAD", "_orphan", "_Private"]
+
+
+@pytest.mark.parametrize("path", sorted(_SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_every_private_name_is_read_where_it_is_defined(path):
+    assert _unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -213,7 +213,7 @@ def test_rank_candidates_dense_ranks_and_ties():
         ((1.0,), _cv(0.1, 1.0, 0.3, 1.0)),
         ((2.0,), _cv(0.1, float("nan"), 0.2, 3.0)),
     ]
-    ranked = rank_candidates(scored)
+    ranked = rank_candidates(scored).candidates
     assert [c.settings for c in ranked] == [(1.0,), (2.0,), (3.0,)]
     by_settings = {c.settings: c for c in ranked}
     assert by_settings[(1.0,)].ranks == (0, 0, 2, 0)
@@ -229,7 +229,7 @@ def test_rank_candidates_input_order_invariance():
     ]
     shuffled = scored[:]
     rng.shuffle(shuffled)
-    assert rank_candidates(scored) == rank_candidates(shuffled)
+    assert rank_candidates(scored).candidates == rank_candidates(shuffled).candidates
 
 
 def test_rank_candidates_validation():
@@ -249,7 +249,7 @@ def test_select_intersection_and_tie_breaks():
     assert result.k == 2
     assert result.settings == (1.0,)
     # rank_candidates() sorts by settings; row indexes that order.
-    assert ranked[result.row].settings == result.settings and result.row == 0
+    assert ranked.candidates[result.row].settings == result.settings and result.row == 0
 
     # Single criterion: plain argmin, K = 1.
     single = select(ranked, (1,))
@@ -409,7 +409,7 @@ def test_dense_ranks_and_select_row_match_the_record_wrappers():
         scored = [(tuple(s), tuple(c)) for s, c in zip(settings.tolist(), values.tolist())]
         ranked = rank_candidates([(s, _cv(*c)) for s, c in scored])
         ranks = dense_ranks(values)
-        assert [c.ranks for c in ranked] == [
+        assert [c.ranks for c in ranked.candidates] == [
             tuple(None if r < 0 else r for r in row) for row in ranks.tolist()
         ], f"trial {trial}"
         subset = tuple(sorted(rng.sample((1, 2, 3, 4), rng.randint(1, 4))))
@@ -421,6 +421,25 @@ def test_dense_ranks_and_select_row_match_the_record_wrappers():
         row, k = select_row(settings, ranks, subset)
         assert (tuple(settings[row].tolist()), k) == reference, f"trial {trial}"
         assert (select(ranked, subset).settings, select(ranked, subset).k) == reference
+
+
+def test_run_sweep_selects_through_select_and_its_records_rank_to_itself(small_model):
+    # 72 combinations: the last chunk of 64 holds only 8.
+    result = run_sweep(small_model, _spec((3, 3, 2, 2, 2)))
+    assert len(result.settings) == 72
+    for subset in SELECTION_SUBSETS:
+        chosen, kept = select(result, subset), result.selections[subset]
+        assert (chosen.row, chosen.k, chosen.subset) == (kept.row, kept.k, kept.subset)
+        assert chosen.settings == kept.settings == tuple(result.settings[kept.row].tolist())
+        got = np.array(chosen.criteria.as_tuple())
+        assert got.tobytes() == np.array(kept.criteria.as_tuple()).tobytes()
+        assert got.tobytes() == result.criteria[kept.row].tobytes()
+
+    ranked = rank_candidates([(c.settings, c.criteria) for c in result.candidates])
+    assert isinstance(ranked, SweepResult) and ranked.selections == {}
+    assert ranked.settings.tobytes() == result.settings.tobytes()
+    assert ranked.criteria.tobytes() == result.criteria.tobytes()
+    assert np.array_equal(ranked.ranks, result.ranks)
 
 
 def test_dense_ranks_share_ties_and_skip_nan():
