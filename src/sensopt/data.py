@@ -12,13 +12,22 @@ train/validation/test partitions in the fixed shares DEFAULT_FRACTIONS.
 CSV contract, shared by every table sensopt writes (the dataset, the
 predicted-vs-actual pairs, the selected curves, the sweep report): a
 header line of comma-separated column names, then one line per row whose
-fields are float64 values printed with 17 significant digits, so they
-read back exactly, or ready-made texts such as the report's ranks and
+fields are float64 values printed as "%.17g", 17 significant digits, so
+they read back exactly, or byte strings such as the report's ranks and
 flags. Files are written with LF line endings, through a temporary
-file that replaces the target only once it is complete. In a column whose
-values repeat, such as a dataset's settings, input5, category and
-output3, the writer formats each distinct value once per block of rows;
-the bytes are those of formatting every field. read_csv()
+file that replaces the target only once it is complete. The writer
+builds each block of rows as a numpy byte array. It formats a float
+with 1e-4 <= |x| < 1e17 in numpy, exactly: "%.17g" prints such a value
+in positional notation, from the 17 digits of |x| * 10**(16 - k),
+k = floor(log10 |x|), rounded half to even, which integer arithmetic on
+the float's 53-bit significand gives. Every other value (±0, NaN, ±inf,
+the very small and the very large) falls back to Python's "%.17g", one
+value at a time, as does every value of a column, or of a block's
+distinct repeating values, with fewer than 512 in that range, too few
+to repay the array operations. In a column whose values repeat, such as a dataset's
+settings, input5, category and output3, the writer formats each
+distinct value once per block of rows; the bytes are those of
+formatting every field with "%.17g". read_csv()
 reads UTF-8 text with LF, CRLF or lone CR line endings and rejects,
 naming the 1-based line, counted as in Python's universal newlines mode:
   - bytes that are not UTF-8 text;
@@ -70,15 +79,33 @@ TRAIN, VALIDATION, TEST = 0, 1, 2
 # Shares of the train, validation and test partitions in every split.
 DEFAULT_FRACTIONS = (0.81, 0.09, 0.10)
 
-# 17 significant digits round-trip any float64 exactly.
-_FLOAT_FMT = "%.17g"
 # Rows per block of write_rows() and encode_rows_into(): bounds the memory they hold at once.
 _BLOCK_ROWS = 4096
-# Rows of a block that write_rows() joins into one string at a time.
-_JOIN_ROWS = 1024
 # Leading rows of a block's column that decide whether its values repeat
 # enough to format each distinct value once (see write_rows).
 _SAMPLE_ROWS = 64
+# The fewest values of a _float_texts() call in 1e-4 <= |x| < 1e17 that it
+# formats in numpy: its ~50 array operations cost about as much as
+# formatting 300 values one at a time (2-CPU x86-64 host, numpy 2.4).
+_VECTOR_VALUES = 512
+# Every float field is "%.17g": 17 significant digits round-trip any float64
+# exactly. Its widest text, such as "-2.2250738585072014e-308", has 24
+# characters, so the texts that fall back to Python are formatted
+# left-aligned in 24, as one fixed-width run.
+_PADDED_FMT = "%-24.17g"
+_PADDED_WIDTH = 24
+# Bytes of a text row: 24 fit, as do the 23 of "-0.000" and 17 digits.
+_TEXT_BYTES = 32
+_POW5 = 5 ** np.arange(21, dtype=np.uint64)  # 5**20 < 2**47
+_LOW32 = np.uint64(0xFFFF_FFFF)
+_E8, _E16, _E17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
+# The four ASCII digits of each number below 10,000 ("0042"), as uint32
+# words in native byte order, and the trailing zeros of each: "0000" has 4.
+_QUADS = (48 + np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
+_QUADS = _QUADS.view(np.uint32).ravel()
+_QUAD_ZEROS = sum((np.arange(10_000) % 10**p == 0).astype(np.intp) for p in range(1, 5))
+# A digit row holds 7 "0" bytes, the 17 digits of D, then "0" bytes.
+_FIRST_DIGIT = 7
 _HEADER = ",".join(COLUMNS)
 # The literals numpy's loadtxt parser accepts, once surrounding whitespace
 # is stripped; used only to name the line of a file it rejected.
@@ -326,56 +353,225 @@ def split(n_rows: int, seed: int) -> SplitAssignment:
     return SplitAssignment(labels=labels)
 
 
+def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables that lay out the texts of _positional(), by layout and by length.
+
+    A layout is sign * 21 + k + 4, for the sign bit and k in -4..16. Byte
+    j of its text is the constant consts[layout, j] where shifts[layout,
+    j] is -1, the sign and the point; otherwise it is byte _FIRST_DIGIT +
+    j - shifts[layout, j] of the value's digit row. The shift is 0 before
+    the point and 1 after it ("123.45"); for k < 0 it is 1 - k throughout,
+    so the leading "0" and the zeros after the point come from the row's
+    "0" bytes ("0.00123"); a minus sign adds 1. keep[length] is 0xFF in
+    the first `length` bytes and 0 in the rest.
+    """
+    shifts = np.full((42, _TEXT_BYTES), -1)
+    consts = np.zeros((42, _TEXT_BYTES), np.uint8)
+    for sign in (0, 1):
+        for k in range(-4, 17):
+            layout, point = sign * 21 + k + 4, sign + max(k, 0) + 1
+            consts[layout, 0] = ord("-") if sign else 0
+            consts[layout, point] = ord(".")
+            shifts[layout, sign:point] = sign if k >= 0 else sign + 1 - k
+            shifts[layout, point + 1 :] = sign + 1 if k >= 0 else sign + 1 - k
+    keep = np.arange(_TEXT_BYTES) < np.arange(_TEXT_BYTES + 1)[:, None]
+    return shifts, consts, keep * np.uint8(0xFF)
+
+
+_SHIFTS, _CONSTS, _KEEP = _layout_tables()
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round_half_even(m * 2**e * 10**(16 - k)), exactly, for m < 2**53 and 16 - k in 0..20.
+
+    m * 5**(16 - k) < 2**100 is formed exactly in two uint64 limbs; the
+    product times 2**(e + 16 - k) is then a shift, rounded to even on
+    the exact remainder when it shifts right.
+    """
+    s = 16 - k
+    f = _POW5[s]
+    ml, mh, fl, fh = m & _LOW32, m >> 32, f & _LOW32, f >> 32
+    low = ml * fl
+    mid = ml * fh + mh * fl
+    lo = low + (mid << 32)
+    hi = mh * fh + (mid >> 32) + (lo < low)
+    t = e + s
+    r = np.clip(-t, 1, 63).astype(np.uint64)
+    q = (hi << (64 - r)) | (lo >> r)
+    rest, half = lo & ((np.uint64(1) << r) - 1), np.uint64(1) << (r - 1)
+    q += (rest > half) | ((rest == half) & (q & 1).astype(bool))
+    return np.where(t < 0, q, lo << np.clip(t, 0, 63).astype(np.uint64))
+
+
+def _positional(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The "%.17g" texts of `x`, all in 1e-4 <= |x| < 1e17: (texts, lengths, ok).
+
+    With k = floor(log10 |x|), "%.17g" prints the 17 digits of D =
+    round_half_even(|x| * 10**(16 - k)) in positional notation: k + 1 of
+    them before the point, none but "0" when k < 0, and no trailing zero
+    after it. k starts from np.log10; where D then falls outside
+    [10**16, 10**17), k steps by one and D is formed again from |x|, so it
+    is rounded once. texts is (n, _TEXT_BYTES), each row NUL after its
+    lengths[i] bytes; where ok is False, D still fell outside and the row
+    is not the value's text.
+    """
+    n = len(x)
+    m, e = np.frexp(np.abs(x))
+    m = np.ldexp(m, 53).astype(np.uint64)
+    e = e.astype(np.int64) - 53
+    k = np.clip(np.floor(np.log10(np.abs(x))).astype(np.int64), -4, 16)
+    d = _scaled(m, e, k)
+    step = (d >= _E17).astype(np.int64) - (d < _E16)
+    if step.any():
+        k += step
+        redo = np.flatnonzero(step)
+        d[redo] = _scaled(m[redo], e[redo], np.clip(k[redo], -4, 16))
+    ok = (d >= _E16) & (d < _E17)
+    d[~ok], k = _E16, np.clip(k, -4, 16)
+    # The digit rows: D as its first digit and four groups of four.
+    hi = d // _E8
+    lo = (d - hi * _E8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // 10**8
+    hi -= lead * np.uint32(10**8)
+    quads = [hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4]
+    # A row of "0" bytes above and below the n digit rows: a shifted read stays inside.
+    words = np.full((n + 2, _TEXT_BYTES // 4), _QUADS[0])
+    words[1:-1, 1] = _QUADS.take(lead)
+    # zeros: D's trailing zero digits, up to its last nonzero group of four.
+    zeros = _QUAD_ZEROS.take(quads[0])
+    for column, quad in enumerate(quads, start=2):
+        words[1:-1, column] = _QUADS.take(quad)
+        if column > 2:
+            zeros = _QUAD_ZEROS.take(quad) + (quad == 0) * zeros
+    # Each shift that a layout here uses is one read of all rows at an offset.
+    layout = np.signbit(x) * 21 + k + 4
+    digits = words.view(np.uint8).ravel()
+    texts = _CONSTS.take(layout, axis=0).ravel()
+    shifts = _SHIFTS[np.flatnonzero(np.bincount(layout, minlength=len(_SHIFTS)))]
+    for shift in set(shifts[shifts >= 0].tolist()):
+        start = _TEXT_BYTES + _FIRST_DIGIT - shift
+        read = ((_SHIFTS == shift) * np.uint8(0xFF)).take(layout, axis=0).ravel()
+        read &= digits[start : start + texts.size]
+        texts |= read
+    # The sign, the integer digits ("0" when k < 0), and the point and the
+    # 16 - k digits after it, less D's trailing zeros, where any remain.
+    kept = np.maximum(16 - k - zeros, 0)
+    lengths = layout // 21 + np.maximum(k, 0) + 1 + (kept > 0) * (kept + 1)
+    texts &= _KEEP.take(lengths, axis=0).ravel()
+    return texts.reshape(n, _TEXT_BYTES), lengths, ok
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The "%.17g" text of each float64 of `values`, as rows of an (n, W) uint8 array.
+
+    Row i holds the ASCII bytes of "%.17g" % values[i], then NUL bytes;
+    W is the longest text's length. Values with 1e-4 <= |x| < 1e17 are
+    formatted in numpy by _positional(), when a call has _VECTOR_VALUES
+    of them; every other value (±0, NaN, ±inf, |x| < 1e-4, |x| >= 1e17)
+    is formatted by Python's "%.17g", one at a time (_padded_texts()).
+    """
+    x = np.asarray(values, np.float64)
+    magnitude = np.abs(x)
+    fast = (magnitude >= 1e-4) & (magnitude < 1e17)
+    if np.count_nonzero(fast) < _VECTOR_VALUES:
+        texts, width = _padded_texts(x)
+        return texts[:, :width]
+    texts, lengths, ok = _positional(np.where(fast, x, 1.0))
+    slow = np.flatnonzero(~(fast & ok))
+    if not len(slow):
+        return texts[:, : lengths.max()]
+    texts[slow, :_PADDED_WIDTH], width = _padded_texts(x[slow])
+    lengths[slow] = 0
+    return texts[:, : max(lengths.max(), width)]
+
+
+def _padded_texts(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The "%.17g" texts of `x` by Python: (n, _PADDED_WIDTH) NUL-padded rows, and the longest's length."""
+    values = x.tolist()
+    padded = (_PADDED_FMT * len(values) % tuple(values)).encode("ascii")
+    texts = np.frombuffer(padded, np.uint8).reshape(len(values), _PADDED_WIDTH)
+    texts = texts * (texts != ord(" "))
+    width = _PADDED_WIDTH
+    while width and not texts[:, width - 1].any():
+        width -= 1
+    return texts, width
+
+
 def _repeats(column: np.ndarray) -> bool:
     """Whether at least half of a column's first _SAMPLE_ROWS values repeat."""
     sample = np.sort(column[:_SAMPLE_ROWS].view(np.uint64))
     return 2 * np.count_nonzero(sample[1:] == sample[:-1]) >= sample.size
 
 
-def _texts(column: np.ndarray) -> list[str]:
-    """The "%.17g" text of each value, each distinct value formatted once."""
-    distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    texts = [_FLOAT_FMT % v for v in distinct.view(np.float64).tolist()]
-    return np.array(texts, dtype=object)[inverse].tolist()
+def _fields(block: list[np.ndarray]) -> list[np.ndarray]:
+    """The fields of each column of `block`, as the (n, w) uint8 rows of _float_texts().
+
+    A bytes column is its own rows. The distinct values of every float
+    column whose values repeat are formatted by one _float_texts() call,
+    and each such column gathers its texts by its inverse; every other
+    float column is formatted whole.
+    """
+    fields: list = [None] * len(block)
+    repeating = []
+    for i, column in enumerate(block):
+        if column.dtype.kind == "S":
+            fields[i] = column.view(np.uint8).reshape(len(column), column.itemsize)
+        elif _repeats(column):
+            bits = column.view(np.uint64)
+            distinct = np.sort(bits)
+            distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+            repeating.append((i, distinct.view(np.float64), np.searchsorted(distinct, bits)))
+        else:
+            fields[i] = _float_texts(column)
+    if repeating:
+        texts = _float_texts(np.concatenate([distinct for _, distinct, _ in repeating]))
+        lengths = np.count_nonzero(texts, axis=1)
+        start = 0
+        for i, distinct, inverse in repeating:
+            rows = slice(start, start + len(distinct))
+            fields[i] = texts[rows, : lengths[rows].max()].take(inverse, axis=0)
+            start = rows.stop
+    return fields
 
 
 def write_rows(fh, array) -> None:
     """Write rows to text file `fh` as CSV lines, _BLOCK_ROWS rows at a time.
 
     `array` is a 2-D float array, or a sequence of its columns: 1-D
-    float64 arrays, and lists of ready-made texts written verbatim.
-    Every float field gets 17 significant digits, and the bytes are
-    those numpy's savetxt writes with fmt "%.17g", delimiter "," and
-    newline LF. In a block, each run of adjacent float columns whose
-    values do not repeat is formatted by one % operation, and each
-    distinct value of a repeating column once (values are distinct by
-    their bits, so -0.0 and 0.0, or NaNs of either sign, apart). A
-    block that is one such run is written as formatted; otherwise the
-    texts of its runs and columns are joined row by row, _JOIN_ROWS
-    rows to a string.
+    float64 arrays, and (n,) bytes arrays written verbatim. Every float
+    field gets 17 significant digits, and the bytes are those numpy's
+    savetxt writes with fmt "%.17g", delimiter "," and newline LF:
+    _float_texts() formats floats with 1e-4 <= |x| < 1e17 exactly in
+    numpy and every other value with "%.17g". In a block, a column whose
+    values repeat is formatted once per distinct value (values are
+    distinct by their bits, so -0.0 and 0.0, or NaNs of either sign,
+    apart), and the fields are laid side by side in one uint8 array, each
+    followed by "," and the last by LF. That array's NUL padding is
+    deleted, and the text is written by one fh.write().
     """
     columns = list(np.asarray(array, np.float64).T) if isinstance(array, np.ndarray) else array
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [column[start : start + _BLOCK_ROWS] for column in columns]
-        # A column's texts: as given (list), by distinct value (_texts), or in a run (None).
-        kinds = [list if isinstance(c, list) else _texts if _repeats(c) else None for c in block]
-        if not any(kinds):
-            fh.write(_lines(block))
-            continue
-        texts = []
-        for kind, run in itertools.groupby(zip(kinds, block), key=lambda pair: pair[0]):
-            run = [column for _, column in run]
-            texts += run if kind is list else map(kind, run) if kind else [_lines(run).splitlines()]
-        lines = map(",".join, zip(*texts))
-        while part := list(itertools.islice(lines, _JOIN_ROWS)):
-            fh.write("\n".join(part))
-            fh.write("\n")
+        rows = _fields([column[start : start + _BLOCK_ROWS] for column in columns])
+        fh.write(_joined(rows).replace(b"\0", b"").decode("ascii"))
 
 
-def _lines(columns: list[np.ndarray]) -> str:
-    """The "%.17g" CSV lines of the rows of float `columns`, by one % operation."""
-    line = ",".join([_FLOAT_FMT] * len(columns)) + "\n"
-    return (line * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
+def _joined(fields: list[np.ndarray]) -> bytes:
+    """The bytes of the rows of `fields` side by side, each followed by "," and the last by LF.
+
+    Each field is dropped from `fields` once it is copied, so the block's
+    texts are held about twice at most.
+    """
+    rows = np.full((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), ord(","), np.uint8)
+    at = 0
+    while fields:
+        field = fields.pop(0)
+        # Each row's field as one item of its width: one strided copy.
+        width = f"V{field.shape[1]}"
+        rows[:, at : at + field.shape[1]].view(width)[:, 0] = field.view(width)[:, 0]
+        at += field.shape[1] + 1
+    rows[:, -1] = ord("\n")
+    return rows.tobytes()
 
 
 @contextlib.contextmanager

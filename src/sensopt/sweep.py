@@ -94,7 +94,8 @@ CHUNK_COMBINATIONS = 64
 # The fewest combinations whose block has at least BIT_STABLE_ROWS rows
 # (3 * 200 = 600): see the export rule above.
 MIN_BLOCK_COMBINATIONS = -(-BIT_STABLE_ROWS // ROWS_PER_COMBINATION)
-# Report rows per write_rows() call: bounds the texts held in memory.
+# Report rows per write_rows() call, one of its blocks: bounds the rank and
+# flag byte strings and the field bytes held in memory at once.
 _REPORT_BLOCK_ROWS = 4096
 # Each settings input's column in a sample row and in the model's input maxima.
 _SETTING_COLUMNS = [COLUMN_INDEX[name] for name in SETTING_NAMES]
@@ -498,9 +499,9 @@ def write_report_csv(result: SweepResult, path) -> None:
     grid repeats that combination. Written by data.write_rows(),
     _REPORT_BLOCK_ROWS rows at a time: the settings and criteria as float
     fields with 17 significant digits, each block's ranks and flags as
-    ready-made texts, each distinct one made once. Written through a
-    temporary file, like every sensopt table: a failed write leaves
-    whatever `path` held before untouched.
+    (n,) bytes arrays written verbatim, each distinct rank formatted
+    once. Written through a temporary file, like every sensopt table: a
+    failed write leaves whatever `path` held before untouched.
     """
     subsets = sorted(result.selections)
     rank_names = [f"rank_c{i}" for i in ALL_CRITERIA]
@@ -515,8 +516,8 @@ def write_report_csv(result: SweepResult, path) -> None:
             # Each distinct rank of the block is formatted once, and its
             # columns' fields share that text.
             distinct, inverse = np.unique(ranks, return_inverse=True)
-            texts = np.array(["" if r < 0 else str(r) for r in distinct.tolist()], dtype=object)
-            rank_texts = texts[inverse.reshape(ranks.shape)].tolist()
+            texts = np.array([b"" if r < 0 else b"%d" % r for r in distinct.tolist()], dtype="S")
+            rank_texts = texts[inverse.reshape(ranks.shape)]
             block = np.arange(start, start + len(settings))
-            flag_texts = [np.where(block == row, "1", "0").tolist() for row in selected]
+            flag_texts = [np.where(block == row, b"1", b"0") for row in selected]
             write_rows(fh, [*settings.T, *result.criteria[rows].T, *rank_texts, *flag_texts])

@@ -324,6 +324,65 @@ def test_write_rows_matches_savetxt_on_repeating_columns(column):
     assert ours.getvalue() == reference.getvalue()
 
 
+def _log_uniform():
+    rng = np.random.default_rng(27)
+    return 10.0 ** rng.uniform(-6, 18, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+
+
+def _dyadic():
+    # m * 2**-j is exact, and some of these need 18 significant digits:
+    # ties at the 17th, such as 1049 * 2**-20 and 2**-25.
+    odd = np.arange(1, 3000, 2, dtype=np.float64)
+    return np.ldexp(odd[:, None], -np.arange(70)[None, :]).ravel()
+
+
+def _powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-5, 19)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def _around_2_53():
+    whole = 2.0**53 + np.arange(-100.0, 101.0)
+    return np.concatenate([whole, whole / 3.0, -whole])
+
+
+def _specials():
+    tiny, huge = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+    values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 3 * tiny,
+              2.2250738585072014e-308, huge, -huge, 1e-4, 9.9999999999999991e-05, 1e17]
+    return np.array(values)
+
+
+@pytest.mark.parametrize(
+    "make", [_log_uniform, _dyadic, _powers_of_ten, _around_2_53, _specials],
+    ids=["log_uniform", "dyadic_ties", "powers_of_ten", "around_2_53", "specials"],
+)
+def test_float_texts_are_percent_17g(make, monkeypatch):
+    # Every value in 1e-4 <= |x| < 1e17 takes the numpy path, however few.
+    monkeypatch.setattr(sensopt.data, "_VECTOR_VALUES", 1)
+    values = make()
+    texts = sensopt.data._float_texts(values)
+    expected = np.array(["%.17g" % v for v in values.tolist()], dtype="S24")
+    expected = expected.view(np.uint8).reshape(len(values), 24)
+    width = texts.shape[1]
+    assert width == np.count_nonzero(expected, axis=1).max()
+    wrong = np.flatnonzero((texts != expected[:, :width]).any(axis=1))
+    assert [values[i] for i in wrong[:5]] == []
+    # The numpy path formats every value of its domain itself.
+    magnitude = np.abs(values)
+    fast = values[(magnitude >= 1e-4) & (magnitude < 1e17)]
+    assert sensopt.data._positional(fast)[2].all()
+
+
+def test_float_texts_rounds_ties_to_even():
+    # 2**-25 = 2.98023223876953125e-08 falls back to Python; 1049 * 2**-20
+    # = 0.00100040435791015625, 600 times over, takes the numpy path.
+    texts = sensopt.data._float_texts(np.array([2.0**-25, 1049 * 2.0**-20] * 600))
+    assert bytes(texts[0]).rstrip(b"\0") == b"2.9802322387695312e-08"
+    assert bytes(texts[1]).rstrip(b"\0") == b"0.0010004043579101562"
+
+
 @pytest.mark.parametrize("repeating", [False, True])
 @pytest.mark.parametrize("n_rows", [100, sensopt.data._BLOCK_ROWS + 1])
 def test_write_rows_writes_text_columns_verbatim(n_rows, repeating):
@@ -332,14 +391,14 @@ def test_write_rows_writes_text_columns_verbatim(n_rows, repeating):
     if repeating:
         values[:, 1] = np.array([478.0, -0.0, 0.1, np.nan])[np.arange(n_rows) % 4]
     assert sensopt.data._repeats(values[:, 1]) == repeating
-    names = [f"t{i}" for i in range(n_rows)]
-    ranks = ["" if i % 7 == 3 else str(i // 2) for i in range(n_rows)]
+    names = np.array([f"t{i}" for i in range(n_rows)], dtype="S")
+    ranks = np.array(["" if i % 7 == 3 else str(i // 2) for i in range(n_rows)], dtype="S")
     ours = io.StringIO()
     write_rows(ours, [values[:, 0], names, values[:, 1], values[:, 2], ranks])
     reference = io.StringIO()
     np.savetxt(reference, values, fmt="%.17g", delimiter=",", newline="\n")
     lines = [
-        f"{a},{name},{b},{c},{rank}\n"
+        f"{a},{name.decode()},{b},{c},{rank.decode()}\n"
         for (a, b, c), name, rank in zip(
             (line.split(",") for line in reference.getvalue().splitlines()), names, ranks
         )
