@@ -92,8 +92,8 @@ _VECTOR_VALUES = 512
 # exactly. Its widest text, such as "-2.2250738585072014e-308", has 24
 # characters, so the texts that fall back to Python are formatted
 # left-aligned in 24, as one fixed-width run.
-_PADDED_FMT = "%-24.17g"
 _PADDED_WIDTH = 24
+_PADDED_FMT = f"%-{_PADDED_WIDTH}.17g"
 # Bytes of a text row: 24 fit, as do the 23 of "-0.000" and 17 digits.
 _TEXT_BYTES = 32
 _POW5 = 5 ** np.arange(21, dtype=np.uint64)  # 5**20 < 2**47
@@ -552,8 +552,8 @@ def write_rows(fh, array) -> None:
     """
     columns = list(np.asarray(array, np.float64).T) if isinstance(array, np.ndarray) else array
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        rows = _fields([column[start : start + _BLOCK_ROWS] for column in columns])
-        fh.write(_joined(rows).replace(b"\0", b"").decode("ascii"))
+        fields = _fields([column[start : start + _BLOCK_ROWS] for column in columns])
+        fh.write(_joined(fields).replace(b"\0", b"").decode("ascii"))
 
 
 def _joined(fields: list[np.ndarray]) -> bytes:
