@@ -136,8 +136,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> tuple[dict, dict]:
 def _write_json(path: str, document, sort_keys: bool = True) -> None:
     """Write `document` as indented JSON; see data.replacing() for failures."""
     with replacing(path) as fh:
-        json.dump(document, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
+        fh.write(f"{json.dumps(document, indent=2, sort_keys=sort_keys)}\n".encode("ascii"))
 
 
 @contextlib.contextmanager

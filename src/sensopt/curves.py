@@ -198,13 +198,6 @@ def criteria(curve: Curve) -> CriteriaValues:
 def write_curve_csv(curve: Curve, path) -> None:
     """Export a curve with its ideal and fitted-line references."""
     line = fit_line(curve)
-    columns = np.column_stack(
-        [
-            curve.signal,
-            curve.snr,
-            ideal_snr(curve.signal),
-            line.evaluate(curve.signal),
-            curve.output3,
-        ]
-    )
+    references = [ideal_snr(curve.signal), line.evaluate(curve.signal)]
+    columns = [curve.signal, curve.snr, *references, curve.output3]
     write_table(path, "signal,snr,snr_ideal,snr_line,output3", columns)

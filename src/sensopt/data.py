@@ -14,9 +14,10 @@ predicted-vs-actual pairs, the selected curves, the sweep report): a
 header line of comma-separated column names, then one line per row whose
 fields are float64 values printed as "%.17g", 17 significant digits, so
 they read back exactly, or byte strings such as the report's ranks and
-flags. Files are written with LF line endings, through a temporary
-file that replaces the target only once it is complete. The writer
-builds each block of rows as a numpy byte array. It formats a float
+flags, in ASCII with LF line endings. Every sensopt output is written
+as bytes through replacing(), to a binary temporary file that replaces
+the target only once it is complete. The writer builds each block of
+rows as one numpy byte array and writes it as it is. It formats a float
 with 1e-4 <= |x| < 1e17 in numpy, exactly: "%.17g" prints such a value
 in positional notation, from the 17 digits of |x| * 10**(16 - k),
 k = floor(log10 |x|), rounded half to even, which integer arithmetic on
@@ -535,25 +536,24 @@ def _fields(block: list[np.ndarray]) -> list[np.ndarray]:
     return fields
 
 
-def write_rows(fh, array) -> None:
-    """Write rows to text file `fh` as CSV lines, _BLOCK_ROWS rows at a time.
+def write_rows(fh, columns) -> None:
+    """Write rows to binary file `fh` as CSV lines, _BLOCK_ROWS rows at a time.
 
-    `array` is a 2-D float array, or a sequence of its columns: 1-D
-    float64 arrays, and (n,) bytes arrays written verbatim. Every float
-    field gets 17 significant digits, and the bytes are those numpy's
-    savetxt writes with fmt "%.17g", delimiter "," and newline LF:
-    _float_texts() formats floats with 1e-4 <= |x| < 1e17 exactly in
-    numpy and every other value with "%.17g". In a block, a column whose
-    values repeat is formatted once per distinct value (values are
-    distinct by their bits, so -0.0 and 0.0, or NaNs of either sign,
-    apart), and the fields are laid side by side in one uint8 array, each
-    followed by "," and the last by LF. That array's NUL padding is
-    deleted, and the text is written by one fh.write().
+    `columns` is a sequence of the rows' columns, such as the rows of a
+    (k, n) array: 1-D float64 arrays, and (n,) bytes arrays written
+    verbatim. Every float field gets 17 significant digits, and the
+    bytes are those numpy's savetxt writes with fmt "%.17g", delimiter
+    "," and newline LF: _float_texts() formats floats with 1e-4 <= |x| <
+    1e17 exactly in numpy and every other value with "%.17g". In a block,
+    a column whose values repeat is formatted once per distinct value
+    (values are distinct by their bits, so -0.0 and 0.0, or NaNs of
+    either sign, apart), and the fields are laid side by side in one
+    uint8 array, each followed by "," and the last by LF. That array's
+    NUL padding is deleted, and the bytes are written by one fh.write().
     """
-    columns = list(np.asarray(array, np.float64).T) if isinstance(array, np.ndarray) else array
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         fields = _fields([column[start : start + _BLOCK_ROWS] for column in columns])
-        fh.write(_joined(fields).replace(b"\0", b"").decode("ascii"))
+        fh.write(_joined(fields).replace(b"\0", b""))
 
 
 def _joined(fields: list[np.ndarray]) -> bytes:
@@ -575,16 +575,17 @@ def _joined(fields: list[np.ndarray]) -> bytes:
 
 
 @contextlib.contextmanager
-def replacing(path, binary: bool = False):
-    """Open a file that replaces `path` once the with-block completes.
+def replacing(path):
+    """Open a binary file that replaces `path` once the with-block completes.
 
-    A text file with LF line endings, or a binary one. The data goes to a
-    temporary file beside `path`: if the block raises, the temporary file
-    is removed and whatever `path` held before is left untouched.
+    Every sensopt output is written as bytes through this one function.
+    The data goes to a temporary file beside `path`: if the block
+    raises, the temporary file is removed and whatever `path` held
+    before is left untouched.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -593,19 +594,20 @@ def replacing(path, binary: bool = False):
         raise
 
 
-def write_table(path, header: str, array) -> None:
-    """Write a `header` line and the rows of `array` to the CSV file `path`.
+def write_table(path, header: str, columns) -> None:
+    """Write a `header` line and the rows of `columns` to the CSV file `path`.
 
-    The file replaces `path` only once it is complete; see replacing().
+    `columns` is as in write_rows(). The file replaces `path` only once
+    it is complete; see replacing().
     """
     with replacing(path) as fh:
-        fh.write(header + "\n")
-        write_rows(fh, array)
+        fh.write(f"{header}\n".encode("ascii"))
+        write_rows(fh, columns)
 
 
 def write_csv(table: SampleTable, path) -> None:
     """Write `table` with the canonical header, 17 significant digits per field."""
-    write_table(path, _HEADER, table.values)
+    write_table(path, _HEADER, table.values.T)
 
 
 def read_csv(path) -> SampleTable:

@@ -577,7 +577,7 @@ def save_model(model: Model, path) -> None:
     if model.split is not None:
         header["split"] = model.split
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with replacing(path, binary=True) as fh:
+    with replacing(path) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(len(header_bytes).to_bytes(4, "little"))
         fh.write(header_bytes)

@@ -509,7 +509,7 @@ def write_report_csv(result: SweepResult, path) -> None:
     selected = [result.selections[s].row for s in subsets]
     header = ",".join([*SETTING_NAMES, "c1", "c2", "c3", "c4", *rank_names, *flag_names])
     with replacing(path) as fh:
-        fh.write(header + "\n")
+        fh.write(f"{header}\n".encode("ascii"))
         for start in range(0, len(result.settings), _REPORT_BLOCK_ROWS):
             rows = slice(start, start + _REPORT_BLOCK_ROWS)
             settings, ranks = result.settings[rows], result.ranks[rows].T

@@ -134,9 +134,8 @@ class TrainHistory:
 
     def write_csv(self, path) -> None:
         """One line per epoch, 17 significant digits per field; see data.write_table()."""
-        epochs = np.arange(len(self), dtype=np.float64)
-        table = np.column_stack((epochs, self.train_mse, self.val_mse, self.learning_rate))
-        write_table(path, "epoch,train_mse,val_mse,learning_rate", table)
+        columns = [range(len(self)), self.train_mse, self.val_mse, self.learning_rate]
+        write_table(path, "epoch,train_mse,val_mse,learning_rate", np.array(columns, np.float64))
 
 
 def mse(actual: np.ndarray, predicted: np.ndarray) -> float:
@@ -323,8 +322,7 @@ def write_prediction_csvs(report: EvaluationReport, directory) -> list[str]:
     paths = []
     for j, name in enumerate(OUTPUT_NAMES):
         path = os.path.join(directory, f"pred_vs_actual_{name}.csv")
-        pairs = np.column_stack([report.actual[:, j], report.predicted[:, j]])
-        write_table(path, "actual,predicted", pairs)
+        write_table(path, "actual,predicted", [report.actual[:, j], report.predicted[:, j]])
         paths.append(path)
     return paths
 

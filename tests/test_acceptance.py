@@ -5,7 +5,8 @@ Each test prints a single `criterion N ... PASS/FAIL` line (shown with
 The full-scale surrogate run takes about 5 minutes (296 s measured for
 generate, train and evaluate on a 2-CPU x86-64 Linux host, Python 3.11.7,
 numpy 2.4.6, OpenBLAS 0.3.31 pinned to one thread), so it only executes
-when SENSOPT_FULL_SCALE=1; CI relies on the scaled variant.
+when SENSOPT_FULL_SCALE=1; CI relies on the scaled variant. It must
+finish within 900 s, three times that run.
 """
 
 import hashlib
@@ -219,7 +220,7 @@ def test_criterion_4_surrogate_quality_full_scale():
     val_mse = history.val_mse[-1]
     _verdict(
         "4 (surrogate quality, full)",
-        val_mse <= 1e-4 and min(r2.values()) >= 0.98 and elapsed < 1800,
+        val_mse <= 1e-4 and min(r2.values()) >= 0.98 and elapsed < 900,
         f"final validation MSE {val_mse:.2e}, test R^2 "
         + ", ".join(f"{k} {v:.4f}" for k, v in r2.items())
         + f", {elapsed:.0f}s",

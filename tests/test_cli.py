@@ -156,6 +156,27 @@ def test_desk_train_and_optimize_bytes_are_pinned(tmp_path):
     assert digests == DESK_OUTPUT_SHA256
 
 
+def test_every_text_output_is_ascii_with_lf_line_endings(tmp_path):
+    # One desk run of the four commands: every CSV and JSON file it writes,
+    # the manifests included, keeps the README's promise of LF endings.
+    out = tmp_path / "run"
+    assert main(["generate", "--out", str(out), "--scale", "0.4", "--noise", "0.5"]) == 0
+    assert main(["train", "--out", str(out), "--epochs", "1"]) == 0
+    model, dataset = str(out / "model.bin"), str(out / "dataset.csv")
+    assert main(["evaluate", "--out", str(out), "--model", model, "--dataset", dataset]) == 0
+    config = tmp_path / "optimize.json"
+    config.write_text(json.dumps({"optimize": {"points_per_axis": 3}}))
+    assert main(["optimize", "--out", str(out), "--model", model, "--config", str(config)]) == 0
+    texts = sorted(p for p in out.iterdir() if p.suffix in (".csv", ".json"))
+    assert {p.name for p in texts} >= {
+        f"{command}_manifest.json" for command in ("generate", "train", "evaluate", "optimize")
+    }
+    for path in texts:
+        data = path.read_bytes()
+        assert data.isascii() and data.endswith(b"\n"), path.name
+        assert b"\r" not in data and b"\0" not in data, path.name
+
+
 def test_desk_train_keeps_one_encoded_copy_of_the_data(tmp_path):
     # 48,600 rows: the 3.9 MB array the CSV is parsed into becomes the
     # encoded training and validation inputs, beside 1.2 MB of targets,

@@ -285,10 +285,10 @@ def test_write_rows_matches_savetxt(n_rows):
     values = rng.normal(size=(n_rows, 10)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 10))
     flat = values.ravel()
     flat[: min(flat.size, 2 * len(EDGE_VALUES))] = (EDGE_VALUES * 2)[: flat.size]
-    ours, reference = io.StringIO(), io.StringIO()
-    write_rows(ours, values)
+    ours, reference = io.BytesIO(), io.StringIO()
+    write_rows(ours, values.T)
     np.savetxt(reference, values, fmt="%.17g", delimiter=",", newline="\n")
-    assert ours.getvalue() == reference.getvalue()
+    assert ours.getvalue() == reference.getvalue().encode("ascii")
 
 
 _TWO_BLOCKS = sensopt.data._BLOCK_ROWS + 300
@@ -318,10 +318,10 @@ def test_write_rows_matches_savetxt_on_repeating_columns(column):
     values[:, 1] = column
     values[:, 3] = column[::-1]
     assert sensopt.data._repeats(values[:, 1]) and not sensopt.data._repeats(values[:, 0])
-    ours, reference = io.StringIO(), io.StringIO()
-    write_rows(ours, values)
+    ours, reference = io.BytesIO(), io.StringIO()
+    write_rows(ours, values.T)
     np.savetxt(reference, values, fmt="%.17g", delimiter=",", newline="\n")
-    assert ours.getvalue() == reference.getvalue()
+    assert ours.getvalue() == reference.getvalue().encode("ascii")
 
 
 def _log_uniform():
@@ -393,7 +393,7 @@ def test_write_rows_writes_text_columns_verbatim(n_rows, repeating):
     assert sensopt.data._repeats(values[:, 1]) == repeating
     names = np.array([f"t{i}" for i in range(n_rows)], dtype="S")
     ranks = np.array(["" if i % 7 == 3 else str(i // 2) for i in range(n_rows)], dtype="S")
-    ours = io.StringIO()
+    ours = io.BytesIO()
     write_rows(ours, [values[:, 0], names, values[:, 1], values[:, 2], ranks])
     reference = io.StringIO()
     np.savetxt(reference, values, fmt="%.17g", delimiter=",", newline="\n")
@@ -403,13 +403,13 @@ def test_write_rows_writes_text_columns_verbatim(n_rows, repeating):
             (line.split(",") for line in reference.getvalue().splitlines()), names, ranks
         )
     ]
-    assert ours.getvalue() == "".join(lines)
+    assert ours.getvalue() == "".join(lines).encode("ascii")
 
 
 def _dataset_lines(n_rows: int) -> list[str]:
-    buffer = io.StringIO()
-    write_rows(buffer, random_table(np.random.default_rng(9), n_rows).values)
-    return [",".join(COLUMNS)] + buffer.getvalue().splitlines()
+    buffer = io.BytesIO()
+    write_rows(buffer, random_table(np.random.default_rng(9), n_rows).values.T)
+    return [",".join(COLUMNS)] + buffer.getvalue().decode("ascii").splitlines()
 
 
 @pytest.mark.parametrize(
@@ -545,8 +545,8 @@ def test_failed_write_leaves_the_old_file_untouched(tmp_path, monkeypatch):
     before = path.read_bytes()
     real_write_rows = sensopt.data.write_rows
 
-    def failing_write_rows(fh, array):
-        real_write_rows(fh, array[:5])
+    def failing_write_rows(fh, columns):
+        real_write_rows(fh, columns[:5])
         raise OSError("disk full")
 
     monkeypatch.setattr(sensopt.data, "write_rows", failing_write_rows)
@@ -610,11 +610,11 @@ def test_replacing_leaves_the_old_file_untouched_when_the_block_raises(tmp_path)
     path.write_text("old\n")
     with pytest.raises(RuntimeError, match="midway"):
         with sensopt.data.replacing(path) as fh:
-            fh.write("new, half written")
+            fh.write(b"new, half written")
             raise RuntimeError("midway")
     assert path.read_text() == "old\n"
     with sensopt.data.replacing(path) as fh:
-        fh.write("new\n")
+        fh.write(b"new\n")
     assert path.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
 

@@ -4,8 +4,10 @@ A name with a leading underscore is private to the module that defines
 it, so a decision it encodes has one owner, and that module reads it:
 one it never reads is dead. A name imported from a sensopt module and
 never read is dead too, unless it is a binding that perfbench/spans.py
-wraps (PATCH_POINTS). This reads the source of each module of
-src/sensopt and of spans.py, and imports none of them.
+wraps (PATCH_POINTS). Every output is opened in one place,
+data.replacing(), so each is written as bytes through a temporary file.
+This reads the source of each module of src/sensopt and of spans.py,
+and imports none of them.
 """
 
 import ast
@@ -157,3 +159,70 @@ def test_the_check_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", sorted(_SOURCE.glob("*.py")), ids=lambda path: path.name)
 def test_every_private_name_is_read_where_it_is_defined(path):
     assert _unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def _writers(source: str) -> list[str]:
+    """The function around each place in `source` that can write a file, in source order.
+
+    Such a place is an open() call whose mode can write, or a use of
+    json.dump. A mode, open()'s second argument or its `mode=`, can write
+    when it holds "w", "a", "x" or "+", or when it is not a string
+    literal, which this cannot read. A place outside every function is
+    named "<module>".
+    """
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
+                modes = [*child.args[1:2], *(k.value for k in child.keywords if k.arg == "mode")]
+                mode = modes[0] if modes else ast.Constant("r")
+                literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                if not literal or set(mode.value) & set("wax+"):
+                    found.append(where)
+            elif (
+                isinstance(child, ast.Attribute)
+                and child.attr == "dump"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "json"
+            ) or (
+                isinstance(child, ast.ImportFrom)
+                and child.module == "json"
+                and any(alias.name == "dump" for alias in child.names)
+            ):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_finds_each_writer():
+    source = (
+        "import json\n"
+        "from json import dump, dumps\n"
+        "def replacing(path):\n"
+        "    with open(path, 'wb') as fh:\n"
+        "        fh.write(json.dumps({}).encode())\n"
+        "def reader(path, mode):\n"
+        "    open(path), open(path, 'rb'), open(path, mode='r', encoding='utf-8')\n"
+        "    return open(path, mode)\n"
+        "def appender(path, fh):\n"
+        "    def inner():\n"
+        "        return open(path, mode='a')\n"
+        "    open(path, 'r+')\n"
+        "    json.dump({}, fh)\n"
+        "open('log', 'x')\n"
+    )
+    assert _writers(source) == [
+        "<module>", "replacing", "reader", "inner", "appender", "appender", "<module>"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(_SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_only_data_replacing_opens_a_file_to_write(path):
+    expected = ["replacing"] if path.name == "data.py" else []
+    assert _writers(path.read_text(encoding="utf-8")) == expected

@@ -356,8 +356,8 @@ def test_failed_model_write_leaves_the_old_model_untouched(tmp_path, monkeypatch
     payload = new_model.params.flat.tobytes()
 
     @contextlib.contextmanager
-    def failing_replacing(target, binary=False):
-        with real_replacing(target, binary=binary) as fh:
+    def failing_replacing(target):
+        with real_replacing(target) as fh:
             class HalfWriter:
                 def write(self, data):
                     if data == payload:
